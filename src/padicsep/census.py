@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .intpoly import IntPoly, discriminant_coeffs, rational_roots
+from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
 from .lattice import XiParams
-from .padic import _as_p
+from .padic import _as_p, valuation
 from .roots import min_conjugate_separation
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -64,14 +64,6 @@ def iter_coeffs(n: int, height_bound: int, an_lo: int = 1,
         yield from rec(n - 1, acc)
 
 
-def _vp_int(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
 def _is_square(d: int) -> bool:
     if d < 0:
         return False
@@ -79,37 +71,57 @@ def _is_square(d: int) -> bool:
     return r * r == d
 
 
-def _irreducible_cubic(coeffs: tuple[int, int, int, int]) -> bool:
-    """Cubic irreducibility over Q: no rational root (linear factors only)."""
-    if coeffs[0] == 0:
-        return False
-    from math import gcd
+def _records(n: int, p: int, height_bound: int, an_lo: int,
+             an_hi: int) -> Iterator[tuple[tuple[int, ...], int, Optional[int], bool]]:
+    """The census kernel: (coeffs, D, v_p(D), irreducible) in canonical order.
 
-    g = gcd(gcd(abs(coeffs[0]), abs(coeffs[1])), gcd(abs(coeffs[2]), abs(coeffs[3])))
-    prim = tuple(c // g for c in coeffs)
-    return not rational_roots(IntPoly(prim))
+    This is the one place the censuses compute the discriminant, its
+    valuation and the irreducibility verdict.  D = 0 yields v_p(D) = None and
+    irreducible = False: a repeated root makes P reducible over Q.
+    """
+    if n == 2:
+        # Closed-form D with the valuation loop inline: calling
+        # padic.valuation here made this loop about 1.6x slower per polynomial.
+        rng = range(-height_bound, height_bound + 1)
+        for a2 in range(an_lo, an_hi + 1):
+            for a1 in rng:
+                a1sq = a1 * a1
+                for a0 in rng:
+                    disc = a1sq - 4 * a2 * a0
+                    if disc == 0:
+                        yield (a0, a1, a2), 0, None, False
+                        continue
+                    v = 0
+                    d = disc
+                    while d % p == 0:
+                        d //= p
+                        v += 1
+                    yield (a0, a1, a2), disc, v, not _is_square(disc)
+        return
+    for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
+        disc = discriminant_coeffs(coeffs)
+        if disc == 0:
+            yield coeffs, 0, None, False
+        else:
+            prim = content_primitive(IntPoly(coeffs))[1]
+            yield coeffs, disc, valuation(disc, p), bool(is_irreducible(prim))
 
 
 def record_stream(n: int, height_bound: int, p, want_sep: bool = False,
                   an_lo: int = 1, an_hi: Optional[int] = None) -> Iterator[CensusRecord]:
-    """CensusRecords in canonical order (library/demo entry; not the hot path)."""
+    """CensusRecords in canonical order, read off the census kernel.
+
+    D, v_p(D) and irreducibility are the values the censuses count.  With
+    want_sep, every record with D != 0 also carries its exact separation
+    valuation from min_conjugate_separation, flagged "sep-exact".
+    """
     q = _as_p(p)
-    for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
-        disc = discriminant_coeffs(coeffs)
-        vpd = _vp_int(disc, q) if disc else None
-        if n == 2:
-            irr = disc != 0 and not _is_square(disc)
-        elif n == 3:
-            irr = disc != 0 and _irreducible_cubic(coeffs)
-        else:
-            irr = is_irreducible_for_census(coeffs)
+    hi = an_hi if an_hi is not None else height_bound
+    for coeffs, disc, vpd, irr in _records(n, q, height_bound, an_lo, hi):
         sep = None
         flag = ""
-        if want_sep and disc != 0:
-            if n == 2:
-                sep = Fraction(vpd - 2 * _vp_int(coeffs[2], q), 2)
-            else:
-                sep = min_conjugate_separation(IntPoly(coeffs), q).val
+        if want_sep and vpd is not None:
+            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val)
             flag = "sep-exact"
         yield CensusRecord(coeffs, max(abs(c) for c in coeffs), disc, vpd, irr, sep, flag)
 
@@ -163,89 +175,30 @@ class DiscCensus:
     records_seen: int
 
 
-def _disc_shard(args) -> tuple[list[int], list[int], dict, int]:
-    n, p, height_bound, an_lo, an_hi, thresholds = args
-    counts_all = [0] * len(thresholds)
-    counts_irr = [0] * len(thresholds)
-    hist: dict[int, list] = {}
-    seen = 0
-    if n == 2:
-        rng = range(-height_bound, height_bound + 1)
-        for a2 in range(an_lo, an_hi + 1):
-            for a1 in rng:
-                a1sq = a1 * a1
-                for a0 in rng:
-                    seen += 1
-                    disc = a1sq - 4 * a2 * a0  # Sylvester determinant, expanded
-                    if disc == 0:
-                        continue
-                    v = 0
-                    d = disc
-                    while d % p == 0:
-                        d //= p
-                        v += 1
-                    irr = not _is_square(disc)
-                    for idx, thr in enumerate(thresholds):
-                        if v >= thr:
-                            counts_all[idx] += 1
-                            if irr:
-                                counts_irr[idx] += 1
-                    entry = hist.get(v)
-                    cof = abs(d)
-                    ad = abs(disc)
-                    if entry is None:
-                        hist[v] = [1, 1 if irr else 0, cof, ad]
-                    else:
-                        entry[0] += 1
-                        entry[1] += 1 if irr else 0
-                        if cof < entry[2]:
-                            entry[2] = cof
-                        if ad > entry[3]:
-                            entry[3] = ad
-    else:
-        for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
-            seen += 1
-            disc = discriminant_coeffs(coeffs)
-            if disc == 0:
-                continue
-            v = _vp_int(disc, p)
-            if n == 3:
-                irr = _irreducible_cubic(coeffs)
-            else:
-                irr = bool(is_irreducible_for_census(coeffs))
-            for idx, thr in enumerate(thresholds):
-                if v >= thr:
-                    counts_all[idx] += 1
-                    if irr:
-                        counts_irr[idx] += 1
-            cof = abs(disc) // p**v
-            ad = abs(disc)
-            entry = hist.get(v)
-            if entry is None:
-                hist[v] = [1, 1 if irr else 0, cof, ad]
-            else:
-                entry[0] += 1
-                entry[1] += 1 if irr else 0
-                if cof < entry[2]:
-                    entry[2] = cof
-                if ad > entry[3]:
-                    entry[3] = ad
-    return counts_all, counts_irr, hist, seen
+def _disc_shard(args) -> dict[int, list[int]]:
+    """v_p(D) -> [count, count_irr, min |D|, max |D|] over one a_n range, D != 0.
 
-
-def is_irreducible_for_census(coeffs: tuple[int, ...]) -> bool:
-    """Irreducibility over Q of an arbitrary (possibly imprimitive) polynomial."""
-    from math import gcd
-
-    from .intpoly import is_irreducible
-
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    prim = IntPoly(tuple(c // g for c in coeffs))
-    if prim.degree < 1:
-        return False
-    return bool(is_irreducible(prim))
+    Within one v_p(D) the cofactor |D| / p^v is monotone in |D|, so the
+    minimal cofactor follows from the minimal |D|.
+    """
+    n, p, height_bound, an_lo, an_hi = args
+    hist: dict[int, list[int]] = {}
+    for _, disc, v, irr in _records(n, p, height_bound, an_lo, an_hi):
+        if v is None:
+            continue
+        ad = abs(disc)
+        entry = hist.get(v)
+        if entry is None:
+            hist[v] = [1, 1 if irr else 0, ad, ad]
+            continue
+        entry[0] += 1
+        if irr:
+            entry[1] += 1
+        if ad < entry[2]:
+            entry[2] = ad
+        elif ad > entry[3]:
+            entry[3] = ad
+    return hist
 
 
 def _shards(height_bound: int, shard_size: int = 8) -> list[tuple[int, int]]:
@@ -267,7 +220,8 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     Canonical representatives have a_n > 0; totals count each +-P pair twice
     (discriminants are invariant under P -> -P).  Counts carry both the
     unrestricted and the irreducible-only versions, plus the prime-power
-    split statistic of the discriminant values.
+    split statistic of the discriminant values.  Every row is read off the
+    merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
     """
     q = _as_p(p)
     rows: list[DiscCensusRow] = []
@@ -275,36 +229,32 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     complete = True
     seen_total = 0
     for hb in height_grid:
-        combos = [(Fraction(nu), ce) for nu in nu_grid for ce in c_exps]
-        thresholds = [disc_threshold(q, hb, nu, ce) for nu, ce in combos]
         if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
             complete = False
             break
-        shard_args = [(n, q, hb, lo, hi, thresholds) for lo, hi in _shards(hb)]
-        results = _run_shards(_disc_shard, shard_args, workers)
-        counts_all = [0] * len(combos)
-        counts_irr = [0] * len(combos)
-        hist: dict[int, list] = {}
-        for ca, ci, h, seen in results:
-            seen_total += seen
-            for i in range(len(combos)):
-                counts_all[i] += ca[i]
-                counts_irr[i] += ci[i]
-            for k, entry in h.items():
+        seen_total += poly_count(n, hb) // 2
+        hist: dict[int, list[int]] = {}
+        for shard in _run_shards(_disc_shard, [(n, q, hb, lo, hi) for lo, hi in _shards(hb)],
+                                 workers):
+            for k, entry in shard.items():
                 tgt = hist.get(k)
                 if tgt is None:
-                    hist[k] = list(entry)
+                    hist[k] = entry
                 else:
                     tgt[0] += entry[0]
                     tgt[1] += entry[1]
                     tgt[2] = min(tgt[2], entry[2])
                     tgt[3] = max(tgt[3], entry[3])
-        for (nu, ce), thr, ca, ci in zip(combos, thresholds, counts_all, counts_irr):
-            # doubled: canonical enumeration covers each {P, -P} pair once
-            rows.append(DiscCensusRow(n, q, hb, nu, ce, thr, 2 * ca, 2 * ci))
+        for nu in map(Fraction, nu_grid):
+            for ce in c_exps:
+                thr = disc_threshold(q, hb, nu, ce)
+                ca = sum(e[0] for v, e in hist.items() if v >= thr)
+                ci = sum(e[1] for v, e in hist.items() if v >= thr)
+                # doubled: canonical enumeration covers each {P, -P} pair once
+                rows.append(DiscCensusRow(n, q, hb, nu, ce, thr, 2 * ca, 2 * ci))
         for k in sorted(hist):
-            cnt, cnt_irr, mc, mad = hist[k]
-            stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, mc, mad))
+            cnt, cnt_irr, min_ad, max_ad = hist[k]
+            stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // q**k, max_ad))
     return DiscCensus(rows, stats, complete, 2 * seen_total)
 
 
@@ -338,43 +288,26 @@ class SepCensus:
     records_seen: int
 
 
-def _sep_shard(args):
-    n, p, t, an_lo, an_hi, theta_pairs, c0_exp = args
+def _sep_shard(args) -> dict[tuple, int]:
+    """(height, separation valuation, irreducible) -> count over one a_n range.
+
+    Only distinct-root polynomials in the shell H in [Q/p, Q] are counted.
+    Keys are inserted in canonical order, which sep_census relies on to break
+    ties in max_exponent by the first irreducible record.
+    """
+    n, p, t, an_lo, an_hi = args
     height_bound = p**t
     shell_lo = height_bound // p
-    counts_all = [0] * len(theta_pairs)
-    counts_irr = [0] * len(theta_pairs)
-    flagged = 0
-    best: Optional[tuple[int, int, int]] = None  # (sep num, sep den, height)
-    seen = 0
-    for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
-        seen += 1
-        if max(abs(c) for c in coeffs) < shell_lo:
+    hist: dict[tuple, int] = {}
+    for coeffs, _, v, irr in _records(n, p, height_bound, an_lo, an_hi):
+        if v is None:
             continue
-        disc = discriminant_coeffs(coeffs)
-        if disc == 0:
-            continue
-        if n == 2:
-            irr = not _is_square(disc)
-            sep = Fraction(_vp_int(disc, p) - 2 * _vp_int(coeffs[2], p), 2)
-        else:
-            if n == 3:
-                irr = _irreducible_cubic(coeffs)
-            else:
-                irr = is_irreducible_for_census(coeffs)
-            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), p).val)
-        # sep >= theta t - c0_exp, exact comparison of fractions
-        for idx, (num, den) in enumerate(theta_pairs):
-            if sep * den >= num * t - c0_exp * den:
-                counts_all[idx] += 1
-                if irr:
-                    counts_irr[idx] += 1
         h = max(abs(c) for c in coeffs)
-        if irr and h > 1:
-            cand = (sep.numerator, sep.denominator, h)
-            if best is None or _exp_less(best, cand):
-                best = cand
-    return counts_all, counts_irr, flagged, best, seen
+        if h < shell_lo:
+            continue
+        key = (h, min_conjugate_separation(IntPoly(coeffs), p).val, irr)
+        hist[key] = hist.get(key, 0) + 1
+    return hist
 
 
 def _exp_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
@@ -397,38 +330,40 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
 
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
+    Rows and max_exponent are read off the merged (H, sep, irreducible)
+    histogram.
     """
     q = _as_p(p)
     rows: list[SepCensusRow] = []
     complete = True
     seen_total = 0
-    theta_pairs = [(Fraction(th).numerator, Fraction(th).denominator) for th in theta_grid]
+    thetas = [Fraction(th) for th in theta_grid]
     for t in t_grid:
         hb = q**t
         if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
             complete = False
             break
-        shard_args = [(n, q, t, lo, hi, theta_pairs, c0_exp) for lo, hi in _shards(hb)]
-        results = _run_shards(_sep_shard, shard_args, workers)
-        counts_all = [0] * len(theta_pairs)
-        counts_irr = [0] * len(theta_pairs)
-        flagged = 0
-        best = None
-        for ca, ci, fl, bst, seen in results:
-            seen_total += seen
-            flagged += fl
-            for i in range(len(theta_pairs)):
-                counts_all[i] += ca[i]
-                counts_irr[i] += ci[i]
-            if bst is not None and (best is None or _exp_less(best, bst)):
-                best = bst
+        seen_total += poly_count(n, hb) // 2
+        hist: dict[tuple, int] = {}
+        for shard in _run_shards(_sep_shard, [(n, q, t, lo, hi) for lo, hi in _shards(hb)],
+                                 workers):
+            for key, cnt in shard.items():
+                hist[key] = hist.get(key, 0) + cnt
+        best = None  # (sep num, sep den, height) of the largest sep / log H
+        for h, sep, irr in hist:
+            if irr and h > 1:
+                cand = (sep.numerator, sep.denominator, h)
+                if best is None or _exp_less(best, cand):
+                    best = cand
         max_exp = None
         if best is not None:
             sn, sd, h = best
             max_exp = (sn / sd) / math.log(h, q)
-        for (num, den), ca, ci in zip(theta_pairs, counts_all, counts_irr):
-            rows.append(SepCensusRow(n, q, t, Fraction(num, den), c0_exp,
-                                     2 * ca, 2 * ci, 2 * flagged, max_exp))
+        for theta in thetas:
+            floor = theta * t - c0_exp
+            ca = sum(cnt for (_, sep, _), cnt in hist.items() if sep >= floor)
+            ci = sum(cnt for (_, sep, irr), cnt in hist.items() if irr and sep >= floor)
+            rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
     return SepCensus(rows, complete, 2 * seen_total)
 
 

@@ -110,11 +110,15 @@ def cmd_disc_census(args) -> int:
         nu_grid = _parse_fraction_list(args.nu)
     except ValueError as exc:
         return _config_error("q-grid/nu", str(exc))
+    if min(q_grid) < 1:
+        return _config_error("q-grid", "every Q must be >= 1")
     for nu in nu_grid:
         if not 0 <= nu <= args.n - 1:
             return _config_error("nu", f"nu = {nu} outside [0, n-1]")
     c_exps = _parse_int_list(args.constants) if args.constants else [0, 1, 2]
     workers = _default_workers(args)
+    if workers < 1:
+        return _config_error("workers", f"need workers >= 1, got {workers}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -173,11 +177,15 @@ def cmd_sep_census(args) -> int:
         return _config_error("theta", "missing required option")
     if not is_prime(args.p):
         return _config_error("p", f"{args.p} is not prime")
+    if args.n < 2:
+        return _config_error("n", "need n >= 2")
     try:
         q_grid = _parse_int_list(args.q_grid)
         theta_grid = _parse_fraction_list(args.theta)
     except ValueError as exc:
         return _config_error("q-grid/theta", str(exc))
+    if min(q_grid) < 1:
+        return _config_error("q-grid", "every Q must be >= 1")
     t_grid = []
     for q in q_grid:
         t = 0
@@ -194,6 +202,8 @@ def cmd_sep_census(args) -> int:
             print(f"warning: theta = {th} exceeds (n+1)/3 = {bound}; "
                   "outside the proven range", file=sys.stderr)
     workers = _default_workers(args)
+    if workers < 1:
+        return _config_error("workers", f"need workers >= 1, got {workers}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {"subcommand": "sep-census", "n": args.n, "p": args.p,

@@ -191,9 +191,10 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
 def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
     """Discriminant from a raw low-to-high coefficient tuple (hot-loop entry).
 
-    Same Sylvester/Bareiss route as discriminant(); the quadratic and cubic
-    determinants are expanded inline because censuses call this millions of
-    times.  Degree 1 has discriminant 1 (empty root-difference product).
+    Degrees 2 and 3 use the expanded closed forms of the Sylvester
+    determinant, because censuses call this millions of times; higher degrees
+    go through the Bareiss determinant.  Degree 1 has discriminant 1 (empty
+    root-difference product).
     """
     n = len(coeffs) - 1
     if n < 1 or coeffs[n] == 0:
@@ -202,11 +203,11 @@ def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
         return 1
     if n == 2:
         a0, a1, a2 = coeffs
-        # det of [[a2,a1,a0],[2a2,a1,0],[0,2a2,a1]] expanded; D = -det/a2
-        det = a2 * a1 * a1 - a1 * (2 * a2 * a1) + a0 * 4 * a2 * a2
-        q, r = divmod(-det, a2)
-        assert r == 0
-        return q
+        return a1 * a1 - 4 * a2 * a0
+    if n == 3:
+        a0, a1, a2, a3 = coeffs
+        return (18 * a3 * a2 * a1 * a0 - 4 * a2**3 * a0 + a2 * a2 * a1 * a1
+                - 4 * a3 * a1**3 - 27 * a3 * a3 * a0 * a0)
     p = IntPoly(coeffs)
     res = resultant(p, p.derivative())
     q, r = divmod(res, coeffs[n])
@@ -395,6 +396,14 @@ def poly_divmod_exact(num: IntPoly, den: IntPoly) -> Optional[IntPoly]:
     return IntPoly(int(f) for f in quo)
 
 
+def _divide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
+    """num / den for a divisor den known to divide num, e.g. a gcd."""
+    quo = poly_divmod_exact(num, den)
+    if quo is None:
+        raise ArithmeticError(f"{den!r} does not divide {num!r}")
+    return quo
+
+
 def kronecker_factor(poly: IntPoly) -> Optional[IntPoly]:
     """A nontrivial integer factor of a primitive polynomial, or None.
 
@@ -567,9 +576,7 @@ def squarefree_part(poly: IntPoly) -> IntPoly:
     g = poly_gcd(poly, poly.derivative())
     if g.degree == 0:
         return content_primitive(poly)[1]
-    quo = poly_divmod_exact(poly, g)
-    assert quo is not None
-    return content_primitive(quo)[1]
+    return content_primitive(_divide_exact(poly, g))[1]
 
 
 def squarefree_decomposition(poly: IntPoly) -> list[tuple[IntPoly, int]]:
@@ -584,14 +591,10 @@ def squarefree_decomposition(poly: IntPoly) -> list[tuple[IntPoly, int]]:
         if g.degree == 0:
             out.append((p, m))
             break
-        s = poly_divmod_exact(p, g)  # product of distinct factors of p
-        assert s is not None
-        nxt = poly_divmod_exact(p, s)
-        assert nxt is not None
+        s = _divide_exact(p, g)  # product of distinct factors of p
+        nxt = _divide_exact(p, s)
         # factors appearing exactly once in p (multiplicity m overall):
-        g2 = poly_gcd(s, nxt)
-        once = poly_divmod_exact(s, g2)
-        assert once is not None
+        once = _divide_exact(s, poly_gcd(s, nxt))
         if once.degree >= 1:
             out.append((content_primitive(once)[1], m))
         p = nxt

@@ -115,14 +115,21 @@ class Prime:
 
 
 def _as_p(p) -> int:
-    return p.p if isinstance(p, Prime) else int(p)
+    """The integer p; ValueError below 2, where valuations do not terminate.
+
+    Primality is not checked here: this runs on every valuation call.
+    """
+    q = p.p if isinstance(p, Prime) else int(p)
+    if q < 2:
+        raise ValueError(f"p = {q} is not a prime")
+    return q
 
 
 def valuation(x: int, p) -> Valuation:
     """p-adic valuation of an integer; INF for x = 0."""
+    q = _as_p(p)
     if x == 0:
         return INF
-    q = _as_p(p)
     v = 0
     x = abs(x)
     while x % q == 0:
@@ -160,7 +167,7 @@ class PadicMag:
         return other.val < self.val
 
     def __le__(self, other: "PadicMag") -> bool:
-        return not self < other or self == other
+        return not other < self
 
     def __gt__(self, other: "PadicMag") -> bool:
         return other < self

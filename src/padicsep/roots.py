@@ -278,7 +278,8 @@ def difference_poly(poly: IntPoly) -> IntPoly:
     vals = [resultant(poly, poly.shift(y)) for y in ys]
     # exact Newton-form interpolation over the rationals
     coeffs_frac = _interpolate(ys, vals)
-    assert all(c.denominator == 1 for c in coeffs_frac)
+    if any(c.denominator != 1 for c in coeffs_frac):
+        raise ArithmeticError("difference polynomial interpolated to non-integer coefficients")
     return IntPoly(int(c) for c in coeffs_frac)
 
 
@@ -320,7 +321,8 @@ def min_conjugate_separation(poly: IntPoly, p) -> PadicMag:
         val = Fraction(valuation(disc, q) - 2 * valuation(poly.leading, q), 2)
         return PadicMag(val if val.denominator != 1 else int(val))
     delta = difference_poly(poly)
-    assert all(c == 0 for c in delta.coeffs[:n])
+    if any(delta.coeffs[:n]):
+        raise ArithmeticError("difference polynomial lacks the factor y^n")
     reduced = IntPoly(delta.coeffs[n:])
     polygon = newton_polygon(reduced, q)
     if not polygon.segments:

@@ -1,8 +1,10 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicsep.census import (
     disc_census,
@@ -17,6 +19,14 @@ from padicsep.census import (
 from padicsep.intpoly import IntPoly, discriminant
 from padicsep.lattice import XiParams
 from padicsep.padic import valuation
+from padicsep.roots import min_conjugate_separation
+
+X = sympy.Symbol("x")
+
+
+def _sympy_irreducible(coeffs) -> bool:
+    _, factors = sympy.factor_list(sympy.Poly(list(reversed(coeffs)), X))
+    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == len(coeffs) - 1
 
 
 def test_poly_count_examples():
@@ -193,6 +203,63 @@ def test_sep_census_cubic_path():
     row = res.rows[0]
     assert row.count_all >= row.count_irr >= 0
     assert row.flagged == 0
+
+
+def test_disc_census_cubic_against_sympy():
+    # every cubic of height <= 3, both signs of a_3; D and irreducibility from sympy
+    nus, c_exps = [Fraction(0), Fraction(1, 2), Fraction(1)], (0, 1, 2)
+    res = disc_census(3, 3, [3], nus, c_exps, workers=2)
+    by_v: dict[int, list] = {}
+    total = 0
+    for coeffs in itertools.product(range(-3, 4), repeat=4):
+        if coeffs[3] == 0:
+            continue
+        total += 1
+        d = int(sympy.discriminant(sympy.Poly(list(reversed(coeffs)), X)))
+        if d == 0:
+            continue
+        v = sympy.multiplicity(3, d)
+        irr = _sympy_irreducible(coeffs)
+        entry = by_v.setdefault(v, [0, 0, abs(d) // 3**v, abs(d)])
+        entry[0] += 1
+        entry[1] += irr
+        entry[2] = min(entry[2], abs(d) // 3**v)
+        entry[3] = max(entry[3], abs(d))
+    assert res.complete and res.records_seen == total == poly_count(3, 3)
+    assert len(res.rows) == len(nus) * len(c_exps)
+    for row in res.rows:
+        assert row.threshold == disc_threshold(3, 3, row.nu, row.c_exp)
+        assert row.count_all == sum(e[0] for v, e in by_v.items() if v >= row.threshold)
+        assert row.count_irr == sum(e[1] for v, e in by_v.items() if v >= row.threshold)
+        assert row.flagged == 0
+    assert [(s.k, s.count_all, s.count_irr, s.min_cofactor, s.max_abs_disc)
+            for s in res.stats] == [(v, *by_v[v]) for v in sorted(by_v)]
+
+
+def test_sep_census_cubic_against_recount():
+    # every cubic in the shell H in [Q/2, Q], both signs of a_3, counted directly
+    thetas = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    res = sep_census(3, 2, [1, 2], thetas, workers=2)
+    assert res.complete and res.records_seen == poly_count(3, 2) + poly_count(3, 4)
+    for t in (1, 2):
+        q = 2**t
+        seps = []  # (separation valuation, height, irreducible)
+        for coeffs in itertools.product(range(-q, q + 1), repeat=4):
+            h = max(abs(c) for c in coeffs)
+            if coeffs[3] == 0 or h < q // 2:
+                continue
+            if sympy.discriminant(sympy.Poly(list(reversed(coeffs)), X)) == 0:
+                continue
+            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), 2).val)
+            seps.append((sep, h, _sympy_irreducible(coeffs)))
+        best = max(float(sep) / math.log(h, 2) for sep, h, irr in seps if irr and h > 1)
+        rows = [r for r in res.rows if r.t == t]
+        assert [r.theta for r in rows] == thetas
+        for row in rows:
+            assert row.count_all == sum(1 for sep, _, _ in seps if sep >= row.theta * t)
+            assert row.count_irr == sum(1 for sep, _, irr in seps if irr and sep >= row.theta * t)
+            assert row.flagged == 0
+            assert math.isclose(row.max_exponent, best, rel_tol=1e-12)
 
 
 def test_fit_exponent_examples():

@@ -178,3 +178,26 @@ def test_resource_cap_exit_code(tmp_path):
     assert code == 3
     summary = json.loads((tmp_path / "disc_census_summary.json").read_text())
     assert summary["results"]["complete"] is False
+
+
+def test_census_configuration_errors_exit_2(tmp_path):
+    disc = ["disc-census", "--n", "2", "--p", "3", "--nu", "1/2"]
+    sep = ["sep-census", "--n", "2", "--p", "2", "--theta", "1"]
+    cases = [
+        (["sep-census", "--n", "1", "--p", "2", "--q-grid", "4", "--theta", "1"], "n"),
+        (disc + ["--q-grid", "0"], "q-grid"),
+        (disc + ["--q-grid=6,-5"], "q-grid"),
+        (sep + ["--q-grid", "0"], "q-grid"),
+        (sep + ["--q-grid=-4"], "q-grid"),
+        (disc + ["--q-grid", "6", "--workers", "0"], "workers"),
+        (disc + ["--q-grid", "6", "--workers=-2"], "workers"),
+        (sep + ["--q-grid", "4", "--workers", "0"], "workers"),
+        (sep + ["--q-grid", "4", "--workers=-1"], "workers"),
+    ]
+    for argv, field in cases:
+        code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 2, argv
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["field"] == field and payload["error"], argv
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -36,6 +36,16 @@ def test_prime_validation():
     assert not is_prime(2**67 - 1)
 
 
+def test_valuation_rejects_p_below_two():
+    # p = 1 or p <= 0 would never terminate the division loop
+    for bad in (1, 0, -1, -3):
+        with pytest.raises(ValueError):
+            valuation(5, bad)
+        with pytest.raises(ValueError):
+            vp(0, bad)
+    assert valuation(5, 5) == 1
+
+
 def test_magnitude_ordering_is_by_size():
     # valuation 3 means a *smaller* magnitude than valuation 1
     assert PadicMag(3) < PadicMag(1)
@@ -43,6 +53,17 @@ def test_magnitude_ordering_is_by_size():
     assert PadicMag(Fraction(1, 2)) > PadicMag(1)
     assert PadicMag(2) * PadicMag(5) == PadicMag(7)
     assert (PadicMag(2) * PadicMag.zero()).is_zero
+
+
+def test_magnitude_comparisons_agree():
+    # |x|_p for valuation 1 is larger than for valuation 2
+    big, small, zero = PadicMag(1), PadicMag(2), PadicMag.zero()
+    for a, b in ((small, big), (zero, big), (PadicMag(Fraction(5, 2)), PadicMag(Fraction(3, 2)))):
+        assert a < b and a <= b and not a > b and not a >= b
+        assert b > a and b >= a and not b < a and not b <= a
+    for a in (big, PadicMag(Fraction(1, 3)), zero):
+        same = PadicMag(a.val)
+        assert a <= same and a >= same and not a < same and not a > same
 
 
 def test_product_and_ultrametric_laws():
