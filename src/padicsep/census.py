@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
-from .lattice import XiParams
+from .lattice import XiParams, _box_points, _power_of_p_exponent
 from .padic import _as_p, valuation
 from .roots import min_conjugate_separation
 
@@ -436,41 +436,12 @@ def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
     """Is there a nonzero vector, sup-norm <= radius, meeting all congruences?
 
     The congruences are v_p(sum_(j>=i) C(j,i) x^(j-i) a_j) >= b_i.  With
-    require_top the top coefficient must be nonzero (degree exactly n).
+    require_top the top coefficient must be nonzero (degree exactly n); the
+    first point _box_points yields has the largest a_n in the box, so it
+    alone decides.
     """
-    if radius < 1:
-        return False
-    n = len(b) - 1
-    from math import comb
-
-    mods = [p**bi for bi in b]
-    coef = [
-        [comb(j, i) * x ** (j - i) if j >= i else 0 for j in range(n + 1)]
-        for i in range(n + 1)
-    ]
-    vec = [0] * (n + 1)
-
-    def rec(i: int, nonzero: bool) -> bool:
-        if i < 0:
-            return nonzero
-        s = 0
-        for j in range(i + 1, n + 1):
-            if vec[j]:
-                s += coef[i][j] * vec[j]
-        m = mods[i]
-        r = (-s) % m
-        start = -radius + ((r + radius) % m)
-        for a in range(start, radius + 1, m):
-            if i == n and require_top and a == 0:
-                continue
-            vec[i] = a
-            if rec(i - 1, nonzero or a != 0):
-                vec[i] = 0
-                return True
-        vec[i] = 0
-        return False
-
-    return rec(n, False)
+    first = next(_box_points(p, b, x, radius), None)
+    return first is not None and (first[-1] != 0 or not require_top)
 
 
 def _measure_block(args) -> int:
@@ -488,7 +459,7 @@ def _measure_block(args) -> int:
     modulus = p ** (max(bb) + 4)
     for _ in range(count):
         x = rng.randrange(modulus)
-        if radius >= 1 and _box_has_point(p, bb, x, radius, require_top):
+        if _box_has_point(p, bb, x, radius, require_top):
             hits += 1
     return hits
 
@@ -515,8 +486,6 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     elif mode == "pinch":
         if i_pinch is None or c2 is None:
             raise ValueError("pinch mode needs i_pinch and c2")
-        from .lattice import _power_of_p_exponent
-
         c2_exp = _power_of_p_exponent(Fraction(c2), p)
         if c2_exp is None or c2_exp < 0 or c2_exp % 2:
             raise ValueError("C2 must be a power of p^2")

@@ -83,10 +83,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _default_workers(args) -> int:
-    if args.workers is not None:
-        return args.workers
-    env = os.environ.get("PADICSEP_WORKERS")
-    return int(env) if env else 1
+    """--workers, else PADICSEP_WORKERS, else 1; ValueError unless an integer >= 1."""
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get("PADICSEP_WORKERS")
+        workers = int(env) if env else 1
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
+    return workers
 
 
 # --- disc-census ---------------------------------------------------------------
@@ -115,10 +119,14 @@ def cmd_disc_census(args) -> int:
     for nu in nu_grid:
         if not 0 <= nu <= args.n - 1:
             return _config_error("nu", f"nu = {nu} outside [0, n-1]")
-    c_exps = _parse_int_list(args.constants) if args.constants else [0, 1, 2]
-    workers = _default_workers(args)
-    if workers < 1:
-        return _config_error("workers", f"need workers >= 1, got {workers}")
+    try:
+        c_exps = _parse_int_list(args.constants) if args.constants else [0, 1, 2]
+    except ValueError as exc:
+        return _config_error("constants", str(exc))
+    try:
+        workers = _default_workers(args)
+    except ValueError as exc:
+        return _config_error("workers", str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -201,9 +209,10 @@ def cmd_sep_census(args) -> int:
         if th > bound:
             print(f"warning: theta = {th} exceeds (n+1)/3 = {bound}; "
                   "outside the proven range", file=sys.stderr)
-    workers = _default_workers(args)
-    if workers < 1:
-        return _config_error("workers", f"need workers >= 1, got {workers}")
+    try:
+        workers = _default_workers(args)
+    except ValueError as exc:
+        return _config_error("workers", str(exc))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = {"subcommand": "sep-census", "n": args.n, "p": args.p,
@@ -257,6 +266,10 @@ def cmd_generate(args) -> int:
         return _config_error("nu", "theorem3 preset needs --nu")
     if not is_prime(args.p):
         return _config_error("p", f"{args.p} is not prime")
+    if args.t < 1:
+        return _config_error("t", "need t >= 1 (Q = p^t > 1)")
+    if args.samples < 0:
+        return _config_error("samples", f"need samples >= 0, got {args.samples}")
     descr = {"mode": args.preset, "n": args.n, "p": args.p, "t": args.t}
     if args.theta is not None:
         descr["theta"] = args.theta

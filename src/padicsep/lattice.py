@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, eisenstein_check
@@ -184,12 +184,7 @@ class GammaLattice:
 
     def hasse_values(self, vec: Sequence[int]) -> list[int]:
         """(1/i!)P^(i)(x) for i = 0..n, P having coefficient vector vec."""
-        n = self.n
-        x = self.x
-        return [
-            sum(comb(j, i) * x ** (j - i) * vec[j] for j in range(i, n + 1))
-            for i in range(n + 1)
-        ]
+        return [sum(c * a for c, a in zip(row, vec)) for row in taylor_matrix(self.x, self.n)]
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(
@@ -203,80 +198,47 @@ class GammaLattice:
             est *= 2 * radius // self.p**bi + 1
         return est
 
-    def _level_data(self):
-        n = self.n
-        x = self.x
-        mods = [self.p**bi for bi in self.b]
-        coef = [
-            [comb(j, i) * x ** (j - i) if j >= i else 0 for j in range(n + 1)]
-            for i in range(n + 1)
-        ]
-        return mods, coef
-
-    def enumerate_box(self, radius: int, include_zero: bool = False) -> Iterator[tuple[int, ...]]:
-        """All lattice vectors with sup-norm <= radius, in deterministic order.
-
-        Descends from a_n to a_0; at each level the congruence
-        a_i = -sum_(j>i) C(j,i) x^(j-i) a_j  mod p^b_i restricts the choices,
-        so the work is proportional to the number of points delivered.
-        """
-        n = self.n
-        mods, coef = self._level_data()
-        vec = [0] * (n + 1)
-
-        def rec(i: int) -> Iterator[tuple[int, ...]]:
-            if i < 0:
-                point = tuple(vec)
-                if include_zero or any(point):
-                    yield point
-                return
-            s = sum(coef[i][j] * vec[j] for j in range(i + 1, n + 1))
-            m = mods[i]
-            r = (-s) % m
-            start = -radius + ((r + radius) % m)
-            for a in range(start, radius + 1, m):
-                vec[i] = a
-                yield from rec(i - 1)
-            vec[i] = 0
-
-        yield from rec(n)
-
     def half_box_points(self, radius: int) -> list[tuple[int, ...]]:
-        """Nonzero lattice vectors with sup-norm <= radius, one per +-v pair.
+        """Nonzero lattice vectors with sup-norm <= radius, one per +-v pair."""
+        return list(_box_points(self.p, self.b, self.x, radius))
 
-        The canonical representative has its highest-index nonzero coordinate
-        positive.  Collected eagerly (faster than the generator) for the
-        successive-minima search.
-        """
-        n = self.n
-        mods, coef = self._level_data()
-        vec = [0] * (n + 1)
-        out: list[tuple[int, ...]] = []
-        append = out.append
 
-        def rec(i: int, all_zero_above: bool):
-            m = mods[i]
-            s = 0
-            for j in range(i + 1, n + 1):
-                if vec[j]:
-                    s += coef[i][j] * vec[j]
-            r = (-s) % m
-            lo = 0 if all_zero_above else -radius
-            start = lo + ((r - lo) % m)
-            if i == 0:
-                for a in range(start, radius + 1, m):
-                    if a or not all_zero_above:
-                        vec[0] = a
-                        append(tuple(vec))
-                vec[0] = 0
-                return
-            for a in range(start, radius + 1, m):
-                vec[i] = a
-                rec(i - 1, all_zero_above and a == 0)
-            vec[i] = 0
+def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple[int, ...]]:
+    """Nonzero a with sup-norm <= radius and v_p((1/i!)P^(i)(x)) >= b_i, one per +-a pair.
 
-        rec(n, True)
-        return out
+    The representative has its highest-index nonzero coordinate positive.
+    Descends from a_n to a_0: at level i the congruence
+    a_i = -sum_(j>i) C(j,i) x^(j-i) a_j  mod p^b_i fixes a_i's residue, so
+    each level steps by p^b_i.  Every level runs from the top down, so the
+    first point yielded has the largest a_n of any point in the box.
+    """
+    n = len(b) - 1
+    coef = taylor_matrix(x, n)
+    mods = [p**bi for bi in b]
+    vec = [0] * (n + 1)
+
+    def rec(i: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
+        row = coef[i]
+        s = 0
+        for j in range(i + 1, n + 1):
+            if vec[j]:
+                s += row[j] * vec[j]
+        m = mods[i]
+        top = radius - (radius + s) % m  # largest a <= radius with a = -s mod m
+        stop = -1 if all_zero_above else -radius - 1
+        if i == 0:
+            for a in range(top, stop, -m):
+                if a or not all_zero_above:
+                    vec[0] = a
+                    yield tuple(vec)
+            vec[0] = 0
+            return
+        for a in range(top, stop, -m):
+            vec[i] = a
+            yield from rec(i - 1, all_zero_above and a == 0)
+        vec[i] = 0
+
+    return rec(n, True)
 
 
 def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,
@@ -314,29 +276,31 @@ def build_gamma(x: int, params: XiParams) -> GammaLattice:
 
 
 class _RankTracker:
-    """Incremental exact rank via rational row elimination."""
+    """Incremental exact rank via fraction-free integer row elimination.
 
-    def __init__(self, dim: int):
-        self.rows: list[list[Fraction]] = []
+    A new row is cross-multiplied against each stored row r at r's pivot,
+    row <- r[piv] row - row[piv] r, which zeroes that entry without leaving
+    the integers; a stored row is divided by its content to keep entries small.
+    """
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
-        self.dim = dim
 
     def try_add(self, vec: Sequence[int]) -> bool:
-        row = [Fraction(v) for v in vec]
+        row = list(vec)
         for piv, r in zip(self.pivots, self.rows):
-            if row[piv]:
-                f = row[piv] / r[piv]
-                row = [a - f * b for a, b in zip(row, r)]
+            f = row[piv]
+            if f:
+                g = r[piv]
+                row = [g * a - f * c for a, c in zip(row, r)]
         for j, val in enumerate(row):
             if val:
-                self.rows.append(row)
+                content = gcd(*row)
+                self.rows.append([a // content for a in row])
                 self.pivots.append(j)
                 return True
         return False
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
 
 
 def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -358,8 +322,8 @@ class ShortVectors:
     method: str
 
 
-def _greedy_minima(points: list[tuple[int, tuple[int, ...]]], dim: int, want: int):
-    tracker = _RankTracker(dim)
+def _greedy_minima(points: list[tuple[int, tuple[int, ...]]], want: int):
+    tracker = _RankTracker()
     chosen = []
     for norm, vec in points:
         if tracker.try_add(vec):
@@ -389,11 +353,10 @@ def _exact_minima_search(lat: GammaLattice, want: int, enum_limit: int):
     minima whenever it succeeds (every shorter candidate was enumerated).
     Returns None when the box would exceed enum_limit points first.
     """
-    n = lat.n
     radius = 1
     while lat.box_count_estimate(radius) <= enum_limit:
         pts = sorted((_max_abs(v), v) for v in lat.half_box_points(radius))
-        chosen = _greedy_minima(pts, n + 1, want)
+        chosen = _greedy_minima(pts, want)
         if len(chosen) == want:
             return chosen
         radius *= 2
@@ -420,7 +383,7 @@ def short_vectors(lat: GammaLattice, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Sh
         {(_max_abs(v), _sign_normalize(v)) for v in reduced},
         key=lambda item: (item[0], item[1]),
     )
-    chosen = _greedy_minima(pts, n + 1, n + 1)
+    chosen = _greedy_minima(pts, n + 1)
     if len(chosen) != n + 1:
         raise AssertionError("LLL basis lost independence")
     vectors = tuple(v for _, v in chosen)
@@ -765,7 +728,7 @@ def _verify_twist(lat: GammaLattice, twist: TwistResult, params: XiParams,
     dim = n + 1
     prim_polys: list[IntPoly] = []
     certs: list[PolyCertificate] = []
-    tracker = _RankTracker(dim)
+    tracker = _RankTracker()
     for poly in twist.polys_raw:
         if not lat.contains(_pad(poly.coeffs, dim)):
             raise AssertionError("raw twist output is not a lattice member")

@@ -1,8 +1,8 @@
 """Exact integer linear algebra helpers.
 
-Fraction-free determinants (Bareiss), integer rank, modular linear solves,
-and a small exact-arithmetic LLL used only as a fallback when exhaustive
-lattice enumeration would be too large.
+Fraction-free determinants (Bareiss), modular linear solves, and a small
+exact-arithmetic LLL used only as a fallback when exhaustive lattice
+enumeration would be too large.
 """
 
 from __future__ import annotations
@@ -44,34 +44,6 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
             row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def int_rank(matrix: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, via exact rational elimination."""
-    m = [[Fraction(x) for x in row] for row in matrix]
-    rows = len(m)
-    if rows == 0:
-        return 0
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        pivot_row = None
-        for r in range(rank, rows):
-            if m[r][c] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pv = m[rank][c]
-        for r in range(rank + 1, rows):
-            if m[r][c] != 0:
-                f = m[r][c] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
 
 
 def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int) -> list[int]:

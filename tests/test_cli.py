@@ -110,6 +110,19 @@ def test_generate_invalid_preset(tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["field"] == "preset"
 
 
+def test_generate_configuration_errors_exit_2(tmp_path):
+    gen = ["generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--theta", "1"]
+    for argv, field in ((gen + ["--t", "2", "--samples", "-1"], "samples"),
+                        (gen + ["--t", "0", "--samples", "2"], "t"),
+                        (gen + ["--t=-1", "--samples", "2"], "t")):
+        code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+        assert code == 2, argv
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["field"] == field and payload["error"], argv
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_suites_exit_codes(tmp_path):
     code, out, err = run_cli("verify", "--suite", "hensel", "--quick")
     assert code == 0 and "PASS" in out
@@ -180,10 +193,11 @@ def test_resource_cap_exit_code(tmp_path):
     assert summary["results"]["complete"] is False
 
 
-def test_census_configuration_errors_exit_2(tmp_path):
+def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
     disc = ["disc-census", "--n", "2", "--p", "3", "--nu", "1/2"]
     sep = ["sep-census", "--n", "2", "--p", "2", "--theta", "1"]
     cases = [
+        (disc + ["--q-grid", "4", "--constants", "x"], "constants"),
         (["sep-census", "--n", "1", "--p", "2", "--q-grid", "4", "--theta", "1"], "n"),
         (disc + ["--q-grid", "0"], "q-grid"),
         (disc + ["--q-grid=6,-5"], "q-grid"),
@@ -200,4 +214,11 @@ def test_census_configuration_errors_exit_2(tmp_path):
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["field"] == field and payload["error"], argv
         assert "Traceback" not in err
+    for env in ("x", "0"):
+        monkeypatch.setenv("PADICSEP_WORKERS", env)
+        for argv in (disc + ["--q-grid", "4"], sep + ["--q-grid", "4"]):
+            code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
+            assert code == 2, (env, argv)
+            assert json.loads(err.strip().splitlines()[-1])["field"] == "workers"
+            assert "Traceback" not in err
     assert not (tmp_path / "out").exists()

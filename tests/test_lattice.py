@@ -1,13 +1,19 @@
+import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+import sympy
 
+from padicsep.census import _box_has_point
 from padicsep.intpoly import IntPoly, discriminant, eisenstein_check, is_irreducible
 from padicsep.lattice import (
     DegenerateSample,
     RoundingInfeasible,
     XiParams,
+    _box_points,
+    _RankTracker,
     admissible_primes,
     build_gamma,
     choose_q,
@@ -24,7 +30,7 @@ from padicsep.lattice import (
     successive_minima,
     taylor_matrix,
 )
-from padicsep.linalg import bareiss_det, int_rank
+from padicsep.linalg import bareiss_det
 from padicsep.padic import INF, valuation
 
 
@@ -88,6 +94,9 @@ def test_round_params_random_instances():
 
 
 def test_taylor_matrix_unit_triangular():
+    # row i of T(x) a is (1/i!) P^(i)(x), the one Hasse matrix that the
+    # box enumerator and the membership test both read
+    rng = random.Random(12)
     for x in (-7, 0, 3, 11):
         for n in (1, 2, 3, 4):
             t = taylor_matrix(x, n)
@@ -96,6 +105,11 @@ def test_taylor_matrix_unit_triangular():
                 assert t[i][i] == 1
                 for j in range(i):
                     assert t[i][j] == 0
+            coeffs = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 9)]
+            deriv = IntPoly(coeffs)
+            for i in range(n + 1):
+                assert sum(c * a for c, a in zip(t[i], coeffs)) == deriv(x) // factorial(i)
+                deriv = deriv.derivative()
 
 
 def test_build_gamma_examples():
@@ -126,17 +140,33 @@ def test_build_gamma_membership_and_covolume_random():
                 assert valuation(value, p) >= bi
 
 
-def test_enumerate_box_matches_contains():
-    lat = congruence_lattice(1, 2, (2, 0))
-    pts = set(lat.enumerate_box(4))
-    for a0 in range(-4, 5):
-        for a1 in range(-4, 5):
-            vec = (a0, a1)
-            if vec == (0, 0):
-                continue
-            assert (vec in pts) == lat.contains(vec)
-    half = lat.half_box_points(4)
-    assert len(half) * 2 == len(pts)
+def test_box_points_against_brute_force():
+    # the one congruence-descent enumerator against a filter of the full box:
+    # its points and their negatives are exactly the nonzero members, once
+    # each; the first point carries the largest a_n, which decides the
+    # measure estimate's hit predicate with and without require_top
+    rng = random.Random(2718)
+    for _ in range(120):
+        n = rng.randint(1, 3)
+        p = rng.choice([2, 3, 5])
+        b = [rng.randint(0, 3) for _ in range(n + 1)]
+        x = rng.randint(-60, 60)
+        radius = rng.randint(0, 3 if n == 3 else 6)
+        lat = congruence_lattice(x, p, b)
+        box = range(-radius, radius + 1)
+        truth = {v for v in itertools.product(box, repeat=n + 1) if any(v) and lat.contains(v)}
+        points = list(_box_points(p, b, x, radius))
+        assert points == lat.half_box_points(radius)  # lat.x is x mod p^max(b)
+        half = set(points)
+        negatives = {tuple(-a for a in v) for v in points}
+        assert len(half) == len(points)
+        assert all(any(v) and next(a for a in reversed(v) if a) > 0 for v in points)
+        assert half.isdisjoint(negatives) and half | negatives == truth
+        assert 2 * len(points) + 1 <= lat.box_count_estimate(radius)
+        if points:
+            assert points[0][-1] == max(v[-1] for v in points)
+        assert _box_has_point(p, b, x, radius) == bool(truth)
+        assert _box_has_point(p, b, x, radius, require_top=True) == any(v[-1] for v in truth)
 
 
 def test_short_vectors_identity_lattice():
@@ -144,7 +174,7 @@ def test_short_vectors_identity_lattice():
     sv = short_vectors(lat)
     assert sv.c0 == 1
     assert all(max(abs(c) for c in v) == 1 for v in sv.vectors)
-    assert int_rank([list(v) for v in sv.vectors]) == 3
+    assert bareiss_det([list(v) for v in sv.vectors]) != 0
 
 
 def test_short_vectors_congruence_example():
@@ -424,19 +454,39 @@ def test_short_vectors_lll_fallback_is_verified():
     lat = build_gamma(123456, params)
     sv = short_vectors(lat, enum_limit=2000)
     assert sv.method == "lll"
-    assert int_rank([list(v) for v in sv.vectors]) == 4
+    assert bareiss_det([list(v) for v in sv.vectors]) != 0
     for v in sv.vectors:
         assert lat.contains(v)
         assert max(abs(c) for c in v) <= sv.c0 * params.Q
 
 
-def test_enumerate_box_include_zero_and_estimate():
-    lat = congruence_lattice(1, 3, (1, 0))
-    with_zero = list(lat.enumerate_box(3, include_zero=True))
-    without = list(lat.enumerate_box(3))
-    assert (0, 0) in with_zero and (0, 0) not in without
-    assert len(with_zero) == len(without) + 1
-    assert len(with_zero) <= lat.box_count_estimate(3) + 1
+def test_rank_tracker_against_sympy():
+    # every accept/reject decision of the integer rank tracker against sympy's
+    # rank of the prefix, on random rows with forced sums and multiples
+    rng = random.Random(1009)
+    for _ in range(150):
+        dim = rng.randint(2, 6)
+        rows = []
+        for _ in range(rng.randint(1, dim + 3)):
+            kind = rng.random()
+            if len(rows) >= 2 and kind < 0.25:
+                u, w = rng.sample(rows, 2)
+                c = rng.choice([-2, -1, 1, 3])
+                rows.append([a + c * e for a, e in zip(u, w)])
+            elif rows and kind < 0.4:
+                k = rng.choice([-5, -1, 2, 7])
+                rows.append([k * a for a in rng.choice(rows)])
+            elif kind < 0.5:
+                rows.append([rng.choice([0, 0, 0, rng.randint(-3, 3)]) for _ in range(dim)])
+            else:
+                scale = rng.choice([5, 50, 10**9])
+                rows.append([rng.randint(-scale, scale) for _ in range(dim)])
+        tracker = _RankTracker()
+        rank = 0
+        for k, row in enumerate(rows):
+            prefix_rank = sympy.Matrix(rows[:k + 1]).rank()
+            assert tracker.try_add(row) == (prefix_rank > rank), (rows, k)
+            rank = prefix_rank
 
 
 def test_generator_outputs_satisfy_root_distance_ladder():
