@@ -25,7 +25,7 @@ from . import census as census_mod
 from . import lattice as lattice_mod
 from .intpoly import IntPoly, discriminant
 from .padic import INF, is_prime, valuation
-from .roots import hensel_lift
+from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
 
@@ -318,7 +318,7 @@ def cmd_generate(args) -> int:
                 _, dist = hensel_lift(out.polys[0], out.x, args.p, max(params.b) + 2)
                 hensel_checks.append({"x": out.x, "distance_valuation":
                                       "inf" if dist is INF else int(dist)})
-            except Exception:
+            except HenselInapplicable:
                 hensel_checks.append({"x": out.x, "distance_valuation": None})
     write_csv_artifact(out_dir / "generated_polys.csv", config, header, rows)
     disc_vals = {}

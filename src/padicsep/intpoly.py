@@ -1,8 +1,9 @@
 """Exact integer polynomial arithmetic.
 
 Coefficients are arbitrary-precision integers stored low-to-high.  The
-discriminant goes through a fraction-free Sylvester determinant, so every
-value this module produces is exact.
+discriminant goes through a fraction-free Sylvester determinant, and
+interpolation, exact division and gcd run in integers too, so every value
+this module produces is exact.  Only rational roots are Fractions.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
-from typing import Iterable, Optional
+from math import comb, gcd, isqrt
+from typing import Iterable, Optional, Sequence
 
 from .linalg import bareiss_det
 from .padic import is_prime
@@ -74,12 +75,6 @@ class IntPoly:
 
     def __call__(self, x: int) -> int:
         acc = 0
-        for a in reversed(self.coeffs):
-            acc = acc * x + a
-        return acc
-
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
         for a in reversed(self.coeffs):
             acc = acc * x + a
         return acc
@@ -286,13 +281,14 @@ def rational_roots(poly: IntPoly) -> list[Fraction]:
     return sorted(set(roots))
 
 
-# --- polynomial arithmetic over F_l ---------------------------------------
-
-
-def _ff_trim(c: list[int]) -> list[int]:
+def _trim(c: list[int]) -> list[int]:
+    """Drop trailing zero coefficients in place (low-to-high lists)."""
     while c and c[-1] == 0:
         c.pop()
     return c
+
+
+# --- polynomial arithmetic over F_l ---------------------------------------
 
 
 def _ff_mulmod(a: list[int], b: list[int], mod: list[int], l: int) -> list[int]:
@@ -310,22 +306,22 @@ def _ff_rem(a: list[int], mod: list[int], l: int) -> list[int]:
     a = a[:]
     dm = len(mod) - 1
     inv_lead = pow(mod[-1], -1, l)
-    while len(a) - 1 >= dm and _ff_trim(a):
+    while len(a) - 1 >= dm and _trim(a):
         if not a:
             break
         f = a[-1] * inv_lead % l
         off = len(a) - 1 - dm
         for i, m in enumerate(mod):
             a[off + i] = (a[off + i] - f * m) % l
-        _ff_trim(a)
+        _trim(a)
     return a
 
 
 def _ff_gcd(a: list[int], b: list[int], l: int) -> list[int]:
-    a, b = _ff_trim(a[:]), _ff_trim(b[:])
+    a, b = _trim(a[:]), _trim(b[:])
     while b:
         a, b = b, _ff_rem(a, b, l)
-        _ff_trim(b)
+        _trim(b)
     if a:
         inv = pow(a[-1], -1, l)
         a = [x * inv % l for x in a]
@@ -347,53 +343,87 @@ def _ff_powmod_x(e: int, mod: list[int], l: int) -> list[int]:
 def poly_irreducible_mod(poly: IntPoly, l: int) -> bool:
     """True iff P mod l is irreducible of full degree over F_l (Rabin's test)."""
     n = poly.degree
-    f = _ff_trim([a % l for a in poly.coeffs])
+    f = _trim([a % l for a in poly.coeffs])
     if len(f) - 1 != n:
         return False  # degree dropped mod l; caller should pick l not dividing a_n
     if n == 1:
         return True
-    deriv = _ff_trim([(j * a) % l for j, a in enumerate(f)][1:])
+    deriv = _trim([(j * a) % l for j, a in enumerate(f)][1:])
     if not deriv or len(_ff_gcd(f, deriv, l)) > 1:
         return False
     xq = _ff_powmod_x(l**n, f, l)
-    x_minus = _ff_trim([(a - b) % l for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)])
+    x_minus = _trim([(a - b) % l for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)])
     if x_minus:
         return False
     n_primes = {r for r in range(2, n + 1) if n % r == 0 and is_prime(r)}
     for r in n_primes:
         xr = _ff_powmod_x(l ** (n // r), f, l)
-        diff = _ff_trim([(a - b) % l for a, b in itertools.zip_longest(xr, [0, 1], fillvalue=0)])
+        diff = _trim([(a - b) % l for a, b in itertools.zip_longest(xr, [0, 1], fillvalue=0)])
         if len(_ff_gcd(f, diff, l)) > 1:
             return False
     return True
 
 
-# --- Kronecker exhaustive factor search ------------------------------------
+# --- exact interpolation and division over Z ---------------------------------
+
+
+def interpolate(xs: Sequence[int], ys: Sequence[int]) -> Optional[IntPoly]:
+    """The interpolant of degree < len(xs) through (xs[i], ys[i]) if it is in Z[x], else None.
+
+    Newton divided differences over distinct integer nodes, each one a
+    divmod; the first nonzero remainder returns None.  The Newton form is
+    expanded by integer Horner steps.  Proof: the divided difference of x^j
+    over k+1 integer nodes is the complete homogeneous symmetric polynomial
+    h_(j-k) of the nodes, an integer, so for an interpolant in Z[x] every
+    table entry is an integer and every division is exact.  Conversely,
+    exact divisions give integer Newton coefficients, hence a Z[x] result.
+    """
+    table = list(ys)
+    k = len(table)
+    for j in range(1, k):
+        for i in range(k - 1, j - 1, -1):
+            quo, rem = divmod(table[i] - table[i - 1], xs[i] - xs[i - j])
+            if rem:
+                return None
+            table[i] = quo
+    coeffs: list[int] = []
+    for j in range(k - 1, -1, -1):
+        # coeffs <- coeffs * (x - xs[j]) + table[j]
+        nxt = [0] + coeffs
+        for t, c in enumerate(coeffs):
+            nxt[t] -= xs[j] * c
+        nxt[0] += table[j]
+        coeffs = nxt
+    return IntPoly(coeffs)
 
 
 def poly_divmod_exact(num: IntPoly, den: IntPoly) -> Optional[IntPoly]:
-    """num / den when den divides num exactly over Q, else None."""
+    """num / den when the quotient is in Z[x] and the remainder is 0, else None.
+
+    Integer long division.  Until a quotient coefficient is not divisible by
+    lead(den) it agrees with division over Q, so it stops there with None.
+    """
     if den.is_zero:
         raise ZeroDivisionError
     if num.is_zero:
         return IntPoly(())
-    if num.degree < den.degree:
+    dn = den.degree
+    if num.degree < dn:
         return None
-    rem = [Fraction(a) for a in num.coeffs]
-    dc = [Fraction(a) for a in den.coeffs]
-    qlen = num.degree - den.degree + 1
-    quo = [Fraction(0)] * qlen
-    for k in range(qlen - 1, -1, -1):
-        coeff = rem[k + den.degree] / dc[-1]
+    rem = list(num.coeffs)
+    dc = den.coeffs
+    quo = [0] * (num.degree - dn + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        coeff, r = divmod(rem[k + dn], dc[-1])
+        if r:
+            return None
         quo[k] = coeff
         if coeff:
             for i, d in enumerate(dc):
                 rem[k + i] -= coeff * d
     if any(rem):
         return None
-    if any(f.denominator != 1 for f in quo):
-        return None
-    return IntPoly(int(f) for f in quo)
+    return IntPoly(quo)
 
 
 def _divide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
@@ -404,11 +434,16 @@ def _divide_exact(num: IntPoly, den: IntPoly) -> IntPoly:
     return quo
 
 
+# --- Kronecker exhaustive factor search ------------------------------------
+
+
 def kronecker_factor(poly: IntPoly) -> Optional[IntPoly]:
     """A nontrivial integer factor of a primitive polynomial, or None.
 
-    Complete search by interpolation through divisor tuples; exponential in
-    the factor degree, intended as the guaranteed fallback at desk scale.
+    Complete search: a factor of degree d is the interpolant through a tuple
+    of divisors of P's values at d+1 points.  `interpolate` drops a tuple at
+    its first inexact division.  Exponential in the factor degree, intended
+    as the guaranteed fallback at desk scale.
     """
     n = poly.degree
     if n < 2:
@@ -418,12 +453,11 @@ def kronecker_factor(poly: IntPoly) -> Optional[IntPoly]:
     values: list[int] = []
     for x in sample_pool:
         val = poly(x)
-        if val != 0:
-            points.append(x)
-            values.append(val)
-        elif poly.degree >= 1:
+        if val == 0:
             # x is an integer root; x - root is a factor.
             return IntPoly((-x, 1))
+        points.append(x)
+        values.append(val)
         if len(points) > n // 2:
             break
     for d in range(1, n // 2 + 1):
@@ -436,35 +470,12 @@ def kronecker_factor(poly: IntPoly) -> Optional[IntPoly]:
             else:
                 divisor_lists.append([s * t for t in divs for s in (1, -1)])
         for choice in itertools.product(*divisor_lists):
-            g = _interpolate_int(xs, choice)
+            g = interpolate(xs, choice)
             if g is None or g.degree < 1:
                 continue
             if poly_divmod_exact(poly, g) is not None:
                 return content_primitive(g)[1]
     return None
-
-
-def _interpolate_int(xs: list[int], ys) -> Optional[IntPoly]:
-    """Lagrange interpolation; None unless the result has integer coefficients."""
-    k = len(xs)
-    coeffs = [Fraction(0)] * k
-    for i in range(k):
-        num = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(k):
-            if i == j:
-                continue
-            # multiply num by (x - xs[j])
-            num = [Fraction(0)] + num
-            for t in range(len(num) - 1):
-                num[t] -= xs[j] * num[t + 1]
-            denom *= xs[i] - xs[j]
-        w = Fraction(ys[i]) / denom
-        for t in range(len(num)):
-            coeffs[t] += w * num[t]
-    if any(f.denominator != 1 for f in coeffs):
-        return None
-    return IntPoly(int(f) for f in coeffs)
 
 
 # --- irreducibility pipeline ------------------------------------------------
@@ -531,42 +542,40 @@ def is_irreducible(poly: IntPoly) -> IrreducibilityResult:
     return IrreducibilityResult(True, "exhaustive-factor-search")
 
 
-# --- gcd / squarefree machinery over Q --------------------------------------
+# --- gcd / squarefree machinery over Z --------------------------------------
+
+
+def _primitive(c: list[int]) -> list[int]:
+    """A coefficient list divided by its content; [] stays []."""
+    g = gcd(*c)
+    return [x // g for x in c] if g > 1 else c
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q with positive leading coefficient."""
-    fa = [Fraction(x) for x in a.coeffs]
-    fb = [Fraction(x) for x in b.coeffs]
+    """Primitive gcd over Q with positive leading coefficient.
 
-    def trim(c):
-        while c and c[-1] == 0:
-            c.pop()
-        return c
-
-    fa, fb = trim(fa), trim(fb)
-    while fb:
-        # remainder of fa mod fb
-        while len(fa) >= len(fb) and trim(fa):
-            f = fa[-1] / fb[-1]
-            off = len(fa) - len(fb)
-            for i, x in enumerate(fb):
-                fa[off + i] -= f * x
-            trim(fa)
-        fa, fb = fb, fa
-    if not fa:
-        return IntPoly(())
-    denom = 1
-    for f in fa:
-        denom = lcm(denom, f.denominator)
-    ints = [int(f * denom) for f in fa]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    ints = [x // g for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return IntPoly(ints)
+    Primitive Euclid over Z: each pseudo-remainder is a nonzero integer
+    multiple of the remainder over Q and is divided by its content, so by
+    Gauss's lemma the last nonzero one is the primitive gcd up to sign.
+    """
+    x = _primitive(list(a.coeffs))
+    y = _primitive(list(b.coeffs))
+    while y:
+        lead, dy = y[-1], len(y) - 1
+        while len(x) > dy:
+            # x <- (lead/g) x - (x[-1]/g) x^off y, which kills the top term
+            top = x[-1]
+            g = gcd(top, lead)
+            scale, f = lead // g, top // g
+            off = len(x) - 1 - dy
+            x = [scale * c for c in x]
+            for i, d in enumerate(y):
+                x[off + i] -= f * d
+            _trim(x)
+        x, y = y, _primitive(x)
+    if x and x[-1] < 0:
+        x = [-c for c in x]
+    return IntPoly(x)
 
 
 def squarefree_part(poly: IntPoly) -> IntPoly:

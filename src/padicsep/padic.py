@@ -114,14 +114,19 @@ class Prime:
         return f"Prime({self.p})"
 
 
-def _as_p(p) -> int:
-    """The integer p; ValueError below 2, where valuations do not terminate.
+_CHECKED_PRIMES: set[int] = set()
 
-    Primality is not checked here: this runs on every valuation call.
+
+def _as_p(p) -> int:
+    """The integer p; ValueError unless p is prime.
+
+    This runs on every valuation call, so each prime is tested only once.
     """
     q = p.p if isinstance(p, Prime) else int(p)
-    if q < 2:
-        raise ValueError(f"p = {q} is not a prime")
+    if q not in _CHECKED_PRIMES:
+        if not is_prime(q):
+            raise ValueError(f"p = {q} is not a prime")
+        _CHECKED_PRIMES.add(q)
     return q
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intpoly import IntPoly, discriminant, resultant, squarefree_decomposition, squarefree_part
+from .intpoly import (IntPoly, discriminant, interpolate, resultant, squarefree_decomposition,
+                      squarefree_part)
 from .padic import INF, PadicMag, Valuation, _as_p, valuation
 
 PROFILE_START_PRECISION = 8
@@ -262,8 +263,10 @@ def difference_poly(poly: IntPoly) -> IntPoly:
     """Res_x(P(x), P(x+y)) as a polynomial in y.
 
     Its roots are all ordered differences alpha_i - alpha_j of roots of P
-    (i = j contributing the factor y^n).  Computed by evaluating the resultant
-    at n^2 + 1 integer points and interpolating exactly.
+    (i = j contributing the factor y^n).  It has degree n^2 and integer
+    coefficients, so it is recovered from the integer resultants at n^2 + 1
+    integer points by intpoly.interpolate, which divides only exactly.
+    ArithmeticError if that interpolant is not in Z[x].
     """
     n = poly.degree
     if n < 1:
@@ -275,31 +278,10 @@ def difference_poly(poly: IntPoly) -> IntPoly:
         ys.extend((step, -step))
         step += 1
     ys = ys[:npoints]
-    vals = [resultant(poly, poly.shift(y)) for y in ys]
-    # exact Newton-form interpolation over the rationals
-    coeffs_frac = _interpolate(ys, vals)
-    if any(c.denominator != 1 for c in coeffs_frac):
+    delta = interpolate(ys, [resultant(poly, poly.shift(y)) for y in ys])
+    if delta is None:
         raise ArithmeticError("difference polynomial interpolated to non-integer coefficients")
-    return IntPoly(int(c) for c in coeffs_frac)
-
-
-def _interpolate(xs: list[int], vals: list[int]) -> list[Fraction]:
-    k = len(xs)
-    table = [Fraction(v) for v in vals]
-    for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * k
-    coeffs[0] = table[k - 1]
-    # Horner expansion of the Newton form
-    for j in range(k - 2, -1, -1):
-        new = [Fraction(0)] * k
-        for t in range(k - 1):
-            new[t + 1] += coeffs[t]
-            new[t] += -xs[j] * coeffs[t]
-        new[0] += table[j]
-        coeffs = new
-    return coeffs
+    return delta
 
 
 def min_conjugate_separation(poly: IntPoly, p) -> PadicMag:

@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import padicsep.cli as cli_mod
 from padicsep.cli import main, read_csv_artifact
+from padicsep.roots import HenselInapplicable
 
 
 def run_cli(*args):
@@ -121,6 +125,30 @@ def test_generate_configuration_errors_exit_2(tmp_path):
         assert payload["field"] == field and payload["error"], argv
         assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_generate_hensel_errors(tmp_path, monkeypatch):
+    # theorem2 at b = (5, 1, 0) reports the Hensel root distance of each sample
+    argv = ["generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--t", "2",
+            "--theta", "1/2", "--samples", "3", "--seed", "1"]
+
+    def inapplicable(*args):
+        raise HenselInapplicable("simple-root condition fails")
+
+    monkeypatch.setattr(cli_mod, "hensel_lift", inapplicable)
+    code, _, _ = run_cli(*argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "generate_summary.json").read_text())
+    distances = summary["results"]["hensel_distances"]
+    assert len(distances) == 3
+    assert all(d["distance_valuation"] is None for d in distances)
+
+    def broken(*args):
+        raise RuntimeError("defect inside hensel_lift")
+
+    monkeypatch.setattr(cli_mod, "hensel_lift", broken)
+    with pytest.raises(RuntimeError, match="defect inside hensel_lift"):
+        run_cli(*argv, "--out-dir", str(tmp_path / "again"))
 
 
 def test_verify_suites_exit_codes(tmp_path):

@@ -11,8 +11,10 @@ from padicsep.intpoly import (
     discriminant,
     eisenstein_check,
     hadamard_bound,
+    interpolate,
     is_irreducible,
     kronecker_factor,
+    poly_divmod_exact,
     poly_gcd,
     poly_irreducible_mod,
     rational_roots,
@@ -225,8 +227,6 @@ def test_is_irreducible_certificates_and_products():
     res = is_irreducible(prod)
     assert not res and res.certificate == "factor-found"
     factor = IntPoly(res.detail)
-    from padicsep.intpoly import poly_divmod_exact
-
     assert poly_divmod_exact(prod, factor) is not None
 
 
@@ -292,3 +292,90 @@ def test_string_encoding_round_trip():
     assert p.to_string() == "-5,0,12"
     assert IntPoly.from_string("-5,0,12") == p
     assert IntPoly.from_string("0") == IntPoly([])
+
+
+def fraction_lagrange(xs, ys):
+    """Independent interpolation: Lagrange form over Q, coefficients low-to-high."""
+    k = len(xs)
+    coeffs = [Fraction(0)] * k
+    for i in range(k):
+        basis = [Fraction(1)]
+        for j in range(k):
+            if j != i:
+                # basis <- basis * (x - xs[j]) / (xs[i] - xs[j])
+                shifted = [Fraction(0)] + basis
+                for t in range(len(basis)):
+                    shifted[t] -= xs[j] * basis[t]
+                basis = [c / (xs[i] - xs[j]) for c in shifted]
+        for t, c in enumerate(basis):
+            coeffs[t] += ys[i] * c
+    return coeffs
+
+
+def test_interpolate_round_trips_random_polys():
+    rng = random.Random(41)
+    for _ in range(400):
+        k = rng.randint(1, 10)
+        poly = IntPoly([rng.randint(-10**6, 10**6) for _ in range(rng.randint(0, k))])
+        xs = rng.sample(range(-30, 31), k)
+        assert interpolate(xs, [poly(x) for x in xs]) == poly
+
+
+def test_interpolate_none_exactly_when_lagrange_is_not_integral():
+    rng = random.Random(42)
+    nones = 0
+    for _ in range(600):
+        k = rng.randint(1, 7)
+        xs = rng.sample(range(-10, 11), k)
+        ys = [rng.randint(-60, 60) for _ in range(k)]
+        ref = fraction_lagrange(xs, ys)
+        got = interpolate(xs, ys)
+        if any(c.denominator != 1 for c in ref):
+            assert got is None, (xs, ys)
+            nones += 1
+        else:
+            assert got == IntPoly(int(c) for c in ref), (xs, ys)
+    assert 100 < nones < 600  # both outcomes are exercised
+
+
+def test_poly_divmod_exact_against_sympy():
+    # 2x + 2 divides x + 1 over Q, but the quotient 1/2 is not in Z[x]
+    assert poly_divmod_exact(IntPoly([1, 1]), IntPoly([2, 2])) is None
+    assert poly_divmod_exact(IntPoly([2, 2]), IntPoly([1, 1])) == IntPoly([2])
+    assert poly_divmod_exact(IntPoly([]), IntPoly([3, 1])) == IntPoly([])
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod_exact(IntPoly([1, 1]), IntPoly([]))
+    rng = random.Random(43)
+    for _ in range(400):
+        den = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 4))] + [rng.choice([1, -2, 3, 4])])
+        num = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 7))])
+        if rng.random() < 0.5:
+            num = num * den
+        if num.is_zero:
+            continue
+        quo, rem = sympy.div(to_sympy(num), to_sympy(den), domain="QQ")
+        integral = rem.is_zero and all(c.q == 1 for c in quo.all_coeffs())
+        got = poly_divmod_exact(num, den)
+        if integral:
+            assert got == IntPoly(int(c) for c in reversed(quo.all_coeffs())), (num, den)
+        else:
+            assert got is None, (num, den)
+
+
+def test_poly_gcd_against_sympy():
+    assert poly_gcd(IntPoly([]), IntPoly([])) == IntPoly([])
+    assert poly_gcd(IntPoly([6]), IntPoly([4])) == IntPoly([1])
+    assert poly_gcd(IntPoly([]), IntPoly([-4, -2])) == IntPoly([2, 1])
+    rng = random.Random(44)
+    for _ in range(300):
+        common = IntPoly([rng.randint(-5, 5) for _ in range(rng.randint(1, 3))])
+        a = IntPoly([rng.randint(-7, 7) for _ in range(rng.randint(1, 5))]) * common
+        b = IntPoly([rng.randint(-7, 7) for _ in range(rng.randint(1, 5))]) * common
+        if a.is_zero or b.is_zero:
+            continue
+        ref = sympy.gcd(to_sympy(a), to_sympy(b))
+        _, prim = ref.primitive()
+        ref_coeffs = [int(c) for c in reversed(prim.all_coeffs())]
+        if ref_coeffs[-1] < 0:
+            ref_coeffs = [-c for c in ref_coeffs]
+        assert poly_gcd(a, b) == IntPoly(ref_coeffs), (a, b)

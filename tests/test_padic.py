@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from padicsep.intpoly import IntPoly
 from padicsep.padic import INF, PadicMag, Prime, is_prime, ultrametric_max, valuation, vp, vp_rat
+from padicsep.roots import newton_polygon, zp_roots
 
 
 def test_vp_examples():
@@ -44,6 +46,16 @@ def test_valuation_rejects_p_below_two():
         with pytest.raises(ValueError):
             vp(0, bad)
     assert valuation(5, 5) == 1
+
+
+def test_composite_p_rejected():
+    with pytest.raises(ValueError):
+        valuation(8, 4)  # would report 1: 8 = 4 * 2
+    with pytest.raises(ValueError):
+        zp_roots(IntPoly([-2, 0, 1]), 6, 3)
+    with pytest.raises(ValueError):
+        newton_polygon(IntPoly([4, 2, 1]), 9)
+    assert valuation(8, 2) == 3 and valuation(8, Prime(2)) == 3
 
 
 def test_magnitude_ordering_is_by_size():

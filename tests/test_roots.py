@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicsep.intpoly import IntPoly, discriminant
 from padicsep.padic import INF, valuation
@@ -261,6 +262,18 @@ def test_difference_poly_structure():
     # roots of P are +-sqrt2: ordered differences 0, 0, +-2 sqrt2
     # Res_x(P(x), P(x+y)) = y^2 (y^2 - 8)
     assert delta == IntPoly([0, 0, -8, 0, 1])
+
+
+def test_difference_poly_against_sympy_resultant():
+    x, y = sympy.symbols("x y")
+    rng = random.Random(45)
+    for n in (2, 3, 4, 5):
+        for _ in range(6 if n < 5 else 3):
+            coeffs = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, -1, 2, 5])]
+            poly = IntPoly(coeffs)
+            px = sum(c * x**i for i, c in enumerate(coeffs))
+            ref = sympy.Poly(sympy.resultant(px, px.subs(x, x + y), x), y)
+            assert difference_poly(poly) == IntPoly(int(c) for c in reversed(ref.all_coeffs())), coeffs
 
 
 def test_check_ordering_lemma():
