@@ -107,23 +107,42 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
             yield coeffs, disc, valuation(disc, p), bool(is_irreducible(prim))
 
 
+def _census_inputs(n: int, p, bounds: Sequence[int], least: int) -> int:
+    """The census entry check: the validated p, or ValueError before any shard runs.
+
+    n must be an integer >= 2 and every bound (a height Q, or an exponent t
+    of Q = p^t) an integer >= least.
+    """
+    q = _as_p(p)
+    if not isinstance(n, int) or n < 2:
+        raise ValueError(f"need an integer degree n >= 2, got {n!r}")
+    if not all(isinstance(b, int) and b >= least for b in bounds):
+        raise ValueError(f"every bound must be an integer >= {least}, got {list(bounds)}")
+    return q
+
+
 def record_stream(n: int, height_bound: int, p, want_sep: bool = False,
                   an_lo: int = 1, an_hi: Optional[int] = None) -> Iterator[CensusRecord]:
     """CensusRecords in canonical order, read off the census kernel.
 
     D, v_p(D) and irreducibility are the values the censuses count.  With
     want_sep, every record with D != 0 also carries its exact separation
-    valuation from min_conjugate_separation, flagged "sep-exact".
+    valuation from min_conjugate_separation, flagged "sep-exact".  The
+    inputs are checked at the call, not at the first record.
     """
-    q = _as_p(p)
+    q = _census_inputs(n, p, [height_bound], 1)
     hi = an_hi if an_hi is not None else height_bound
-    for coeffs, disc, vpd, irr in _records(n, q, height_bound, an_lo, hi):
-        sep = None
-        flag = ""
-        if want_sep and vpd is not None:
-            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val)
-            flag = "sep-exact"
-        yield CensusRecord(coeffs, max(abs(c) for c in coeffs), disc, vpd, irr, sep, flag)
+
+    def records() -> Iterator[CensusRecord]:
+        for coeffs, disc, vpd, irr in _records(n, q, height_bound, an_lo, hi):
+            sep = None
+            flag = ""
+            if want_sep and vpd is not None:
+                sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val)
+                flag = "sep-exact"
+            yield CensusRecord(coeffs, max(abs(c) for c in coeffs), disc, vpd, irr, sep, flag)
+
+    return records()
 
 
 # --- discriminant census ------------------------------------------------------
@@ -223,7 +242,7 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     split statistic of the discriminant values.  Every row is read off the
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
     """
-    q = _as_p(p)
+    q = _census_inputs(n, p, height_grid, 1)
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
     complete = True
@@ -261,7 +280,8 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
 def _run_shards(fn, shard_args, workers: int):
     if workers <= 1 or len(shard_args) <= 1:
         return [fn(a) for a in shard_args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # at most one process per shard: under fork the pool starts all its workers at once
+    with ProcessPoolExecutor(max_workers=min(workers, len(shard_args))) as pool:
         return list(pool.map(fn, shard_args))
 
 
@@ -333,7 +353,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     Rows and max_exponent are read off the merged (H, sep, irreducible)
     histogram.
     """
-    q = _as_p(p)
+    q = _census_inputs(n, p, t_grid, 0)
     rows: list[SepCensusRow] = []
     complete = True
     seen_total = 0

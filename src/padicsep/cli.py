@@ -3,10 +3,14 @@
 All output is file-based CSV/JSON.  Every artifact embeds the run
 configuration (minus runtime-only fields like the worker count) and a SHA-256
 of its payload, so a rerun with the embedded config reproduces the file
-byte-for-byte regardless of parallelism.
+byte-for-byte regardless of parallelism.  The runtime-only figures of a
+census (wall time, workers used) go to an unhashed `<kind>_telemetry.json`
+sidecar next to its summary.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource cap hit (partial artifacts are flagged).
+3 resource cap hit (partial artifacts are flagged).  Every configuration
+error is a ConfigError naming the flag at fault; main() alone turns it into
+one {"error", "field"} JSON line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -24,15 +29,22 @@ from pathlib import Path
 from . import census as census_mod
 from . import lattice as lattice_mod
 from .intpoly import IntPoly, discriminant
+from .linalg import bareiss_det
 from .padic import INF, is_prime, valuation
 from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
+CENSUS_HEADER = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"
 
 
-def _config_error(field: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": message, "field": field}) + "\n")
-    return 2
+class ConfigError(Exception):
+    """A bad flag or input file; main() reports it as {"error", "field"} and exits `code`."""
+
+    def __init__(self, field: str, message: str, code: int = 2, **detail):
+        super().__init__(message)
+        self.field = field
+        self.code = code
+        self.detail = detail
 
 
 def _canonical_json(obj) -> str:
@@ -63,224 +75,212 @@ def write_json_artifact(path: Path, config: dict, results) -> str:
 
 
 def read_csv_artifact(path: Path) -> tuple[dict, str, list[str], bool]:
-    """Returns (config, header, rows, hash_ok)."""
+    """Returns (config, header, rows, hash_ok); ValueError unless a whole artifact."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != ARTIFACT_MAGIC:
-        raise ValueError(f"{path}: not a padicsep artifact")
+    if len(lines) < 4 or lines[0] != ARTIFACT_MAGIC:
+        raise ValueError(f"{path}: not a complete padicsep artifact")
     config = json.loads(lines[1].removeprefix("# config: "))
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config line is not a JSON object")
     stated = lines[2].removeprefix("# content-sha256: ")
     payload = "".join(line + "\n" for line in lines[3:])
     ok = hashlib.sha256(payload.encode()).hexdigest() == stated
     return config, lines[3], lines[4:], ok
 
 
-def _parse_fraction_list(text: str) -> list[Fraction]:
-    return [Fraction(part) for part in text.split(",")]
+# --- flag checks ------------------------------------------------------------------
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+def _flag(args, flag: str):
+    return getattr(args, flag.replace("-", "_"))
 
 
-def _default_workers(args) -> int:
-    """--workers, else PADICSEP_WORKERS, else 1; ValueError unless an integer >= 1."""
+def _require(args, *flags: str) -> None:
+    """ConfigError naming the first of these flags that was not given."""
+    for flag in flags:
+        if _flag(args, flag) is None:
+            raise ConfigError(flag, "missing required option")
+
+
+def _parse_list(args, flag: str, convert=int) -> list:
+    """The comma-separated values of --flag through convert; a malformed one names the flag."""
+    try:
+        return [convert(part) for part in _flag(args, flag).split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(flag, f"malformed value: {exc}") from None
+
+
+def _check_prime(p: int) -> None:
+    try:
+        prime = is_prime(p)
+    except ValueError as exc:  # beyond the deterministic Miller-Rabin range
+        raise ConfigError("p", str(exc)) from None
+    if not prime:
+        raise ConfigError("p", f"{p} is not prime")
+
+
+def _out_dir(args) -> Path:
+    """Create --out-dir; commands call this once every other check has passed."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out-dir", str(exc)) from None
+    return out_dir
+
+
+def _out_file(flag: str, path: str) -> Path:
+    """--flag's output file: its directory must exist and it must not be one."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        raise ConfigError(flag, f"cannot write a file at {path!r}")
+    return out
+
+
+# --- disc-census and sep-census ---------------------------------------------------
+
+
+def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction], int]:
+    """The checked (Q grid, --nu or --theta grid, worker count) of a census command.
+
+    The command adds its own checks, then creates the out-dir with _out_dir.
+    """
+    _require(args, "n", "p", "q-grid", grid_flag)
+    _check_prime(args.p)
+    if args.n < 2:
+        raise ConfigError("n", "need n >= 2")
+    q_grid = _parse_list(args, "q-grid")
+    if min(q_grid) < 1:
+        raise ConfigError("q-grid", "every Q must be >= 1")
+    grid = _parse_list(args, grid_flag, Fraction)
+    if args.max_records is not None and args.max_records < 0:
+        raise ConfigError("max-records", f"need max-records >= 0, got {args.max_records}")
     workers = args.workers
-    if workers is None:
-        env = os.environ.get("PADICSEP_WORKERS")
-        workers = int(env) if env else 1
+    if workers is None:  # PADICSEP_WORKERS, else 1
+        try:
+            workers = int(os.environ.get("PADICSEP_WORKERS") or 1)
+        except ValueError as exc:
+            raise ConfigError("workers", f"PADICSEP_WORKERS: {exc}") from None
     if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
-    return workers
+        raise ConfigError("workers", f"need workers >= 1, got {workers}")
+    return q_grid, grid, workers
 
 
-# --- disc-census ---------------------------------------------------------------
+def _fit(points: list[tuple[int, int]], target: Fraction) -> dict:
+    try:
+        fit = census_mod.fit_exponent(points)
+    except ValueError as exc:
+        return {"error": str(exc), "target": str(target)}
+    return {"slope": f"{fit.slope:.6f}", "residual_rms": f"{fit.residual_rms:.6f}",
+            "target": str(target), "dropped": fit.dropped}
+
+
+def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
+                 started: float, workers: int, **summary) -> int:
+    """Write the CSV tables, the hashed summary and the unhashed telemetry; exit 0 or 3."""
+    for name, (header, rows) in tables.items():
+        write_csv_artifact(out_dir / name, config, header, rows)
+    summary.update(complete=result.complete, records_seen=result.records_seen)
+    write_json_artifact(out_dir / f"{kind}_summary.json", config, summary)
+    telemetry = {"elapsed_s": f"{time.perf_counter() - started:.3f}", "workers_used": workers}
+    (out_dir / f"{kind}_telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
+    print(f"{kind.replace('_', '-')}: {len(result.rows)} rows, "
+          f"complete={result.complete} -> {out_dir}")
+    return 0 if result.complete else 3
 
 
 def cmd_disc_census(args) -> int:
-    if args.n is None:
-        return _config_error("n", "missing required option")
-    if args.p is None:
-        return _config_error("p", "missing required option")
-    if args.q_grid is None:
-        return _config_error("q-grid", "missing required option")
-    if args.nu is None:
-        return _config_error("nu", "missing required option")
-    if not is_prime(args.p):
-        return _config_error("p", f"{args.p} is not prime")
-    if args.n < 2:
-        return _config_error("n", "need n >= 2")
-    try:
-        q_grid = _parse_int_list(args.q_grid)
-        nu_grid = _parse_fraction_list(args.nu)
-    except ValueError as exc:
-        return _config_error("q-grid/nu", str(exc))
-    if min(q_grid) < 1:
-        return _config_error("q-grid", "every Q must be >= 1")
+    q_grid, nu_grid, workers = _census_front_end(args, "nu")
     for nu in nu_grid:
         if not 0 <= nu <= args.n - 1:
-            return _config_error("nu", f"nu = {nu} outside [0, n-1]")
-    try:
-        c_exps = _parse_int_list(args.constants) if args.constants else [0, 1, 2]
-    except ValueError as exc:
-        return _config_error("constants", str(exc))
-    try:
-        workers = _default_workers(args)
-    except ValueError as exc:
-        return _config_error("workers", str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+            raise ConfigError("nu", f"nu = {nu} outside [0, n-1]")
+    c_exps = _parse_list(args, "constants") if args.constants else [0, 1, 2]
+    out_dir = _out_dir(args)
     config = {"subcommand": "disc-census", "n": args.n, "p": args.p,
               "q_grid": q_grid, "nu_grid": [str(nu) for nu in nu_grid],
               "constants": c_exps, "max_records": args.max_records}
-    started = time.time()
+    started = time.perf_counter()
     result = census_mod.disc_census(args.n, args.p, q_grid, nu_grid, c_exps,
                                     workers=workers, max_records=args.max_records)
-    header = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"
     rows = [
         f"{r.n},{r.p},{r.height_bound},{r.nu},{r.c_exp},{r.count_all},{r.count_irr},{r.flagged}"
         for r in result.rows
     ]
-    write_csv_artifact(out_dir / "disc_census.csv", config, header, rows)
-
-    stat_header = "Q,vpD,count_all,count_irr,min_cofactor,max_abs_disc"
     stat_rows = [
         f"{s.height_bound},{s.k},{s.count_all},{s.count_irr},{s.min_cofactor},{s.max_abs_disc}"
         for s in result.stats
     ]
-    write_csv_artifact(out_dir / "disc_census_stats.csv", config, stat_header, stat_rows)
-
-    fits = {}
-    for nu in nu_grid:
-        target = args.n + 1 - Fraction(args.n + 2, args.n) * nu
-        for ce in c_exps:
-            pts = [(r.height_bound, r.count_irr) for r in result.rows
-                   if r.nu == nu and r.c_exp == ce]
-            key = f"nu={nu};C=p^{ce}"
-            try:
-                fit = census_mod.fit_exponent(pts)
-                fits[key] = {"slope": f"{fit.slope:.6f}", "residual_rms": f"{fit.residual_rms:.6f}",
-                             "target": str(target), "dropped": fit.dropped}
-            except ValueError as exc:
-                fits[key] = {"error": str(exc), "target": str(target)}
-    summary = {"complete": result.complete, "records_seen": result.records_seen,
-               "fits": fits, "elapsed_s": f"{time.time() - started:.3f}",
-               "workers_used": workers, "rows": len(rows)}
-    write_json_artifact(out_dir / "disc_census_summary.json", config, summary)
-    print(f"disc-census: {len(rows)} rows, complete={result.complete} -> {out_dir}")
-    return 0 if result.complete else 3
-
-
-# --- sep-census ----------------------------------------------------------------
+    fits = {f"nu={nu};C=p^{ce}":
+            _fit([(r.height_bound, r.count_irr) for r in result.rows
+                  if r.nu == nu and r.c_exp == ce],
+                 args.n + 1 - Fraction(args.n + 2, args.n) * nu)
+            for nu in nu_grid for ce in c_exps}
+    tables = {"disc_census.csv": (CENSUS_HEADER, rows),
+              "disc_census_stats.csv":
+                  ("Q,vpD,count_all,count_irr,min_cofactor,max_abs_disc", stat_rows)}
+    return _census_tail(out_dir, "disc_census", config, result, tables, started, workers,
+                        fits=fits, rows=len(rows))
 
 
 def cmd_sep_census(args) -> int:
-    if args.n is None:
-        return _config_error("n", "missing required option")
-    if args.p is None:
-        return _config_error("p", "missing required option")
-    if args.q_grid is None:
-        return _config_error("q-grid", "missing required option")
-    if args.theta is None:
-        return _config_error("theta", "missing required option")
-    if not is_prime(args.p):
-        return _config_error("p", f"{args.p} is not prime")
-    if args.n < 2:
-        return _config_error("n", "need n >= 2")
-    try:
-        q_grid = _parse_int_list(args.q_grid)
-        theta_grid = _parse_fraction_list(args.theta)
-    except ValueError as exc:
-        return _config_error("q-grid/theta", str(exc))
-    if min(q_grid) < 1:
-        return _config_error("q-grid", "every Q must be >= 1")
-    t_grid = []
-    for q in q_grid:
-        t = 0
-        qq = 1
-        while qq < q:
-            qq *= args.p
-            t += 1
-        if qq != q:
-            return _config_error("q-grid", f"{q} is not a power of p = {args.p}")
-        t_grid.append(t)
+    q_grid, theta_grid, workers = _census_front_end(args, "theta")
+    t_grid = [lattice_mod._power_of_p_exponent(q, args.p) for q in q_grid]
+    for q, t in zip(q_grid, t_grid):
+        if t is None:
+            raise ConfigError("q-grid", f"{q} is not a power of p = {args.p}")
     bound = Fraction(args.n + 1, 3)
     for th in theta_grid:
         if th > bound:
             print(f"warning: theta = {th} exceeds (n+1)/3 = {bound}; "
                   "outside the proven range", file=sys.stderr)
-    try:
-        workers = _default_workers(args)
-    except ValueError as exc:
-        return _config_error("workers", str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     config = {"subcommand": "sep-census", "n": args.n, "p": args.p,
               "q_grid": q_grid, "theta_grid": [str(th) for th in theta_grid],
               "c0_exp": args.c0_exp, "max_records": args.max_records}
-    started = time.time()
+    started = time.perf_counter()
     result = census_mod.sep_census(args.n, args.p, t_grid, theta_grid, args.c0_exp,
                                    workers=workers, max_records=args.max_records)
-    header = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"
     rows = [
         f"{r.n},{r.p},{r.p**r.t},{r.theta},{r.c0_exp},{r.count_all},{r.count_irr},{r.flagged}"
         for r in result.rows
     ]
-    write_csv_artifact(out_dir / "sep_census.csv", config, header, rows)
-    fits = {}
-    for th in theta_grid:
-        target = args.n + 1 - 2 * th
-        pts = [(r.p**r.t, r.count_irr) for r in result.rows if r.theta == th]
-        key = f"theta={th}"
-        try:
-            fit = census_mod.fit_exponent(pts)
-            fits[key] = {"slope": f"{fit.slope:.6f}", "residual_rms": f"{fit.residual_rms:.6f}",
-                         "target": str(target), "dropped": fit.dropped}
-        except ValueError as exc:
-            fits[key] = {"error": str(exc), "target": str(target)}
+    fits = {f"theta={th}": _fit([(r.p**r.t, r.count_irr) for r in result.rows if r.theta == th],
+                                args.n + 1 - 2 * th)
+            for th in theta_grid}
     max_exps = {f"Q={r.p**r.t};theta={r.theta}":
                 (f"{r.max_exponent:.6f}" if r.max_exponent is not None else None)
                 for r in result.rows}
-    summary = {"complete": result.complete, "records_seen": result.records_seen,
-               "fits": fits, "max_observed_exponent": max_exps,
-               "elapsed_s": f"{time.time() - started:.3f}", "workers_used": workers}
-    write_json_artifact(out_dir / "sep_census_summary.json", config, summary)
-    print(f"sep-census: {len(rows)} rows, complete={result.complete} -> {out_dir}")
-    return 0 if result.complete else 3
+    return _census_tail(out_dir, "sep_census", config, result,
+                        {"sep_census.csv": (CENSUS_HEADER, rows)}, started, workers,
+                        fits=fits, max_observed_exponent=max_exps)
 
 
 # --- generate ------------------------------------------------------------------
 
 
 def cmd_generate(args) -> int:
-    if args.preset is None:
-        return _config_error("preset", "missing required option")
+    _require(args, "preset")
     if args.preset not in ("theorem2", "theorem3"):
-        return _config_error("preset", f"unknown preset {args.preset!r}")
-    for fieldname in ("n", "p", "t"):
-        if getattr(args, fieldname) is None:
-            return _config_error(fieldname, "missing required option")
-    if args.preset == "theorem2" and args.theta is None:
-        return _config_error("theta", "theorem2 preset needs --theta")
-    if args.preset == "theorem3" and args.nu is None:
-        return _config_error("nu", "theorem3 preset needs --nu")
-    if not is_prime(args.p):
-        return _config_error("p", f"{args.p} is not prime")
+        raise ConfigError("preset", f"unknown preset {args.preset!r}")
+    _require(args, "n", "p", "t", "theta" if args.preset == "theorem2" else "nu")
+    _check_prime(args.p)
+    if args.n < 2:
+        raise ConfigError("n", "need n >= 2")
     if args.t < 1:
-        return _config_error("t", "need t >= 1 (Q = p^t > 1)")
+        raise ConfigError("t", "need t >= 1 (Q = p^t > 1)")
     if args.samples < 0:
-        return _config_error("samples", f"need samples >= 0, got {args.samples}")
+        raise ConfigError("samples", f"need samples >= 0, got {args.samples}")
     descr = {"mode": args.preset, "n": args.n, "p": args.p, "t": args.t}
-    if args.theta is not None:
-        descr["theta"] = args.theta
-    if args.nu is not None:
-        descr["nu"] = args.nu
+    for flag in ("theta", "nu"):
+        if _flag(args, flag) is not None:
+            if len(_parse_list(args, flag, Fraction)) != 1:
+                raise ConfigError(flag, "need a single value")
+            descr[flag] = _flag(args, flag)
     try:
         params = lattice_mod.expand_preset(descr)
     except (ValueError, lattice_mod.RoundingInfeasible) as exc:
-        return _config_error("preset", str(exc))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        raise ConfigError("preset", str(exc)) from None
+    out_dir = _out_dir(args)
     config = {"subcommand": "generate", "preset": descr, "b": list(params.b),
               "samples": args.samples, "seed": args.seed}
     rng = random.Random(args.seed)
@@ -290,7 +290,6 @@ def cmd_generate(args) -> int:
     header = ("x,q,m,c0,C2,poly_index,coeffs,content,height,degree_ok,eisenstein_ok,"
               "membership_ok,height_ok,margins")
     rows = []
-    successes = 0
     failures = []
     hensel_checks = []
     outputs = []
@@ -301,8 +300,6 @@ def cmd_generate(args) -> int:
             failures.append({"x": x, "reason": str(exc)})
             continue
         outputs.append(out)
-        if out.all_ok:
-            successes += 1
         for idx, (poly, cert) in enumerate(zip(out.polys, out.certificates)):
             margins = ";".join("inf" if m is INF else str(m)
                                for m in cert.membership_margins)
@@ -321,13 +318,13 @@ def cmd_generate(args) -> int:
             except HenselInapplicable:
                 hensel_checks.append({"x": out.x, "distance_valuation": None})
     write_csv_artifact(out_dir / "generated_polys.csv", config, header, rows)
+    successes = sum(out.all_ok for out in outputs)
     disc_vals = {}
     if args.preset == "theorem3":
-        nu = Fraction(args.nu)
         vpds = [int(valuation(d, args.p))
                 for out in outputs for poly in out.polys
                 if (d := discriminant(poly)) != 0]
-        target = 2 * nu * args.t
+        target = 2 * Fraction(args.nu) * args.t
         disc_vals = {"target_2nut": str(target),
                      "min_vpD": min(vpds) if vpds else None,
                      "max_vpD": max(vpds) if vpds else None,
@@ -409,8 +406,6 @@ def _suite_hensel(quick: bool):
 
 
 def _suite_lattice(quick: bool):
-    from .linalg import bareiss_det
-
     rng = random.Random(5150)
     checks = []
     trials = 60 if quick else 500
@@ -447,12 +442,7 @@ def _suite_lattice(quick: bool):
 def _random_b(rng, n, t):
     total = t * (n + 1)
     cuts = sorted(rng.randint(0, total) for _ in range(n))
-    parts = []
-    prev = 0
-    for c in cuts + [total]:
-        parts.append(c - prev)
-        prev = c
-    return parts
+    return [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
 
 
 def _suite_generator(quick: bool):
@@ -487,23 +477,13 @@ def _suite_census(quick: bool):
     res = census_mod.disc_census(2, 3, [hb], [Fraction(1, 2)], c_exps=(0,))
     cnt_all = cnt_irr = 0
     thr = census_mod.disc_threshold(3, hb, Fraction(1, 2), 0)
-    import math as _math
-
     for a2 in range(1, hb + 1):
         for a1 in range(-hb, hb + 1):
             for a0 in range(-hb, hb + 1):
                 d = a1 * a1 - 4 * a2 * a0
-                if d == 0:
-                    continue
-                v = 0
-                dd = d
-                while dd % 3 == 0:
-                    dd //= 3
-                    v += 1
-                if v >= thr:
+                if d != 0 and valuation(d, 3) >= thr:
                     cnt_all += 1
-                    r = _math.isqrt(d) if d >= 0 else -1
-                    if not (d >= 0 and r * r == d):
+                    if d < 0 or math.isqrt(d) ** 2 != d:
                         cnt_irr += 1
     row = res.rows[0]
     checks.append(("disc census equals direct-formula recount",
@@ -520,10 +500,8 @@ def _suite_measure(quick: bool, seed):
     checks = []
     params = lattice_mod.XiParams(3, 2, (4, 2, 0))
     samples = 300 if quick else 2000
-    ests = []
-    for e in (0, 1, 2, 3):
-        me = census_mod.measure_estimate(params, e, samples=samples, seed=seed)
-        ests.append(me.estimate)
+    ests = [census_mod.measure_estimate(params, e, samples=samples, seed=seed).estimate
+            for e in (0, 1, 2, 3)]
     checks.append(("estimate(eps = 1) == 1", ests[0] == 1, str(ests[0])))
     mono = all(ests[i] >= ests[i + 1] for i in range(len(ests) - 1))
     checks.append(("estimates non-increasing in eps", mono,
@@ -532,11 +510,10 @@ def _suite_measure(quick: bool, seed):
 
 
 def _suite_golden(golden_dir: Path):
-    checks = []
     files = sorted(golden_dir.glob("*.csv"))
     if not files:
-        checks.append((f"golden artifacts in {golden_dir}", False, "no artifacts found"))
-        return checks
+        return [(f"golden artifacts in {golden_dir}", False, "no artifacts found")]
+    checks = []
     for path in files:
         try:
             _, _, _, ok = read_csv_artifact(path)
@@ -547,46 +524,40 @@ def _suite_golden(golden_dir: Path):
     return checks
 
 
-def cmd_verify(args) -> int:
-    suites = {"padic": lambda: _suite_padic(args.quick),
-              "hensel": lambda: _suite_hensel(args.quick),
-              "lattice": lambda: _suite_lattice(args.quick),
-              "generator": lambda: _suite_generator(args.quick),
-              "census": lambda: _suite_census(args.quick)}
-    selected = args.suite
-    if selected not in list(suites) + ["all", "measure", "golden"]:
-        return _config_error("suite", f"unknown suite {selected!r}")
-    if selected in ("measure", "all") and args.seed is None:
-        if selected == "measure":
-            return _config_error("seed", "--seed is mandatory for measure estimation")
-    run = []
-    if selected == "all":
-        run = list(suites.items())
-        if args.seed is not None:
-            run.append(("measure", lambda: _suite_measure(args.quick, args.seed)))
-    elif selected == "measure":
-        run = [("measure", lambda: _suite_measure(args.quick, args.seed))]
-    elif selected == "golden":
-        if args.golden_dir is None:
-            return _config_error("golden-dir", "golden suite needs --golden-dir")
-        run = [("golden", lambda: _suite_golden(Path(args.golden_dir)))]
-    else:
-        run = [(selected, suites[selected])]
+# suite -> (its checks from the parsed args, the flags it needs, whether "all" runs it)
+_SUITES = {
+    "padic": (lambda args: _suite_padic(args.quick), (), True),
+    "hensel": (lambda args: _suite_hensel(args.quick), (), True),
+    "lattice": (lambda args: _suite_lattice(args.quick), (), True),
+    "generator": (lambda args: _suite_generator(args.quick), (), True),
+    "census": (lambda args: _suite_census(args.quick), (), True),
+    "measure": (lambda args: _suite_measure(args.quick, args.seed), ("seed",), True),
+    "golden": (lambda args: _suite_golden(Path(args.golden_dir)), ("golden-dir",), False),
+}
 
-    all_ok = True
+
+def cmd_verify(args) -> int:
+    """Run one suite, or every "all" suite whose flags are given (measure needs --seed)."""
+    if args.suite == "all":
+        names = [name for name, (_, needs, in_all) in _SUITES.items()
+                 if in_all and all(_flag(args, flag) is not None for flag in needs)]
+    elif args.suite in _SUITES:
+        names = [args.suite]
+        _require(args, *_SUITES[args.suite][1])
+    else:
+        raise ConfigError("suite", f"unknown suite {args.suite!r}")
+    report_path = _out_file("report", args.report) if args.report is not None else None
     report = {}
-    for name, fn in run:
-        checks = fn()
+    for name in names:
+        checks = _SUITES[name][0](args)
         report[name] = [{"check": c, "ok": ok, "detail": d} for c, ok, d in checks]
         for c, ok, d in checks:
             print(f"[{name}] {'PASS' if ok else 'FAIL'}: {c}" + (f" ({d})" if d else ""))
-            if not ok:
-                all_ok = False
-    if args.report:
-        write_json_artifact(Path(args.report), {"subcommand": "verify",
-                                                "suite": selected, "quick": args.quick},
+    if report_path is not None:
+        write_json_artifact(report_path, {"subcommand": "verify",
+                                          "suite": args.suite, "quick": args.quick},
                             report)
-    return 0 if all_ok else 1
+    return 0 if all(c["ok"] for checks in report.values() for c in checks) else 1
 
 
 # --- report ---------------------------------------------------------------------
@@ -594,23 +565,21 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     if not args.inputs:
-        return _config_error("inputs", "need at least one census CSV")
+        raise ConfigError("inputs", "need at least one census CSV")
     out_rows = []
     for src in args.inputs:
         try:
             config, header, rows, ok = read_csv_artifact(Path(src))
         except (OSError, ValueError) as exc:
-            return _config_error("inputs", f"{src}: {exc}")
+            raise ConfigError("inputs", f"{src}: {exc}") from None
         if not ok:
-            sys.stderr.write(json.dumps({"error": "content hash mismatch",
-                                         "field": "inputs", "file": str(src)}) + "\n")
-            return 1
+            raise ConfigError("inputs", "content hash mismatch", code=1, file=str(src))
         kind = config.get("subcommand", "unknown")
         for row in rows:
             out_rows.append(f"{Path(src).name},{kind},{row}")
-    header = "source,kind,n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"
+    header = "source,kind," + CENSUS_HEADER
     config = {"subcommand": "report", "inputs": [Path(s).name for s in args.inputs]}
-    write_csv_artifact(Path(args.out), config, header, out_rows)
+    write_csv_artifact(_out_file("out", args.out), config, header, out_rows)
     print(f"report: merged {len(args.inputs)} files, {len(out_rows)} rows -> {args.out}")
     return 0
 
@@ -680,7 +649,11 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        sys.stderr.write(json.dumps({"error": str(exc), "field": exc.field, **exc.detail}) + "\n")
+        return exc.code
 
 
 if __name__ == "__main__":

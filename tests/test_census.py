@@ -326,3 +326,53 @@ def test_measure_estimate_pinch_mode():
         measure_estimate(params, 1, mode="pinch", samples=10, seed=0)
     with pytest.raises(ValueError):
         measure_estimate(params, 1, mode="bogus", samples=10, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: disc_census(-1, 3, [2], [Fraction(1, 2)]),
+    lambda: disc_census(1, 3, [2], [Fraction(1, 2)]),
+    lambda: disc_census(2, 3, [0], [Fraction(1, 2)]),
+    lambda: disc_census(2, 3, [4, -2], [Fraction(1, 2)]),
+    lambda: disc_census(2, 4, [2], [Fraction(1, 2)]),
+    lambda: sep_census(2, 2, [-1], [Fraction(1)]),
+    lambda: sep_census(2, 2, [1.5], [Fraction(1)]),
+    lambda: sep_census(1, 2, [2], [Fraction(1)]),
+    lambda: record_stream(2, 0, 3),
+    lambda: record_stream(1, 2, 3),
+], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
+        "sep-t-negative", "sep-t-float", "sep-n-1", "stream-Q-0", "stream-n-1"])
+def test_census_inputs_rejected_at_entry(call, monkeypatch):
+    def no_shards(*args):
+        raise AssertionError("a shard ran before the inputs were checked")
+
+    monkeypatch.setattr("padicsep.census._run_shards", no_shards)
+    monkeypatch.setattr("padicsep.census._records", no_shards)
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_sep_census_accepts_t_zero():
+    # Q = p^0 = 1 is a legal grid point: the shell is H in [0, 1]
+    assert sep_census(2, 2, [0], [Fraction(1)]).complete
+
+
+def test_worker_pool_never_exceeds_shard_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", SerialPool)
+    res = disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,), workers=10**6)
+    assert sizes == [3]  # a_n in 1..20 makes three shards of eight
+    assert res.rows == disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,)).rows

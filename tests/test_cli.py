@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import padicsep.cli as cli_mod
-from padicsep.cli import main, read_csv_artifact
+from padicsep.cli import CENSUS_HEADER, build_parser, main, read_csv_artifact, write_csv_artifact
 from padicsep.roots import HenselInapplicable
 
 
@@ -77,6 +78,13 @@ def test_worker_determinism_byte_identical(tmp_path):
                              "--theta", "1", "--workers", workers, "--out-dir", str(out_dir))
         assert code == 0
     assert (a / "sep_census.csv").read_bytes() == (b / "sep_census.csv").read_bytes()
+    for kind in ("disc_census", "sep_census"):
+        summary = f"{kind}_summary.json"
+        assert (a / summary).read_bytes() == (b / summary).read_bytes(), summary
+        for out_dir, workers in ((a, 1), (b, 8)):
+            telemetry = json.loads((out_dir / f"{kind}_telemetry.json").read_text())
+            assert telemetry["workers_used"] == workers
+            assert float(telemetry["elapsed_s"]) >= 0
 
 
 def test_generate_artifact(tmp_path):
@@ -118,7 +126,11 @@ def test_generate_configuration_errors_exit_2(tmp_path):
     gen = ["generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--theta", "1"]
     for argv, field in ((gen + ["--t", "2", "--samples", "-1"], "samples"),
                         (gen + ["--t", "0", "--samples", "2"], "t"),
-                        (gen + ["--t=-1", "--samples", "2"], "t")):
+                        (gen + ["--t=-1", "--samples", "2"], "t"),
+                        (gen[:-1] + ["1/0", "--t", "2"], "theta"),
+                        (gen[:-1] + ["x", "--t", "2"], "theta"),
+                        (["generate", "--preset", "theorem2", "--n", "1", "--p", "3",
+                          "--theta", "1", "--t", "2"], "n")):
         code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
         assert code == 2, argv
         payload = json.loads(err.strip().splitlines()[-1])
@@ -235,6 +247,9 @@ def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
         (disc + ["--q-grid", "6", "--workers=-2"], "workers"),
         (sep + ["--q-grid", "4", "--workers", "0"], "workers"),
         (sep + ["--q-grid", "4", "--workers=-1"], "workers"),
+        (disc[:-1] + ["1/0", "--q-grid", "4"], "nu"),
+        (sep[:-1] + ["1/0", "--q-grid", "4"], "theta"),
+        (disc + ["--q-grid", "4", "--max-records", "-1"], "max-records"),
     ]
     for argv, field in cases:
         code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
@@ -250,3 +265,83 @@ def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
             assert json.loads(err.strip().splitlines()[-1])["field"] == "workers"
             assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_report_configuration_errors_exit_2(tmp_path):
+    magic_only = tmp_path / "magic_only.csv"
+    magic_only.write_text("# padicsep-artifact v1\n")
+    list_config = tmp_path / "list_config.csv"
+    list_config.write_text("# padicsep-artifact v1\n# config: []\n# content-sha256: 0\nh\n")
+    for src in (magic_only, list_config):
+        code, out, err = run_cli("report", str(src), "--out", str(tmp_path / "merged.csv"))
+        assert code == 2, src.name
+        payload = json.loads(err.strip().splitlines()[-1])
+        assert payload["field"] == "inputs" and payload["error"], src.name
+        assert "Traceback" not in err
+    assert not (tmp_path / "merged.csv").exists()
+
+
+def test_unusable_out_dir_exits_2(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for argv in (["disc-census", "--n", "2", "--p", "3", "--q-grid", "4", "--nu", "1/2"],
+                 ["generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--t", "2",
+                  "--theta", "1", "--samples", "1"]):
+        code, out, err = run_cli(*argv, "--out-dir", str(blocker / "out"))
+        assert code == 2, argv
+        assert json.loads(err.strip().splitlines()[-1])["field"] == "out-dir"
+
+
+# Every value flag gets a base value that runs in well under a second (Q <= 4,
+# one sample); the sweep then feeds each flag these malformed values.
+SWEEP_BASES = {
+    "disc-census": {"--n": "2", "--p": "3", "--q-grid": "4", "--nu": "1/2", "--constants": "0",
+                    "--workers": "1", "--max-records": "1000", "--out-dir": "out"},
+    "sep-census": {"--n": "2", "--p": "2", "--q-grid": "4", "--theta": "1", "--c0-exp": "0",
+                   "--workers": "1", "--max-records": "1000", "--out-dir": "out"},
+    "generate": {"--preset": "theorem2", "--n": "2", "--p": "3", "--t": "2", "--theta": "1",
+                 "--nu": "1", "--samples": "1", "--seed": "0", "--out-dir": "out"},
+    "verify": {"--suite": "padic", "--seed": "1", "--golden-dir": "golden",
+               "--report": "verify.json"},
+    "report": {"inputs": "census.csv", "--out": "merged.csv"},
+}
+MALFORMED = ("", "x", "1/0", "-1")
+
+
+def _value_flags(command):
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] if a.option_strings else a.dest
+            for a in subparsers.choices[command]._actions if a.nargs != 0]
+
+
+SWEEP = [(command, flag, value) for command in SWEEP_BASES
+         for flag in _value_flags(command) for value in MALFORMED]
+
+
+def test_sweep_covers_every_value_flag():
+    for command, base in SWEEP_BASES.items():
+        assert sorted(_value_flags(command)) == sorted(base), command
+
+
+@pytest.mark.parametrize("command,flag,value", SWEEP)
+def test_malformed_flag_values_exit_cleanly(command, flag, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PADICSEP_WORKERS", raising=False)
+    write_csv_artifact(tmp_path / "census.csv", {"subcommand": "disc-census"},
+                       CENSUS_HEADER, ["2,3,4,1/2,0,0,0,0"])
+    before = sorted(tmp_path.iterdir())
+    options = {**SWEEP_BASES[command], flag: value}
+    argv = [command]
+    for name, text in options.items():
+        argv += [text] if name == "inputs" else [name, text]
+    try:
+        code, out, err = run_cli(*argv)
+    except SystemExit as exc:  # argparse rejected the value itself
+        assert exc.code == 2, argv
+        return
+    assert code in (0, 2, 3), argv
+    if code == 2:
+        errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert len(errors) == 1 and errors[0]["field"], argv
+        assert sorted(tmp_path.iterdir()) == before, argv
