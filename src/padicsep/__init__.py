@@ -7,7 +7,8 @@ irreducible-polynomial generator with prescribed derivative sizes (lattice),
 and exhaustive censuses with exponent fits (census).
 """
 
-from .padic import INF, PadicMag, Prime, is_prime, ultrametric_max, valuation, vp, vp_rat
+from .padic import (INF, InvariantError, PadicMag, Prime, is_prime, ultrametric_max, valuation, vp,
+                    vp_rat)
 from .intpoly import (
     IntPoly,
     IrreducibilityResult,

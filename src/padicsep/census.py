@@ -8,6 +8,7 @@ coefficient lattice admits unusually short vectors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -47,28 +48,11 @@ def iter_coeffs(n: int, height_bound: int, an_lo: int = 1,
     Sign normalization a_n > 0: each polynomial stands for the pair {P, -P}.
     Deterministic order: a_n ascending, then a_(n-1), ..., then a_0.
     """
-    q = height_bound
-    hi = an_hi if an_hi is not None else q
-
-    def rec(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i < 0:
-            yield tuple(acc)
-            return
-        for a in range(-q, q + 1):
-            acc[i] = a
-            yield from rec(i - 1, acc)
-
+    hi = an_hi if an_hi is not None else height_bound
+    box = range(-height_bound, height_bound + 1)
     for an in range(an_lo, hi + 1):
-        acc = [0] * (n + 1)
-        acc[n] = an
-        yield from rec(n - 1, acc)
-
-
-def _is_square(d: int) -> bool:
-    if d < 0:
-        return False
-    r = math.isqrt(d)
-    return r * r == d
+        for rest in itertools.product(box, repeat=n):  # (a_(n-1), ..., a_0)
+            yield rest[::-1] + (an,)
 
 
 def _records(n: int, p: int, height_bound: int, an_lo: int,
@@ -80,14 +64,15 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
     irreducible = False: a repeated root makes P reducible over Q.
     """
     if n == 2:
-        # Closed-form D with the valuation loop inline: calling
-        # padic.valuation here made this loop about 1.6x slower per polynomial.
+        # Closed-form D with the valuation loop and the square test inline:
+        # calling padic.valuation here made this loop about 1.6x slower.
         rng = range(-height_bound, height_bound + 1)
         for a2 in range(an_lo, an_hi + 1):
+            four_a2 = 4 * a2
             for a1 in rng:
                 a1sq = a1 * a1
                 for a0 in rng:
-                    disc = a1sq - 4 * a2 * a0
+                    disc = a1sq - four_a2 * a0
                     if disc == 0:
                         yield (a0, a1, a2), 0, None, False
                         continue
@@ -96,7 +81,7 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
                     while d % p == 0:
                         d //= p
                         v += 1
-                    yield (a0, a1, a2), disc, v, not _is_square(disc)
+                    yield (a0, a1, a2), disc, v, disc < 0 or math.isqrt(disc) ** 2 != disc
         return
     for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
         disc = discriminant_coeffs(coeffs)
@@ -135,12 +120,10 @@ def record_stream(n: int, height_bound: int, p, want_sep: bool = False,
 
     def records() -> Iterator[CensusRecord]:
         for coeffs, disc, vpd, irr in _records(n, q, height_bound, an_lo, hi):
-            sep = None
-            flag = ""
-            if want_sep and vpd is not None:
-                sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val)
-                flag = "sep-exact"
-            yield CensusRecord(coeffs, max(abs(c) for c in coeffs), disc, vpd, irr, sep, flag)
+            exact = want_sep and vpd is not None
+            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val) if exact else None
+            yield CensusRecord(coeffs, max(map(abs, coeffs)), disc, vpd, irr, sep,
+                               "sep-exact" if exact else "")
 
     return records()
 
@@ -192,6 +175,7 @@ class DiscCensus:
     stats: list[PrimePowerStat]
     complete: bool
     records_seen: int
+    workers_used: int  # the most worker processes any height level started
 
 
 def _disc_shard(args) -> dict[int, list[int]]:
@@ -246,24 +230,23 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
     complete = True
-    seen_total = 0
+    seen_total = used = 0
     for hb in height_grid:
         if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
             complete = False
             break
         seen_total += poly_count(n, hb) // 2
         hist: dict[int, list[int]] = {}
-        for shard in _run_shards(_disc_shard, [(n, q, hb, lo, hi) for lo, hi in _shards(hb)],
-                                 workers):
-            for k, entry in shard.items():
-                tgt = hist.get(k)
-                if tgt is None:
-                    hist[k] = entry
-                else:
-                    tgt[0] += entry[0]
-                    tgt[1] += entry[1]
-                    tgt[2] = min(tgt[2], entry[2])
-                    tgt[3] = max(tgt[3], entry[3])
+        shards, started = _run_shards(_disc_shard,
+                                      [(n, q, hb, lo, hi) for lo, hi in _shards(hb)], workers)
+        used = max(used, started)
+        for shard in shards:
+            for k, (cnt, cnt_irr, min_ad, max_ad) in shard.items():
+                tgt = hist.setdefault(k, [0, 0, min_ad, max_ad])
+                tgt[0] += cnt
+                tgt[1] += cnt_irr
+                tgt[2] = min(tgt[2], min_ad)
+                tgt[3] = max(tgt[3], max_ad)
         for nu in map(Fraction, nu_grid):
             for ce in c_exps:
                 thr = disc_threshold(q, hb, nu, ce)
@@ -274,15 +257,17 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
         for k in sorted(hist):
             cnt, cnt_irr, min_ad, max_ad = hist[k]
             stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // q**k, max_ad))
-    return DiscCensus(rows, stats, complete, 2 * seen_total)
+    return DiscCensus(rows, stats, complete, 2 * seen_total, used)
 
 
-def _run_shards(fn, shard_args, workers: int):
+def _run_shards(fn, shard_args, workers: int) -> tuple[list, int]:
+    """The shard results in order, and the number of worker processes started."""
     if workers <= 1 or len(shard_args) <= 1:
-        return [fn(a) for a in shard_args]
+        return [fn(a) for a in shard_args], 0
     # at most one process per shard: under fork the pool starts all its workers at once
-    with ProcessPoolExecutor(max_workers=min(workers, len(shard_args))) as pool:
-        return list(pool.map(fn, shard_args))
+    started = min(workers, len(shard_args))
+    with ProcessPoolExecutor(max_workers=started) as pool:
+        return list(pool.map(fn, shard_args)), started
 
 
 # --- separation census ---------------------------------------------------------
@@ -306,6 +291,7 @@ class SepCensus:
     rows: list[SepCensusRow]
     complete: bool
     records_seen: int
+    workers_used: int  # the most worker processes any height level started
 
 
 def _sep_shard(args) -> dict[tuple, int]:
@@ -313,34 +299,40 @@ def _sep_shard(args) -> dict[tuple, int]:
 
     Only distinct-root polynomials in the shell H in [Q/p, Q] are counted.
     Keys are inserted in canonical order, which sep_census relies on to break
-    ties in max_exponent by the first irreducible record.
+    ties in max_exponent by the first irreducible record.  At n = 2 the loop
+    keys on 2 sep = v_p(D) - 2 v_p(a_2), from D = a_2^2 (alpha_1 - alpha_2)^2;
+    the one-to-one renaming at the end keeps that order.
     """
     n, p, t, an_lo, an_hi = args
-    height_bound = p**t
-    shell_lo = height_bound // p
+    shell_lo = p**t // p
     hist: dict[tuple, int] = {}
-    for coeffs, _, v, irr in _records(n, p, height_bound, an_lo, an_hi):
-        if v is None:
-            continue
-        h = max(abs(c) for c in coeffs)
-        if h < shell_lo:
-            continue
-        key = (h, min_conjugate_separation(IntPoly(coeffs), p).val, irr)
-        hist[key] = hist.get(key, 0) + 1
+    records = _records(n, p, p**t, an_lo, an_hi)
+    if n == 2:
+        twice_lead = {a2: 2 * valuation(a2, p) for a2 in range(an_lo, an_hi + 1)}
+        for (a0, a1, a2), _, v, irr in records:
+            if v is not None:
+                # H = max(a_2, |a_1|, |a_0|) by comparisons: a max() call costs more
+                h = a1 if a1 > a2 else -a1 if -a1 > a2 else a2
+                h = a0 if a0 > h else -a0 if -a0 > h else h
+                if h >= shell_lo:
+                    key = (h, v - twice_lead[a2], irr)
+                    hist[key] = hist.get(key, 0) + 1
+        return {(h, tw // 2 if tw % 2 == 0 else Fraction(tw, 2), irr): cnt
+                for (h, tw, irr), cnt in hist.items()}
+    for coeffs, _, v, irr in records:
+        if v is not None and (h := max(map(abs, coeffs))) >= shell_lo:
+            key = (h, min_conjugate_separation(IntPoly(coeffs), p).val, irr)
+            hist[key] = hist.get(key, 0) + 1
     return hist
 
 
 def _exp_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
-    """Compare sep/log(H) pairs: a < b, exactly, via cross-powers."""
-    sn_a, sd_a, h_a = a
-    sn_b, sd_b, h_b = b
-    # a = sn_a/(sd_a log h_a) < sn_b/(sd_b log h_b)
-    # <=> sn_a sd_b log h_b < sn_b sd_a log h_a  <=>  h_b^(sn_a sd_b) < h_a^(sn_b sd_a)
-    ea = sn_a * sd_b
-    eb = sn_b * sd_a
-    lhs = Fraction(h_b) ** ea
-    rhs = Fraction(h_a) ** eb
-    return lhs < rhs
+    """Compare sep/log(H) pairs: a < b, exactly, via cross-powers.
+
+    sn_a/(sd_a log h_a) < sn_b/(sd_b log h_b)  <=>  h_b^(sn_a sd_b) < h_a^(sn_b sd_a)
+    """
+    (sn_a, sd_a, h_a), (sn_b, sd_b, h_b) = a, b
+    return Fraction(h_b) ** (sn_a * sd_b) < Fraction(h_a) ** (sn_b * sd_a)
 
 
 def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
@@ -351,13 +343,15 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
     Rows and max_exponent are read off the merged (H, sep, irreducible)
-    histogram.
+    histogram.  A negative theta is a ValueError, raised before any shard runs.
     """
     q = _census_inputs(n, p, t_grid, 0)
+    thetas = [Fraction(th) for th in theta_grid]
+    if any(th < 0 for th in thetas):
+        raise ValueError(f"every theta must be >= 0, got {[str(th) for th in thetas]}")
     rows: list[SepCensusRow] = []
     complete = True
-    seen_total = 0
-    thetas = [Fraction(th) for th in theta_grid]
+    seen_total = used = 0
     for t in t_grid:
         hb = q**t
         if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
@@ -365,8 +359,10 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             break
         seen_total += poly_count(n, hb) // 2
         hist: dict[tuple, int] = {}
-        for shard in _run_shards(_sep_shard, [(n, q, t, lo, hi) for lo, hi in _shards(hb)],
-                                 workers):
+        shards, started = _run_shards(_sep_shard,
+                                      [(n, q, t, lo, hi) for lo, hi in _shards(hb)], workers)
+        used = max(used, started)
+        for shard in shards:
             for key, cnt in shard.items():
                 hist[key] = hist.get(key, 0) + cnt
         best = None  # (sep num, sep den, height) of the largest sep / log H
@@ -384,7 +380,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             ca = sum(cnt for (_, sep, _), cnt in hist.items() if sep >= floor)
             ci = sum(cnt for (_, sep, irr), cnt in hist.items() if irr and sep >= floor)
             rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
-    return SepCensus(rows, complete, 2 * seen_total)
+    return SepCensus(rows, complete, 2 * seen_total, used)
 
 
 # --- exponent fitting -----------------------------------------------------------
@@ -528,8 +524,7 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
                        count, block_seed, require_top))
         done += count
         idx += 1
-    results = _run_shards(_measure_block, blocks, workers)
-    hits = sum(results)
+    hits = sum(_run_shards(_measure_block, blocks, workers)[0])
     lo, hi = _wilson(hits, samples)
     return MeasureEstimate(mode, threshold_exp, samples, hits,
                            Fraction(hits, samples), lo, hi, seed)

@@ -153,6 +153,8 @@ def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction], 
     if min(q_grid) < 1:
         raise ConfigError("q-grid", "every Q must be >= 1")
     grid = _parse_list(args, grid_flag, Fraction)
+    if min(grid) < 0:
+        raise ConfigError(grid_flag, f"every {grid_flag} must be >= 0")
     if args.max_records is not None and args.max_records < 0:
         raise ConfigError("max-records", f"need max-records >= 0, got {args.max_records}")
     workers = args.workers
@@ -176,13 +178,14 @@ def _fit(points: list[tuple[int, int]], target: Fraction) -> dict:
 
 
 def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
-                 started: float, workers: int, **summary) -> int:
+                 started: float, **summary) -> int:
     """Write the CSV tables, the hashed summary and the unhashed telemetry; exit 0 or 3."""
     for name, (header, rows) in tables.items():
         write_csv_artifact(out_dir / name, config, header, rows)
     summary.update(complete=result.complete, records_seen=result.records_seen)
     write_json_artifact(out_dir / f"{kind}_summary.json", config, summary)
-    telemetry = {"elapsed_s": f"{time.perf_counter() - started:.3f}", "workers_used": workers}
+    telemetry = {"elapsed_s": f"{time.perf_counter() - started:.3f}",
+                 "workers_used": result.workers_used}
     (out_dir / f"{kind}_telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
     print(f"{kind.replace('_', '-')}: {len(result.rows)} rows, "
           f"complete={result.complete} -> {out_dir}")
@@ -218,7 +221,7 @@ def cmd_disc_census(args) -> int:
     tables = {"disc_census.csv": (CENSUS_HEADER, rows),
               "disc_census_stats.csv":
                   ("Q,vpD,count_all,count_irr,min_cofactor,max_abs_disc", stat_rows)}
-    return _census_tail(out_dir, "disc_census", config, result, tables, started, workers,
+    return _census_tail(out_dir, "disc_census", config, result, tables, started,
                         fits=fits, rows=len(rows))
 
 
@@ -251,7 +254,7 @@ def cmd_sep_census(args) -> int:
                 (f"{r.max_exponent:.6f}" if r.max_exponent is not None else None)
                 for r in result.rows}
     return _census_tail(out_dir, "sep_census", config, result,
-                        {"sep_census.csv": (CENSUS_HEADER, rows)}, started, workers,
+                        {"sep_census.csv": (CENSUS_HEADER, rows)}, started,
                         fits=fits, max_observed_exponent=max_exps)
 
 

@@ -15,7 +15,7 @@ from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .linalg import bareiss_det
-from .padic import is_prime
+from .padic import InvariantError, is_prime
 
 _SMALL_PRIMES = tuple(q for q in range(2, 101) if is_prime(q))
 _EISENSTEIN_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
@@ -207,7 +207,7 @@ def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
     res = resultant(p, p.derivative())
     q, r = divmod(res, coeffs[n])
     if r != 0:
-        raise AssertionError("resultant not divisible by leading coefficient")
+        raise InvariantError("resultant not divisible by leading coefficient")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * q
 

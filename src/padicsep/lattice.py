@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, eisenstein_check
 from .linalg import bareiss_det, lll_reduce, solve_mod_prime
-from .padic import INF, _as_p, is_prime, valuation
+from .padic import INF, InvariantError, _as_p, is_prime, valuation
 
 DEFAULT_ENUM_LIMIT = 10**7
 
@@ -140,7 +140,7 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
         chosen.append(found)
         prefix += found
     if prefix % mod or prefix < mod:
-        raise AssertionError("greedy rounding produced an invalid total")
+        raise InvariantError("greedy rounding produced an invalid total")
     return XiParams(q, prefix // mod, tuple(chosen))
 
 
@@ -263,10 +263,10 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
                        box_q if box_q is not None else p ** max(b), params)
     det = bareiss_det([[cols[c][r] for c in range(n + 1)] for r in range(n + 1)])
     if abs(det) != lat.covolume:
-        raise AssertionError("basis determinant does not match covolume")
+        raise InvariantError("basis determinant does not match covolume")
     for col in cols:
         if not lat.contains(col):
-            raise AssertionError("basis column fails lattice membership")
+            raise InvariantError("basis column fails lattice membership")
     return lat
 
 
@@ -338,7 +338,7 @@ def _reduced_vectors(lat: GammaLattice) -> list[tuple[int, ...]]:
     reduced = [tuple(v) for v in lll_reduce([list(col) for col in lat.basis])]
     for v in reduced:
         if not lat.contains(v):
-            raise AssertionError("reduced vector fails membership re-verification")
+            raise InvariantError("reduced vector fails membership re-verification")
     return reduced
 
 
@@ -385,7 +385,7 @@ def short_vectors(lat: GammaLattice, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Sh
     )
     chosen = _greedy_minima(pts, n + 1)
     if len(chosen) != n + 1:
-        raise AssertionError("LLL basis lost independence")
+        raise InvariantError("LLL basis lost independence")
     vectors = tuple(v for _, v in chosen)
     c0 = Fraction(max(norm for norm, _ in chosen), Q)
     return ShortVectors(vectors, c0, "lll")
@@ -435,11 +435,6 @@ class Normalization:
     def d(self) -> Fraction:
         p = self.params.p
         e = self.d_exponent
-        return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
-
-    def g_mag(self, i: int) -> Fraction:
-        p = self.params.p
-        e = self.g_exponents[i]
         return Fraction(p**e) if e >= 0 else Fraction(1, p**-e)
 
 
@@ -497,7 +492,7 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
         raise ValueError(f"unknown mode {mode!r}")
 
     if (n + 1) * d_exp + sum(g_exp) != 0:
-        raise AssertionError("normalization identity d^(n+1) prod|g_i|_p = 1 failed")
+        raise InvariantError("normalization identity d^(n+1) prod|g_i|_p = 1 failed")
 
     certs = []
     lhs = Fraction(0)
@@ -543,7 +538,7 @@ def choose_q(m: int, p) -> int:
     """Smallest prime q with m < q < 4m and q != p (exists by Bertrand)."""
     for q in admissible_primes(m, p):
         return q
-    raise AssertionError(f"no prime in ({m}, {4*m}) differing from {p}")
+    raise InvariantError(f"no prime in ({m}, {4*m}) differing from {p}")
 
 
 @dataclass(frozen=True)
@@ -573,7 +568,7 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
     a_t = [sum(rows[r][c] * t_vec[c] for c in range(dim)) for r in range(dim)]
     u = [(a_t[r] - s[r]) // q for r in range(dim)]
     if any((a_t[r] - s[r]) % q for r in range(dim)):
-        raise AssertionError("A t != s mod q")
+        raise InvariantError("A t != s mod q")
     etas = []
     polys = []
     for l in range(dim):
@@ -586,7 +581,7 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
         if poly.degree != n:
             raise DegenerateSample(f"twist output degenerated to degree {poly.degree}")
         if not eisenstein_check(poly, q):
-            raise AssertionError("twist output violates the Eisenstein pattern")
+            raise InvariantError("twist output violates the Eisenstein pattern")
         etas.append(eta)
         polys.append(poly)
     return TwistResult(tuple(polys), tuple(etas), tuple(t_vec), q,
@@ -669,7 +664,7 @@ def generate(x: int, params: XiParams, c2_hint: Optional[int] = None,
         raise DegenerateSample("short vectors not independent")
     m, rem = divmod(det, lat.covolume)
     if rem:
-        raise AssertionError("sublattice determinant is not a multiple of cov(Gamma)")
+        raise InvariantError("sublattice determinant is not a multiple of cov(Gamma)")
     c2 = smallest_c2(p, sv.c0 * ((4 * m) ** 2 - 1))
     if c2_hint is not None:
         c2 = max(c2, smallest_c2(p, Fraction(c2_hint)))
@@ -731,7 +726,7 @@ def _verify_twist(lat: GammaLattice, twist: TwistResult, params: XiParams,
     tracker = _RankTracker()
     for poly in twist.polys_raw:
         if not lat.contains(_pad(poly.coeffs, dim)):
-            raise AssertionError("raw twist output is not a lattice member")
+            raise InvariantError("raw twist output is not a lattice member")
         candidates = [tuple(poly.coeffs)]
         for col in twist.columns:
             for sign in (1, -1):
@@ -763,7 +758,7 @@ def _verify_twist(lat: GammaLattice, twist: TwistResult, params: XiParams,
 
     final_rows = [[_pad(prim_polys[c].coeffs, dim)[r] for c in range(dim)] for r in range(dim)]
     if bareiss_det(final_rows) == 0:
-        raise AssertionError("rank tracker accepted a dependent set")
+        raise InvariantError("rank tracker accepted a dependent set")
     return prim_polys, certs
 
 

@@ -61,6 +61,11 @@ class _Infinity:
 
 INF = _Infinity()
 
+
+class InvariantError(ArithmeticError):
+    """An internal invariant of an exact computation failed: a bug, not bad input."""
+
+
 Valuation = Union[int, Fraction, _Infinity]
 
 # Deterministic Miller-Rabin witness set: correct for all n < 3.3 * 10**24.
@@ -156,10 +161,6 @@ class PadicMag:
     @classmethod
     def zero(cls) -> "PadicMag":
         return cls(INF)
-
-    @classmethod
-    def of(cls, val) -> "PadicMag":
-        return cls(val)
 
     @property
     def is_zero(self) -> bool:

@@ -3,18 +3,19 @@
 Root valuations come from Newton polygons, roots in Z_p from a residue
 branch-and-lift search with a provable depth cap, and the minimal distance
 between distinct roots in the algebraic closure from the Newton polygon of
-the root-difference resultant.  All valuations are exact rationals.
+the root-difference polynomial, built from power sums (the composed sums of
+Bostan, Flajolet, Salvy and Schost).  All valuations are exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import comb
+from typing import Optional, Sequence
 
-from .intpoly import (IntPoly, discriminant, interpolate, resultant, squarefree_decomposition,
-                      squarefree_part)
-from .padic import INF, PadicMag, Valuation, _as_p, valuation
+from .intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
+from .padic import INF, InvariantError, PadicMag, Valuation, _as_p, valuation
 
 PROFILE_START_PRECISION = 8
 PROFILE_MAX_PRECISION = 512
@@ -46,12 +47,8 @@ class NewtonPolygon:
         A segment of slope s and length L contributes L roots of valuation -s;
         x^m dividing P contributes m roots of valuation +inf.
         """
-        out: list[tuple[Valuation, int]] = []
-        if self.zero_root_multiplicity:
-            out.append((INF, self.zero_root_multiplicity))
-        for slope, length in self.segments:
-            out.append((-slope, length))
-        return out
+        zeros = [(INF, self.zero_root_multiplicity)] if self.zero_root_multiplicity else []
+        return zeros + [(-slope, length) for slope, length in self.segments]
 
 
 def newton_polygon(poly: IntPoly, p) -> NewtonPolygon:
@@ -70,10 +67,8 @@ def newton_polygon(poly: IntPoly, p) -> NewtonPolygon:
             else:
                 break
         hull.append(pt)
-    segments = tuple(
-        (Fraction(y2 - y1, x2 - x1), x2 - x1)
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-    )
+    segments = tuple((Fraction(y2 - y1, x2 - x1), x2 - x1)
+                     for (x1, y1), (x2, y2) in zip(hull, hull[1:]))
     return NewtonPolygon(tuple(hull), segments)
 
 
@@ -224,10 +219,8 @@ def distance_profile(poly: IntPoly, a: int, p) -> DistanceProfile:
     """
     if poly.is_zero:
         raise ValueError("zero polynomial")
-    shifted = poly.shift(a)
-    polygon = newton_polygon(shifted, p)
     entries: list[Valuation] = []
-    for val, mult in polygon.root_valuations():
+    for val, mult in newton_polygon(poly.shift(a), p).root_valuations():
         entries.extend([val] * mult)
     entries.sort(key=lambda v: (0, 0) if v is INF else (1, -v))
     return DistanceProfile(a, tuple(entries))
@@ -251,67 +244,79 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
         finite = tuple(v for v in prof.entries if v is not INF and v < n - 1)
         large = [v for v in prof.entries if v is INF or v >= n - 1]
         if prev is not None and finite == prev and len(large) == len(prof.entries) - len(finite):
-            mult = len(large)
-            entries = (INF,) * mult + finite
-            return DistanceProfile(root.residue, entries)
+            return DistanceProfile(root.residue, (INF,) * len(large) + finite)
         prev = finite
         n *= 2
     raise PrecisionExhausted("distance profile did not stabilize")
 
 
-def difference_poly(poly: IntPoly) -> IntPoly:
-    """Res_x(P(x), P(x+y)) as a polynomial in y.
+def _difference_elementary(coeffs: Sequence[int]) -> list[int]:
+    """[E_0..E_N], N = n(n-1): elementary symmetric functions of the beta_i - beta_j, i != j.
 
-    Its roots are all ordered differences alpha_i - alpha_j of roots of P
-    (i = j contributing the factor y^n).  It has degree n^2 and integer
-    coefficients, so it is recovered from the integer resultants at n^2 + 1
-    integer points by intpoly.interpolate, which divides only exactly.
-    ArithmeticError if that interpolant is not in Z[x].
+    Proof.  beta_i = a_n alpha_i are the roots of the monic integer polynomial
+    y^n + sum_(k=1..n) c_k y^(n-k), c_k = a_(n-k) a_n^(k-1); Newton's identities
+    give their power sums T_k in integers.  Summed over all i, j (terms i = j
+    vanish), S_k = sum (beta_i - beta_j)^k = sum_m C(k,m) (-1)^(k-m) T_m T_(k-m),
+    which is 0 for odd k (swap i, j).  Newton's identities
+    k E_k = sum_i (-1)^(i-1) E_(k-i) S_i give E_k = 0 for odd k, and each E_k is
+    a symmetric integer polynomial in algebraic integers, so it is in Z and the
+    division by k is exact.  So R(y) = prod_(i != j) (y - beta_i + beta_j)
+    = sum_(k even) E_k y^(N-k), and E_N = 0 exactly when P has a repeated root.
     """
-    n = poly.degree
+    n = len(coeffs) - 1
+    big_n = n * (n - 1)
+    c = [1] + [coeffs[n - k] * coeffs[n] ** (k - 1) for k in range(1, n + 1)] + [0] * big_n
+    t = [n] + [0] * big_n
+    for k in range(1, big_n + 1):
+        t[k] = -k * c[k] - sum(c[j] * t[k - j] for j in range(1, min(k, n + 1)))
+    e = [1] + [0] * big_n
+    s = [0] * (big_n + 1)
+    for k in range(2, big_n + 1, 2):  # the terms m and k - m of S_k are equal
+        s[k] = (-1) ** (k // 2) * comb(k, k // 2) * t[k // 2] ** 2 + 2 * sum(
+            (-1) ** m * comb(k, m) * t[m] * t[k - m] for m in range(k // 2))
+        e[k], rem = divmod(-sum(e[k - i] * s[i] for i in range(2, k + 1, 2)), k)
+        if rem:
+            raise InvariantError(f"Newton's identity left {k} E_{k} indivisible by {k}")
+    return e
+
+
+def difference_poly(poly: IntPoly) -> IntPoly:
+    """Res_x(P(x), P(x+y)) as a polynomial in y, from the E_k of _difference_elementary.
+
+    Res_x(P(x), P(x+y)) = a_n^n prod_i P(alpha_i + y) = a_n^(2n-N) y^n R(a_n y)
+    has its coefficient E_k a_n^(2n-k) at y^(n+N-k), an integer, so for k > 2n
+    the division by a_n^(k-2n) is exact.
+    """
+    n, lead = poly.degree, poly.leading
     if n < 1:
         raise ValueError("degree >= 1 required")
-    npoints = n * n + 1
-    ys: list[int] = [0]
-    step = 1
-    while len(ys) < npoints:
-        ys.extend((step, -step))
-        step += 1
-    ys = ys[:npoints]
-    delta = interpolate(ys, [resultant(poly, poly.shift(y)) for y in ys])
-    if delta is None:
-        raise ArithmeticError("difference polynomial interpolated to non-integer coefficients")
-    return delta
+    delta = [0] * (n * n + 1)
+    for k, ek in enumerate(_difference_elementary(poly.coeffs)):
+        delta[n * n - k], rem = divmod(ek * lead ** max(2 * n - k, 0), lead ** max(k - 2 * n, 0))
+        if rem:
+            raise InvariantError(f"E_{k} is not divisible by a_n^{k - 2 * n}")
+    return IntPoly(delta)
 
 
 def min_conjugate_separation(poly: IntPoly, p) -> PadicMag:
     """|closest pair of distinct roots|_p, as the exact valuation max_{i<j} v_p(a_i - a_j).
 
-    For quadratics the discriminant identity v(a1-a2) = (v_p(D) - 2 v_p(a_n))/2
-    is used directly; for higher degree the Newton polygon of the
-    root-difference resultant gives the full multiset of pairwise valuations.
-    Repeated roots (D = 0) are a domain error.
+    R(y) has the roots a_n (alpha_i - alpha_j); their largest valuation is minus
+    the first slope of its Newton polygon, max over E_k != 0, k < N, of
+    (v_p(E_N) - v_p(E_k)) / (N - k), less v_p(a_n) for the separation.  A
+    repeated root (E_N = 0, that is D = 0) is a domain error.
     """
     q = _as_p(p)
     n = poly.degree
     if n < 2:
         raise ValueError("separation needs degree >= 2")
-    disc = discriminant(poly)
-    if disc == 0:
+    e = _difference_elementary(poly.coeffs)
+    big_n = n * (n - 1)
+    if e[big_n] == 0:
         raise ValueError("repeated roots: separation undefined")
-    if n == 2:
-        val = Fraction(valuation(disc, q) - 2 * valuation(poly.leading, q), 2)
-        return PadicMag(val if val.denominator != 1 else int(val))
-    delta = difference_poly(poly)
-    if any(delta.coeffs[:n]):
-        raise ArithmeticError("difference polynomial lacks the factor y^n")
-    reduced = IntPoly(delta.coeffs[n:])
-    polygon = newton_polygon(reduced, q)
-    if not polygon.segments:
-        # all pairwise differences share one valuation given by vertex 0 only
-        # (cannot happen: reduced has degree n^2 - n >= 2 and nonzero constant)
-        raise AssertionError("degenerate difference polygon")
-    best = -polygon.segments[0][0]
+    v_last = valuation(e[big_n], q)
+    best = max(Fraction(v_last - valuation(e[k], q), big_n - k)
+               for k in range(0, big_n, 2) if e[k]) - valuation(poly.leading, q)
     return PadicMag(int(best) if best.denominator == 1 else best)
 
 

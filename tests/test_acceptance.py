@@ -4,6 +4,7 @@ Run with `pytest -v tests/test_acceptance.py`; the per-criterion lines are
 printed live (capture disabled) so the gate is readable in any pytest run.
 """
 
+import itertools
 import math
 import random
 import time
@@ -16,7 +17,8 @@ from padicsep.census import (
     sep_census,
 )
 from padicsep.cli import main as cli_main
-from padicsep.intpoly import IntPoly, discriminant_coeffs, hadamard_bound, resultant
+from padicsep.intpoly import (IntPoly, content_primitive, discriminant_coeffs, hadamard_bound,
+                              is_irreducible, resultant)
 from padicsep.lattice import (
     DegenerateSample,
     XiParams,
@@ -31,6 +33,7 @@ from padicsep.lattice import (
 from padicsep.linalg import bareiss_det
 from padicsep.padic import INF, valuation
 from padicsep.roots import hensel_lift
+from resultant_oracle import separation_by_resultants
 
 WORKERS = 8
 
@@ -218,6 +221,20 @@ def test_criterion_5_discriminant_census_exponent(capsys):
            "; ".join(details) + f"; all counts nonzero; {elapsed:.1f}s < 600s ({WORKERS} workers)")
 
 
+def _sep_row_by_resultants(n: int, p: int, t: int, theta: Fraction) -> tuple[int, int]:
+    """(count_all, count_irr) of a sep-census row, separations from the resultant oracle."""
+    count_all = count_irr = 0
+    for coeffs in itertools.product(range(-p**t, p**t + 1), repeat=n + 1):
+        if coeffs[n] <= 0 or max(map(abs, coeffs)) < p ** (t - 1):
+            continue
+        poly = IntPoly(coeffs)
+        sep = separation_by_resultants(poly, p)
+        if sep is not None and sep >= theta * t:
+            count_all += 2
+            count_irr += 2 * bool(is_irreducible(content_primitive(poly)[1]))
+    return count_all, count_irr
+
+
 def test_criterion_6_separation_census(capsys):
     started = time.time()
     result = sep_census(2, 2, [4, 5, 6, 7], [Fraction(1)], c0_exp=0, workers=WORKERS)
@@ -225,9 +242,14 @@ def test_criterion_6_separation_census(capsys):
     nonzero = all(c > 0 for _, c in pts)
     fit = fit_exponent(pts)
     elapsed = time.time() - started
-    report(capsys, 6, nonzero and fit.slope >= 0.5,
+    quartic = sep_census(4, 2, [1], [Fraction(1)]).rows[0]
+    recount = _sep_row_by_resultants(4, 2, 1, Fraction(1))
+    report(capsys, 6, nonzero and fit.slope >= 0.5 and recount == (quartic.count_all,
+                                                                  quartic.count_irr),
            f"counts {pts} all nonzero; fitted exponent {fit.slope:.3f} >= 0.5 "
-           f"(target n+1-2theta = 1); {elapsed:.1f}s")
+           f"(target n+1-2theta = 1); {elapsed:.1f}s; n=4 Q=2 theta=1 row: "
+           f"count_all {quartic.count_all}, count_irr {quartic.count_irr}, "
+           f"resultant-oracle recount {recount}")
 
 
 def test_criterion_7_separation_ceiling(capsys):

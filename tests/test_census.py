@@ -7,6 +7,8 @@ import pytest
 import sympy
 
 from padicsep.census import (
+    _sep_shard,
+    _shards,
     disc_census,
     disc_threshold,
     fit_exponent,
@@ -16,7 +18,7 @@ from padicsep.census import (
     record_stream,
     sep_census,
 )
-from padicsep.intpoly import IntPoly, discriminant
+from padicsep.intpoly import IntPoly, content_primitive, discriminant, is_irreducible
 from padicsep.lattice import XiParams
 from padicsep.padic import valuation
 from padicsep.roots import min_conjugate_separation
@@ -42,6 +44,8 @@ def test_iter_coeffs_deterministic_and_sharded():
     assert all_at_once == sharded
     assert len(set(all_at_once)) == len(all_at_once)
     assert all(c[-1] >= 1 for c in all_at_once)
+    cubics = list(iter_coeffs(3, 2))
+    assert cubics == sorted(cubics, key=lambda c: c[::-1])  # a_n, then a_(n-1), ..., a_0
 
 
 def test_record_invariants():
@@ -337,10 +341,12 @@ def test_measure_estimate_pinch_mode():
     lambda: sep_census(2, 2, [-1], [Fraction(1)]),
     lambda: sep_census(2, 2, [1.5], [Fraction(1)]),
     lambda: sep_census(1, 2, [2], [Fraction(1)]),
+    lambda: sep_census(2, 2, [2], [Fraction(1), Fraction(-1)]),
     lambda: record_stream(2, 0, 3),
     lambda: record_stream(1, 2, 3),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
-        "sep-t-negative", "sep-t-float", "sep-n-1", "stream-Q-0", "stream-n-1"])
+        "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "stream-Q-0",
+        "stream-n-1"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a shard ran before the inputs were checked")
@@ -356,23 +362,65 @@ def test_sep_census_accepts_t_zero():
     assert sep_census(2, 2, [0], [Fraction(1)]).complete
 
 
+class _SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, args):
+        return map(fn, args)
+
+
 def test_worker_pool_never_exceeds_shard_count(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
     res = disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,), workers=10**6)
-    assert sizes == [3]  # a_n in 1..20 makes three shards of eight
+    assert _SerialPool.sizes == [3]  # a_n in 1..20 makes three shards of eight
     assert res.rows == disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,)).rows
+
+
+def test_census_results_record_the_processes_started(monkeypatch):
+    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    nu, theta = [Fraction(1, 2)], [Fraction(1)]
+    # Q = 8 is one shard (no pool), Q = 16 two shards, Q = 20 three
+    assert disc_census(2, 3, [8], nu, workers=8).workers_used == 0
+    assert disc_census(2, 3, [8, 20, 16], nu, workers=8).workers_used == 3
+    assert disc_census(2, 3, [20], nu, workers=2).workers_used == 2
+    assert disc_census(2, 3, [20], nu, workers=1).workers_used == 0
+    assert sep_census(2, 2, [3, 4], theta, workers=8).workers_used == 2
+    assert sep_census(2, 2, [4], theta, workers=1).workers_used == 0
+    # a level skipped by max_records starts nothing
+    assert disc_census(2, 3, [8, 20], nu, workers=8, max_records=10**4).workers_used == 0
+
+
+def test_n2_sep_shard_against_per_record_recount():
+    # the closed-form shard against min_conjugate_separation on every quadratic
+    # with H <= 8: keys, their types and their insertion order
+    for p, t_top in ((2, 3), (3, 2)):
+        for t in range(t_top + 1):
+            q = p**t
+            for lo, hi in _shards(q):
+                expect: dict = {}
+                for a2 in range(lo, hi + 1):
+                    for a1 in range(-q, q + 1):
+                        for a0 in range(-q, q + 1):
+                            poly = IntPoly([a0, a1, a2])
+                            h = poly.height
+                            if discriminant(poly) == 0 or h < q // p:
+                                continue
+                            irr = bool(is_irreducible(content_primitive(poly)[1]))
+                            key = (h, min_conjugate_separation(poly, p).val, irr)
+                            expect[key] = expect.get(key, 0) + 1
+                got = _sep_shard((2, p, t, lo, hi))
+                assert list(got.items()) == list(expect.items()), (p, t, lo)
+                assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)

@@ -81,10 +81,20 @@ def test_worker_determinism_byte_identical(tmp_path):
     for kind in ("disc_census", "sep_census"):
         summary = f"{kind}_summary.json"
         assert (a / summary).read_bytes() == (b / summary).read_bytes(), summary
-        for out_dir, workers in ((a, 1), (b, 8)):
+        # --workers 1 starts no process; Q = 16 has two shards, so --workers 8 starts two
+        for out_dir, started in ((a, 0), (b, 2)):
             telemetry = json.loads((out_dir / f"{kind}_telemetry.json").read_text())
-            assert telemetry["workers_used"] == workers
+            assert telemetry["workers_used"] == started
             assert float(telemetry["elapsed_s"]) >= 0
+
+
+def test_sep_census_negative_theta_exits_2(tmp_path):
+    code, out, err = run_cli("sep-census", "--n", "2", "--p", "2", "--q-grid", "4",
+                             "--theta", "1,-1", "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert json.loads(err.strip().splitlines()[-1])["field"] == "theta"
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_generate_artifact(tmp_path):

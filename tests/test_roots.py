@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from padicsep.roots import (
     profile_at_zp_root,
     zp_roots,
 )
+from padicsep.roots import _difference_elementary
+from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
 
 
 def test_newton_polygon_examples():
@@ -223,8 +226,8 @@ def test_min_conjugate_separation_examples():
 
 
 def test_min_conjugate_separation_quadratic_identity_exhaustive():
-    # n = 2 identity (v_p(D) - 2 v_p(a_2)) / 2 against the difference-resultant
-    # polygon (independent route) on every H <= 12 quadratic with distinct roots
+    # the power-sum route against the n = 2 identity (v_p(D) - 2 v_p(a_2)) / 2
+    # and against the resultant oracle, on every H <= 12 quadratic with distinct roots
     for p in (2, 3):
         for a2 in range(1, 13):
             for a1 in range(-12, 13):
@@ -233,12 +236,10 @@ def test_min_conjugate_separation_quadratic_identity_exhaustive():
                     d = discriminant(poly)
                     if d == 0:
                         continue
-                    sep = min_conjugate_separation(poly, p)
-                    delta = difference_poly(poly)
-                    reduced = IntPoly(delta.coeffs[2:])
-                    polygon = newton_polygon(reduced, p)
-                    oracle = -polygon.segments[0][0]
-                    assert sep.val == oracle, (poly, p)
+                    sep = min_conjugate_separation(poly, p).val
+                    closed = Fraction(valuation(d, p) - 2 * valuation(a2, p), 2)
+                    assert sep == closed == separation_by_resultants(poly, p), (poly, p)
+                    assert type(sep) is (int if closed.denominator == 1 else Fraction)
 
 
 def test_min_conjugate_separation_cubic_known_roots():
@@ -274,6 +275,46 @@ def test_difference_poly_against_sympy_resultant():
             px = sum(c * x**i for i, c in enumerate(coeffs))
             ref = sympy.Poly(sympy.resultant(px, px.subs(x, x + y), x), y)
             assert difference_poly(poly) == IntPoly(int(c) for c in reversed(ref.all_coeffs())), coeffs
+
+
+def _oracle_polys():
+    """Every cubic with H <= 2, every quartic with H <= 1, and quartics with a_4 in {2, 3, 4, 6}."""
+    yield from (c for c in itertools.product(range(-2, 3), repeat=4) if c[3])
+    yield from (c for c in itertools.product(range(-1, 2), repeat=5) if c[4])
+    rng = random.Random(61)
+    for lead in (2, 3, 4, 6):
+        for _ in range(25):
+            yield tuple(rng.randint(-2, 2) for _ in range(4)) + (lead,)
+
+
+def test_power_sum_route_against_resultant_oracle_exhaustive():
+    checked = repeated = 0
+    for coeffs in _oracle_polys():
+        poly = IntPoly(coeffs)
+        oracle = difference_poly_by_resultants(poly)
+        assert difference_poly(poly) == oracle, coeffs
+        for p in (2, 3):
+            expect = separation_by_resultants(poly, p)
+            if expect is None:
+                repeated += 1
+                with pytest.raises(ValueError):
+                    min_conjugate_separation(poly, p)
+                continue
+            sep = min_conjugate_separation(poly, p).val
+            assert sep == expect and type(sep) is type(expect), (coeffs, p)
+            checked += 1
+    assert checked > 1000 and repeated > 100
+
+
+def test_difference_elementary_gives_the_discriminant():
+    # D = (-1)^(n(n-1)/2) E_N / a_n^((n-1)(n-2)), an exact division
+    rng = random.Random(62)
+    for n in (3, 4, 5, 6):
+        for _ in range(40):
+            coeffs = [rng.randint(-9, 9) for _ in range(n)] + [rng.choice([1, -2, 3, 4, -6, 9])]
+            e_n = _difference_elementary(coeffs)[n * (n - 1)]
+            quo, rem = divmod((-1) ** (n * (n - 1) // 2) * e_n, coeffs[n] ** ((n - 1) * (n - 2)))
+            assert rem == 0 and quo == discriminant(IntPoly(coeffs)), coeffs
 
 
 def test_check_ordering_lemma():
