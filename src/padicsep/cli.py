@@ -3,9 +3,9 @@
 All output is file-based CSV/JSON.  Every artifact embeds the run
 configuration (minus runtime-only fields like the worker count) and a SHA-256
 of its payload, so a rerun with the embedded config reproduces the file
-byte-for-byte regardless of parallelism.  The runtime-only figures of a
-census (wall time, workers used) go to an unhashed `<kind>_telemetry.json`
-sidecar next to its summary.
+byte-for-byte regardless of parallelism.  The runtime-only figures (wall
+time, and the workers used by a census or the short-vector routes taken by
+generate) go to an unhashed `<kind>_telemetry.json` sidecar next to the summary.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 resource cap hit (partial artifacts are flagged).  Every configuration
@@ -177,6 +177,11 @@ def _fit(points: list[tuple[int, int]], target: Fraction) -> dict:
             "target": str(target), "dropped": fit.dropped}
 
 
+def _write_telemetry(out_dir: Path, kind: str, started: float, **fields) -> None:
+    telemetry = {"elapsed_s": f"{time.perf_counter() - started:.3f}", **fields}
+    (out_dir / f"{kind}_telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
+
+
 def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
                  started: float, **summary) -> int:
     """Write the CSV tables, the hashed summary and the unhashed telemetry; exit 0 or 3."""
@@ -184,9 +189,7 @@ def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
         write_csv_artifact(out_dir / name, config, header, rows)
     summary.update(complete=result.complete, records_seen=result.records_seen)
     write_json_artifact(out_dir / f"{kind}_summary.json", config, summary)
-    telemetry = {"elapsed_s": f"{time.perf_counter() - started:.3f}",
-                 "workers_used": result.workers_used}
-    (out_dir / f"{kind}_telemetry.json").write_text(json.dumps(telemetry, indent=2) + "\n")
+    _write_telemetry(out_dir, kind, started, workers_used=result.workers_used)
     print(f"{kind.replace('_', '-')}: {len(result.rows)} rows, "
           f"complete={result.complete} -> {out_dir}")
     return 0 if result.complete else 3
@@ -296,13 +299,18 @@ def cmd_generate(args) -> int:
     failures = []
     hensel_checks = []
     outputs = []
+    routes = dict.fromkeys(("enumeration", "lll_after_box", "lll_dual_certificate",
+                            "degenerate"), 0)
+    started = time.perf_counter()
     for x in xs:
         try:
             out = lattice_mod.generate(x, params)
         except lattice_mod.DegenerateSample as exc:
             failures.append({"x": x, "reason": str(exc)})
+            routes["degenerate"] += 1
             continue
         outputs.append(out)
+        routes[out.route] += 1
         for idx, (poly, cert) in enumerate(zip(out.polys, out.certificates)):
             margins = ";".join("inf" if m is INF else str(m)
                                for m in cert.membership_margins)
@@ -337,6 +345,7 @@ def cmd_generate(args) -> int:
                "failures": failures, "hensel_distances": hensel_checks,
                "theorem3_discriminants": disc_vals, "b": list(params.b)}
     write_json_artifact(out_dir / "generate_summary.json", config, summary)
+    _write_telemetry(out_dir, "generate", started, short_vector_routes=routes)
     print(f"generate: {successes}/{args.samples} samples fully certified -> {out_dir}")
     return 0
 

@@ -210,35 +210,36 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
     Descends from a_n to a_0: at level i the congruence
     a_i = -sum_(j>i) C(j,i) x^(j-i) a_j  mod p^b_i fixes a_i's residue, so
     each level steps by p^b_i.  Every level runs from the top down, so the
-    first point yielded has the largest a_n of any point in the box.
+    first point yielded has the largest a_n of any point in the box.  Each
+    level passes its child the offset s, so an empty level costs one modulo;
+    level 1 emits level 0's residue-class range inline for each a_1.
     """
     n = len(b) - 1
     coef = taylor_matrix(x, n)
     mods = [p**bi for bi in b]
     vec = [0] * (n + 1)
 
-    def rec(i: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
-        row = coef[i]
-        s = 0
-        for j in range(i + 1, n + 1):
-            if vec[j]:
-                s += row[j] * vec[j]
+    def rec(i: int, s: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
         m = mods[i]
         top = radius - (radius + s) % m  # largest a <= radius with a = -s mod m
-        stop = -1 if all_zero_above else -radius - 1
-        if i == 0:
-            for a in range(top, stop, -m):
-                if a or not all_zero_above:
-                    vec[0] = a
-                    yield tuple(vec)
-            vec[0] = 0
+        levels = range(top, -1 if all_zero_above else -radius - 1, -m)
+        if not levels:
             return
-        for a in range(top, stop, -m):
-            vec[i] = a
-            yield from rec(i - 1, all_zero_above and a == 0)
-        vec[i] = 0
+        row = coef[i - 1]  # level i-1's offset is base + row[i] a_i
+        base = sum(row[j] * vec[j] for j in range(i + 1, n + 1) if vec[j])
+        if i > 1:
+            for a in levels:
+                vec[i] = a
+                yield from rec(i - 1, base + row[i] * a, all_zero_above and a == 0)
+            vec[i] = 0
+            return
+        rest = tuple(vec[2:])
+        for a in levels:
+            top0 = radius - (radius + base + x * a) % mods[0]
+            for a0 in range(top0, 0 if all_zero_above and a == 0 else -radius - 1, -mods[0]):
+                yield (a0, a) + rest
 
-    return rec(n, True)
+    return rec(n, 0, True)
 
 
 def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,
@@ -315,11 +316,18 @@ def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ShortVectors:
-    """n+1 independent lattice vectors of small sup-norm; c0 = max norm / Q."""
+    """n+1 independent lattice vectors of small sup-norm; c0 = max norm / Q.
+
+    route is the _minima_search route; method is "enumeration" or "lll".
+    """
 
     vectors: tuple[tuple[int, ...], ...]
     c0: Fraction
-    method: str
+    route: str
+
+    @property
+    def method(self) -> str:
+        return "enumeration" if self.route == "enumeration" else "lll"
 
 
 def _greedy_minima(points: list[tuple[int, tuple[int, ...]]], want: int):
@@ -333,70 +341,79 @@ def _greedy_minima(points: list[tuple[int, tuple[int, ...]]], want: int):
     return chosen
 
 
-def _reduced_vectors(lat: GammaLattice) -> list[tuple[int, ...]]:
-    """LLL-reduced basis vectors, membership re-verified exactly."""
-    reduced = [tuple(v) for v in lll_reduce([list(col) for col in lat.basis])]
-    for v in reduced:
-        if not lat.contains(v):
-            raise InvariantError("reduced vector fails membership re-verification")
-    return reduced
-
-
 def _max_abs(vec: tuple[int, ...]) -> int:
     return max(abs(v) for v in vec)
 
 
-def _exact_minima_search(lat: GammaLattice, want: int, enum_limit: int):
-    """Grow the box radius until a greedy pass finds `want` independent vectors.
+def _dual_certificate(basis: list[tuple[int, ...]], radius: int) -> bool:
+    """True when some det > radius ||cofactor row i||_1 proves lambda_(n+1) > radius.
 
-    The greedy over all points of sup-norm <= R returns the exact successive
-    minima whenever it succeeds (every shorter candidate was enumerated).
-    Returns None when the box would exceed enum_limit points first.
+    The dual basis w_i = cofactor row i / det has <b_j, w_i> = delta_ij, so
+    <v, w_i> is an integer on the lattice, nonzero for one of any n+1
+    independent v, and |<v, w_i>| <= ||v||_inf ||cofactor row i||_1 / |det|.
     """
-    radius = 1
-    while lat.box_count_estimate(radius) <= enum_limit:
-        pts = sorted((_max_abs(v), v) for v in lat.half_box_points(radius))
-        chosen = _greedy_minima(pts, want)
-        if len(chosen) == want:
-            return chosen
+    det, dim = abs(bareiss_det(basis)), range(len(basis))
+    without_row = [[r for k, r in enumerate(basis) if k != i] for i in dim]
+    return any(det > radius * sum(abs(bareiss_det([r[:j] + r[j + 1:] for r in rows])) for j in dim)
+               for rows in without_row)
+
+
+def _minima_search(lat: GammaLattice, want: int, enum_limit: int):
+    """(LLL-reduced basis, the greedy's `want` vectors or None, route).
+
+    The reduced basis has n+1 independent vectors of sup-norm <= M, so
+    lambda_(n+1) <= M.  cap is the largest power of two with
+    box_count_estimate(cap) <= enum_limit (0 if none): the last box that
+    doubling the radius from 1 would enumerate.  One box, of radius
+    R = min(M, cap), is enumerated for the (sup-norm, lexicographic) greedy.
+    This equals the doubling search: the greedy's k-th pick has
+    norm lambda_k, so its picks depend only on the points of norm
+    <= lambda_want.  If lambda_want <= R, doubling succeeds at the first power
+    of two >= lambda_want, which is <= cap, and both boxes hold all those
+    points.  Otherwise R = cap < M and both fail.  The box is skipped when
+    R = 0, or when R < M, want > n and _dual_certificate proves lambda_(n+1) > R.
+    """
+    reduced = [tuple(v) for v in lll_reduce([list(col) for col in lat.basis])]
+    if not all(lat.contains(v) for v in reduced):
+        raise InvariantError("reduced vector fails membership re-verification")
+    big = max(_max_abs(v) for v in reduced)
+    radius = 1 if lat.box_count_estimate(1) <= enum_limit else 0
+    while 0 < radius < big and lat.box_count_estimate(2 * radius) <= enum_limit:
         radius *= 2
-    return None
+    radius = min(radius, big)
+    if radius == 0 or (radius < big and want > lat.n and _dual_certificate(reduced, radius)):
+        return reduced, None, "lll_dual_certificate"
+    chosen = _greedy_minima(sorted((_max_abs(v), v) for v in lat.half_box_points(radius)), want)
+    if len(chosen) == want:
+        return reduced, chosen, "enumeration"
+    return reduced, None, "lll_after_box"
 
 
 def short_vectors(lat: GammaLattice, enum_limit: int = DEFAULT_ENUM_LIMIT) -> ShortVectors:
     """Find n+1 independent lattice vectors of small sup-norm.
 
-    Exhaustive enumeration with a growing radius yields the exact successive
-    minima (ties broken by (sup-norm, lexicographic order) on canonical sign
-    representatives); when the box would exceed enum_limit points, the
-    LLL-reduced basis is returned after exact membership re-verification.
+    LLL, then one box (see _minima_search): the greedy on the box gives the
+    exact successive minima (ties broken by (sup-norm, lexicographic order) on
+    canonical sign representatives), else it runs on the verified LLL basis.
     """
     n = lat.n
-    Q = lat.box_q
-    chosen = _exact_minima_search(lat, n + 1, enum_limit)
-    if chosen is not None:
-        vectors = tuple(v for _, v in chosen)
-        c0 = Fraction(max(norm for norm, _ in chosen), Q)
-        return ShortVectors(vectors, c0, "enumeration")
-    reduced = _reduced_vectors(lat)
-    pts = sorted(
-        {(_max_abs(v), _sign_normalize(v)) for v in reduced},
-        key=lambda item: (item[0], item[1]),
-    )
-    chosen = _greedy_minima(pts, n + 1)
-    if len(chosen) != n + 1:
-        raise InvariantError("LLL basis lost independence")
+    reduced, chosen, route = _minima_search(lat, n + 1, enum_limit)
+    if chosen is None:
+        chosen = _greedy_minima(sorted({(_max_abs(v), _sign_normalize(v)) for v in reduced}), n + 1)
+        if len(chosen) != n + 1:
+            raise InvariantError("LLL basis lost independence")
     vectors = tuple(v for _, v in chosen)
-    c0 = Fraction(max(norm for norm, _ in chosen), Q)
-    return ShortVectors(vectors, c0, "lll")
+    c0 = Fraction(max(norm for norm, _ in chosen), lat.box_q)
+    return ShortVectors(vectors, c0, route)
 
 
 def successive_minima(lat: GammaLattice, count: Optional[int] = None,
                       enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[Fraction]:
     """Exact successive minima of the sup-norm box of semi-axis Q on the lattice."""
-    n = lat.n
-    want = count if count is not None else n + 1
-    chosen = _exact_minima_search(lat, want, enum_limit)
+    want = count if count is not None else lat.n + 1
+    if want < 1:
+        raise ValueError("count must be >= 1")
+    chosen = _minima_search(lat, want, enum_limit)[1]
     if chosen is None:
         raise RuntimeError("successive minima enumeration exceeds limit")
     return [Fraction(norm, lat.box_q) for norm, _ in chosen]
@@ -617,6 +634,7 @@ class GeneratorOutput:
     method: str
     polys: tuple[IntPoly, ...]
     certificates: tuple[PolyCertificate, ...]
+    route: str  # ShortVectors.route
 
     @property
     def all_ok(self) -> bool:
@@ -679,7 +697,7 @@ def generate(x: int, params: XiParams, c2_hint: Optional[int] = None,
             continue
         return GeneratorOutput(
             x=lat.x, params=params, q=q, m=m, c0=sv.c0, c2=c2, method=sv.method,
-            polys=tuple(prim_polys), certificates=tuple(certs),
+            polys=tuple(prim_polys), certificates=tuple(certs), route=sv.route,
         )
     raise last_error if last_error is not None else DegenerateSample("no admissible q")
 

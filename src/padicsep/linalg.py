@@ -1,8 +1,8 @@
 """Exact integer linear algebra helpers.
 
-Fraction-free determinants (Bareiss), modular linear solves, and a small
-exact-arithmetic LLL used only as a fallback when exhaustive lattice
-enumeration would be too large.
+Fraction-free determinants (Bareiss), modular linear solves, and an
+integral LLL reduction, which the generator runs first on every congruence
+lattice to bound the enumeration box.
 """
 
 from __future__ import annotations
@@ -73,46 +73,53 @@ def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int)
 
 
 def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """LLL-reduce a list of integer basis vectors (exact rational Gram-Schmidt).
+    """LLL-reduce linearly independent integer vectors in integer arithmetic.
 
-    Textbook algorithm; adequate for the small dimensions used here.  The
-    caller re-verifies norms and independence afterwards, so this routine only
-    needs to return *some* basis of the same lattice.
+    Integral LLL (Cohen, Alg. 2.6.7; de Weger 1987): d[i] is the Gram
+    determinant of the first i vectors and lam[k][j] = d[j+1] mu_kj, both
+    integers, updated in place by every size reduction and swap.  Each step
+    fully size-reduces b_k against b_(k-1), ..., b_0 (round(mu) ties to even),
+    then applies the Lovasz test B_k >= (delta - mu_(k,k-1)^2) B_(k-1), which
+    for delta = num/den reads den d_(k+1) d_(k-1) >= num d_k^2 - den lam^2.
     """
     b = [list(v) for v in basis]
     n = len(b)
-
-    def dot(u, v):
-        return sum(x * y for x, y in zip(u, v))
-
-    def gram_schmidt():
-        bstar: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        norms = []
-        for i in range(n):
-            w = [Fraction(x) for x in b[i]]
-            for j in range(i):
-                if norms[j] == 0:
-                    mu[i][j] = Fraction(0)
-                    continue
-                mu[i][j] = Fraction(dot(b[i], bstar[j])) / norms[j]
-                w = [a - mu[i][j] * c for a, c in zip(w, bstar[j])]
-            bstar.append(w)
-            norms.append(dot(w, w))
-        return bstar, mu, norms
-
-    bstar, mu, norms = gram_schmidt()
+    num, den = Fraction(delta).as_integer_ratio()
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):  # lam[k][k] is d[k+1] and is not read after this loop
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            lam[k][j] = u
+        d[k + 1] = lam[k][k]
+        if d[k + 1] == 0:
+            raise ValueError("basis vectors are linearly dependent")
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                r = round(mu[k][j])
+            dj = d[j + 1]
+            if 2 * abs(lk[j]) > dj:
+                r, rem = divmod(lk[j], dj)
+                if 2 * rem > dj or (2 * rem == dj and r % 2):
+                    r += 1
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                bstar, mu, norms = gram_schmidt()
-        if norms[k] >= (delta - mu[k][k - 1] ** 2) * norms[k - 1]:
+                lk[j] -= r * dj
+                for i in range(j):
+                    lk[i] -= r * lam[j][i]
+        lkk = lk[k - 1]
+        if den * d[k + 1] * d[k - 1] >= num * d[k] ** 2 - den * lkk * lkk:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu, norms = gram_schmidt()
-            k = max(k - 1, 1)
+            continue
+        b[k - 1], b[k] = b[k], b[k - 1]
+        lam[k - 1][:k - 1], lk[:k - 1] = lk[:k - 1], lam[k - 1][:k - 1]
+        new_d = (d[k - 1] * d[k + 1] + lkk * lkk) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lkk * t) // d[k]
+            lam[i][k - 1] = (new_d * t + lkk * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
     return b

@@ -230,21 +230,24 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     """Distance profile centered at the Z_p root approximated by residue.
 
     Recomputes the profile at centers residue mod p^N with N doubled until
-    every entry except the root's own +inf entry stabilizes below N.  Raises
+    the entries below N - 1 repeat and those at or above N - 1, made +inf, are
+    as many as the root's multiplicity m (its factor S_m vanishes).  Raises
     PrecisionExhausted beyond the hard cap, HenselInapplicable when the
     residue does not isolate a simple root of the squarefree part.
     """
     q = _as_p(p)
     sqfree = squarefree_part(poly)
+    decomp = squarefree_decomposition(poly)
     n = PROFILE_START_PRECISION
     prev: Optional[tuple] = None
     while n <= PROFILE_MAX_PRECISION:
         root, _ = hensel_lift(sqfree, residue, q, n)
         prof = distance_profile(poly, root.residue, q)
         finite = tuple(v for v in prof.entries if v is not INF and v < n - 1)
-        large = [v for v in prof.entries if v is INF or v >= n - 1]
-        if prev is not None and finite == prev and len(large) == len(prof.entries) - len(finite):
-            return DistanceProfile(root.residue, (INF,) * len(large) + finite)
+        large = len(prof.entries) - len(finite)
+        mults = [m for s, m in decomp if valuation(s(root.residue), q) >= n]
+        if prev is not None and finite == prev and mults == [large]:
+            return DistanceProfile(root.residue, (INF,) * large + finite)
         prev = finite
         n *= 2
     raise PrecisionExhausted("distance profile did not stabilize")

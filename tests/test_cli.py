@@ -116,6 +116,46 @@ def test_generate_artifact(tmp_path):
     assert (tmp_path / "generated_polys.csv").read_bytes() == (again / "generated_polys.csv").read_bytes()
 
 
+def test_generate_telemetry_counts_every_sample(tmp_path, monkeypatch):
+    # the golden config: the unhashed sidecar leaves the CSV and the summary
+    # byte-identical to the goldens, and its route counts sum to --samples
+    golden = Path(__file__).parent / "golden"
+    config = read_csv_artifact(golden / "generated_polys_th2.csv")[0]
+    preset = config["preset"]
+    argv = ["generate", "--preset", preset["mode"], "--n", str(preset["n"]),
+            "--p", str(preset["p"]), "--t", str(preset["t"]), "--theta", preset["theta"],
+            "--samples", str(config["samples"]), "--seed", str(config["seed"])]
+    assert run_cli(*argv, "--out-dir", str(tmp_path))[0] == 0
+    assert (tmp_path / "generated_polys.csv").read_bytes() == \
+        (golden / "generated_polys_th2.csv").read_bytes()
+    assert (tmp_path / "generate_summary.json").read_bytes() == \
+        (golden / "generate_summary_th2.json").read_bytes()
+    telemetry = json.loads((tmp_path / "generate_telemetry.json").read_text())
+    assert float(telemetry["elapsed_s"]) >= 0
+    assert telemetry["short_vector_routes"] == {"enumeration": 8, "lll_after_box": 0,
+                                                "lll_dual_certificate": 0, "degenerate": 0}
+
+    # every route, and degenerate samples (every fourth call made to raise)
+    real_generate = cli_mod.lattice_mod.generate
+    calls = []
+
+    def sometimes_degenerate(x, params):
+        calls.append(x)
+        if len(calls) % 4 == 0:
+            raise cli_mod.lattice_mod.DegenerateSample("forced")
+        return real_generate(x, params)
+
+    monkeypatch.setattr(cli_mod.lattice_mod, "generate", sometimes_degenerate)
+    out = tmp_path / "n3"
+    assert run_cli("generate", "--preset", "theorem2", "--n", "3", "--p", "2", "--t", "3",
+                   "--theta", "1", "--samples", "12", "--seed", "1",
+                   "--out-dir", str(out))[0] == 0
+    routes = json.loads((out / "generate_telemetry.json").read_text())["short_vector_routes"]
+    summary = json.loads((out / "generate_summary.json").read_text())["results"]
+    assert sum(routes.values()) == 12 and routes["degenerate"] == len(summary["failures"]) == 3
+    assert routes["enumeration"] and routes["lll_after_box"] and routes["lll_dual_certificate"]
+
+
 def test_generate_theorem3(tmp_path):
     code, out, err = run_cli("generate", "--preset", "theorem3", "--n", "2", "--p", "3",
                              "--t", "2", "--nu", "1", "--samples", "5", "--seed", "1",

@@ -215,6 +215,17 @@ def test_profile_at_zp_root():
     assert list(prof.entries[1:]) == [5, 0, 0]
 
 
+def test_profile_at_zp_root_keeps_a_distant_root_finite():
+    # x (x - 3) (x - 2^40) at p = 2: the root 2^40 lies at distance 40 from the
+    # root 0, above the first precisions tried, and must not turn into +inf;
+    # with x^2 in place of x the root 0 has multiplicity 2 and two +inf entries
+    simple = IntPoly([0, 3 * 2**40, -(2**40 + 3), 1])
+    assert profile_at_zp_root(simple, 0, 2).entries == (INF, 40, 0)
+    double = simple * IntPoly([0, 1])
+    assert profile_at_zp_root(double, 0, 2).entries == (INF, INF, 40, 0)
+    assert profile_at_zp_root(double, 3, 2).entries == (INF, 0, 0, 0)
+
+
 def test_min_conjugate_separation_examples():
     for k in (1, 2, 3):
         assert min_conjugate_separation(IntPoly([-(5 ** (2 * k)), 0, 1]), 5).val == k

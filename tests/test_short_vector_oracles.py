@@ -1,0 +1,139 @@
+"""The integral LLL, the one-box short-vector search and its dual certificate
+against the routes they replaced: the rational LLL of `lll_oracle`, the
+radius-doubling search of `short_vector_oracle`, and brute-force minima."""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from lll_oracle import lll_reduce_rational
+from padicsep.lattice import (
+    XiParams,
+    _dual_certificate,
+    _RankTracker,
+    build_gamma,
+    congruence_lattice,
+    short_vectors,
+    successive_minima,
+)
+from padicsep.linalg import bareiss_det, lll_reduce
+from short_vector_oracle import short_vectors_oracle, successive_minima_oracle
+
+PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.filter_too_much])
+
+
+def _gram_det(basis):
+    return bareiss_det([[sum(x * y for x, y in zip(u, v)) for v in basis] for u in basis])
+
+
+@st.composite
+def integer_bases(draw):
+    """Independent integer vectors, dim 2-6, half of them built around mu = k + 1/2.
+
+    In a tie basis b_0 = (2a, 0, ..., 0) and every later vector starts with an
+    odd multiple of a, so each mu_(i,0) is a half-integer on the first pass.
+    """
+    dim = draw(st.integers(2, 6))
+    ambient = dim + draw(st.integers(0, 1))
+    entry = st.integers(-12, 12)
+    rows = [draw(st.lists(entry, min_size=ambient, max_size=ambient)) for _ in range(dim)]
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 4))
+        rows[0] = [2 * a] + [0] * (ambient - 1)
+        for row in rows[1:]:
+            row[0] = a * (2 * draw(st.integers(-4, 4)) + 1)
+    assume(_gram_det(rows) != 0)
+    return rows
+
+
+@PROPERTY
+@given(integer_bases(), st.sampled_from([Fraction(3, 4), Fraction(1, 2), Fraction(99, 100)]))
+def test_integral_lll_equals_rational_oracle(basis, delta):
+    assert lll_reduce(basis, delta) == lll_reduce_rational(basis, delta)
+
+
+def test_integral_lll_rounds_ties_to_even_and_rejects_dependence():
+    # mu = 3/2 and 5/2 both round to 2, as Fraction.__round__ does
+    assert lll_reduce([[2, 0], [3, 5]]) == [[2, 0], [-1, 5]]
+    assert lll_reduce([[2, 0], [5, 5]]) == [[2, 0], [1, 5]]
+    assert lll_reduce([[2, 0], [1, 5]]) == [[2, 0], [1, 5]]  # mu = 1/2 is already reduced
+    with pytest.raises(ValueError):
+        lll_reduce([[1, 2, 3], [2, 4, 6]])
+
+
+def _random_lattice(rng, max_n):
+    n = rng.randint(1, max_n)
+    p = rng.choice([2, 3, 5])
+    t = rng.randint(1, 3)
+    b = [0] * (n + 1)
+    for _ in range(t * (n + 1)):
+        b[rng.randrange(n + 1)] += 1
+    return build_gamma(rng.randrange(p ** (max(b) + 2)), XiParams(p, t, tuple(b)))
+
+
+def test_short_vectors_and_minima_equal_the_doubling_search():
+    # vectors, c0 and method of short_vectors, and successive_minima's values
+    # or RuntimeError, at budgets from "no box fits" to "every box fits"
+    rng = random.Random(4141)
+    routes = set()
+    for _ in range(90):
+        lat = _random_lattice(rng, 3)
+        for limit in (1, 30, 500, 5000):
+            sv = short_vectors(lat, limit)
+            assert (sv.vectors, sv.c0, sv.method) == short_vectors_oracle(lat, limit)
+            routes.add(sv.route)
+            for want in range(1, lat.n + 3):
+                try:
+                    got = successive_minima(lat, want, limit)
+                except RuntimeError:
+                    got = None
+                assert got == successive_minima_oracle(lat, want, limit), (lat, want, limit)
+    assert routes == {"enumeration", "lll_after_box", "lll_dual_certificate"}
+    with pytest.raises(ValueError):
+        successive_minima(lat, 0)
+
+
+def _brute_last_minimum(lat, radius):
+    """lambda_(n+1) by filtering the full box of the given radius, or None if it is larger."""
+    box = range(-radius, radius + 1)
+    points = sorted((max(map(abs, v)), v) for v in itertools.product(box, repeat=lat.n + 1)
+                    if any(v) and lat.contains(v))
+    tracker = _RankTracker()
+    found = 0
+    for norm, v in points:
+        found += tracker.try_add(v)
+        if found == lat.n + 1:
+            return norm
+    return None
+
+
+def test_dual_certificate_never_fires_within_the_last_minimum():
+    # for every R >= brute-force lambda_(n+1) the certificate must stay silent,
+    # on the reduced basis and on the raw basis; it must fire somewhere below
+    rng = random.Random(5151)
+    checked = fired = 0
+    while checked < 60:
+        n = rng.randint(1, 2)
+        p = rng.choice([2, 3, 5])
+        b = [rng.randint(0, 2) for _ in range(n + 1)]
+        lat = congruence_lattice(rng.randint(-40, 40), p, b)
+        bases = [[tuple(v) for v in lll_reduce([list(c) for c in lat.basis])],
+                 [tuple(c) for c in lat.basis]]
+        top = max(max(map(abs, v)) for v in bases[0])
+        if top > 12:
+            continue
+        last = _brute_last_minimum(lat, top)
+        assert last is not None and last <= top
+        for basis in bases:
+            for radius in range(0, top + 3):
+                if radius >= last:
+                    assert not _dual_certificate(basis, radius), (lat, basis, radius)
+                else:
+                    fired += _dual_certificate(basis, radius)
+        checked += 1
+    assert fired
