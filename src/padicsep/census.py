@@ -62,11 +62,29 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
     This is the one place the censuses compute the discriminant, its
     valuation and the irreducibility verdict.  D = 0 yields v_p(D) = None and
     irreducible = False: a repeated root makes P reducible over Q.
+
+    At n = 3 the verdict is a rational-root sieve, exact by three facts.
+    (1) A cubic with D != 0 is irreducible over Q iff it has no rational
+    root: a factorization over Q has degrees summing to 3, so one factor is
+    linear and its root is rational; a rational root r gives the factor x - r.
+    (2) Content does not change the roots: P = c P' with c a nonzero integer
+    has the roots of P', so the verdict on P is the verdict on its primitive
+    part that is_irreducible gives.  (3) Every rational root r/s in lowest
+    terms, s > 0, has s | a_3 and r | a_0: s^3 P(r/s) = 0 reads
+    a_3 r^3 = -s (a_2 r^2 + a_1 r s + a_0 s^2) and
+    a_0 s^3 = -r (a_3 r^2 + a_2 r s + a_1 s^2), and gcd(r, s) = 1.
+    So with a_0 != 0 (a_0 = 0 gives the root 0) a root has 0 < |r| <= |a_0|
+    <= Q, and by Cauchy's bound |r/s| <= 1 + Q/a_3, i.e.
+    |r| <= s + floor(s Q / a_3).  Each such candidate r/s is a root for
+    exactly one a_0, the one with a_0 s^3 = -(a_3 r^3 + a_2 r^2 s + a_1 r s^2),
+    so the a_0 in the box that make P reducible are the integral ones among
+    these; every other a_0 != 0 gives an irreducible P.  D is the closed
+    cubic form, written as A + a_0 (B + C a_0) for each (a_3, a_2, a_1).
     """
+    rng = range(-height_bound, height_bound + 1)
     if n == 2:
         # Closed-form D with the valuation loop and the square test inline:
         # calling padic.valuation here made this loop about 1.6x slower.
-        rng = range(-height_bound, height_bound + 1)
         for a2 in range(an_lo, an_hi + 1):
             four_a2 = 4 * a2
             for a1 in rng:
@@ -82,6 +100,40 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
                         d //= p
                         v += 1
                     yield (a0, a1, a2), disc, v, disc < 0 or math.isqrt(disc) ** 2 != disc
+        return
+    if n == 3:
+        for a3 in range(an_lo, an_hi + 1):
+            # per root candidate r/s: (a_3 r^3, r^2 s, r s^2, s^3)
+            cands = []
+            for s in range(1, a3 + 1):
+                if a3 % s == 0:
+                    r_max = min(height_bound, s + s * height_bound // a3)
+                    cands.extend((a3 * r**3, r * r * s, r * s * s, s**3)
+                                 for r in range(-r_max, r_max + 1)
+                                 if r and math.gcd(r, s) == 1)
+            big_c = -27 * a3 * a3
+            for a2 in rng:
+                a2sq = a2 * a2
+                b2 = -4 * a2 * a2sq
+                for a1 in rng:
+                    big_a = a1 * a1 * (a2sq - 4 * a3 * a1)
+                    big_b = 18 * a3 * a2 * a1 + b2
+                    reducible = set()
+                    for t3, t2, t1, s3 in cands:
+                        num = t3 + a2 * t2 + a1 * t1  # = -a_0 s^3 for the a_0 with root r/s
+                        if num % s3 == 0 and -height_bound * s3 <= num <= height_bound * s3:
+                            reducible.add(-num // s3)
+                    for a0 in rng:
+                        disc = big_a + a0 * (big_b + big_c * a0)
+                        if disc == 0:
+                            yield (a0, a1, a2, a3), 0, None, False
+                            continue
+                        v = 0
+                        d = disc
+                        while d % p == 0:
+                            d //= p
+                            v += 1
+                        yield (a0, a1, a2, a3), disc, v, a0 != 0 and a0 not in reducible
         return
     for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
         disc = discriminant_coeffs(coeffs)

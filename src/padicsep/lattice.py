@@ -211,26 +211,29 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
     a_i = -sum_(j>i) C(j,i) x^(j-i) a_j  mod p^b_i fixes a_i's residue, so
     each level steps by p^b_i.  Every level runs from the top down, so the
     first point yielded has the largest a_n of any point in the box.  Each
-    level passes its child the offset s, so an empty level costs one modulo;
-    level 1 emits level 0's residue-class range inline for each a_1.
+    level computes its child's top value, the largest a <= radius in the
+    child's residue class, and makes no generator frame for a child whose
+    range is empty.  Level 1 emits level 0's residue-class range inline for
+    each a_1.
     """
     n = len(b) - 1
     coef = taylor_matrix(x, n)
     mods = [p**bi for bi in b]
     vec = [0] * (n + 1)
 
-    def rec(i: int, s: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
+    def rec(i: int, top: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
         m = mods[i]
-        top = radius - (radius + s) % m  # largest a <= radius with a = -s mod m
         levels = range(top, -1 if all_zero_above else -radius - 1, -m)
-        if not levels:
-            return
         row = coef[i - 1]  # level i-1's offset is base + row[i] a_i
         base = sum(row[j] * vec[j] for j in range(i + 1, n + 1) if vec[j])
         if i > 1:
+            m_child, r_i = mods[i - 1], row[i]
             for a in levels:
-                vec[i] = a
-                yield from rec(i - 1, base + row[i] * a, all_zero_above and a == 0)
+                child_top = radius - (radius + base + r_i * a) % m_child
+                zero = all_zero_above and a == 0
+                if child_top > (-1 if zero else -radius - 1):
+                    vec[i] = a
+                    yield from rec(i - 1, child_top, zero)
             vec[i] = 0
             return
         rest = tuple(vec[2:])
@@ -239,7 +242,7 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
             for a0 in range(top0, 0 if all_zero_above and a == 0 else -radius - 1, -mods[0]):
                 yield (a0, a) + rest
 
-    return rec(n, 0, True)
+    return rec(n, radius - radius % mods[n], True)
 
 
 def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
-from .intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
+from .intpoly import IntPoly, discriminant, squarefree_decomposition
 from .padic import INF, InvariantError, PadicMag, Valuation, _as_p, valuation
 
 PROFILE_START_PRECISION = 8
@@ -120,13 +120,25 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
     return ZpRoot(x % q**precision, precision, True), v0 - v1
 
 
-def _simple_flags(poly: IntPoly, roots: list[int], p: int, precision: int) -> list[bool]:
+def _squarefree_from(poly: IntPoly, decomp: list[tuple[IntPoly, int]]) -> IntPoly:
+    """squarefree_part(poly), read off its squarefree decomposition.
+
+    P = c prod S_m^m with every S_m primitive, so prod S_m has each root of P
+    once and is primitive by Gauss's lemma; squarefree_part differs from it
+    at most in sign, and carries the sign of P's leading coefficient.
+    """
+    out = decomp[0][0]
+    for s, _ in decomp[1:]:
+        out = out * s
+    return out if (out.leading > 0) == (poly.leading > 0) else -out
+
+
+def _simple_flags(decomp: list[tuple[IntPoly, int]], sqfree: IntPoly, roots: list[int],
+                  p: int, precision: int) -> list[bool]:
     """Multiplicity-1 test per root, via the squarefree decomposition of P."""
-    decomp = squarefree_decomposition(poly)
     if len(decomp) == 1:
         only_mult = decomp[0][1]
         return [only_mult == 1] * len(roots)
-    sqfree = squarefree_part(poly)
     flags = []
     for r in roots:
         n_check = max(precision, PROFILE_START_PRECISION)
@@ -159,7 +171,8 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
         raise ValueError("precision must be >= 1")
     if poly.degree == 0:
         return []
-    sqfree = squarefree_part(poly)
+    decomp = squarefree_decomposition(poly)
+    sqfree = _squarefree_from(poly, decomp)
     disc = discriminant(sqfree) if sqfree.degree >= 1 else 1
     cap = 2 * valuation(disc, q) + 4 if sqfree.degree >= 2 else valuation(sqfree.leading, q) + precision + 4
     deriv = sqfree.derivative()
@@ -188,7 +201,7 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
                 stack.append((child, k + 1))
 
     refined.sort()
-    flags = _simple_flags(poly, refined, q, precision)
+    flags = _simple_flags(decomp, sqfree, refined, q, precision)
     modulus = q**precision
     out = [ZpRoot(r % modulus, precision, s) for r, s in zip(refined, flags)]
     out.sort(key=lambda z: z.residue)
@@ -236,8 +249,8 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     residue does not isolate a simple root of the squarefree part.
     """
     q = _as_p(p)
-    sqfree = squarefree_part(poly)
     decomp = squarefree_decomposition(poly)
+    sqfree = _squarefree_from(poly, decomp)
     n = PROFILE_START_PRECISION
     prev: Optional[tuple] = None
     while n <= PROFILE_MAX_PRECISION:

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from padicsep.census import (
+    _records,
     _sep_shard,
     _shards,
     disc_census,
@@ -18,7 +19,13 @@ from padicsep.census import (
     record_stream,
     sep_census,
 )
-from padicsep.intpoly import IntPoly, content_primitive, discriminant, is_irreducible
+from padicsep.intpoly import (
+    IntPoly,
+    content_primitive,
+    discriminant,
+    discriminant_coeffs,
+    is_irreducible,
+)
 from padicsep.lattice import XiParams
 from padicsep.padic import valuation
 from padicsep.roots import min_conjugate_separation
@@ -424,3 +431,27 @@ def test_n2_sep_shard_against_per_record_recount():
                 got = _sep_shard((2, p, t, lo, hi))
                 assert list(got.items()) == list(expect.items()), (p, t, lo)
                 assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+
+
+@pytest.mark.parametrize("p, q", [(2, 4), (3, 5), (5, 3), (2, 9)])
+def test_cubic_kernel_against_per_record_oracle(p, q):
+    # the rational-root sieve against discriminant_coeffs, valuation and
+    # is_irreducible on the primitive part, record by record on every shard
+    zero_a0 = zero_disc = 0
+    for lo, hi in _shards(q):
+        got = list(_records(3, p, q, lo, hi))
+        expect = []
+        for coeffs in iter_coeffs(3, q, lo, hi):
+            disc = discriminant_coeffs(coeffs)
+            if disc == 0:
+                expect.append((coeffs, 0, None, False))
+                continue
+            irr = bool(is_irreducible(content_primitive(IntPoly(coeffs))[1]))
+            expect.append((coeffs, disc, valuation(disc, p), irr))
+        assert got == expect, (p, q, lo)
+        assert all(type(r[3]) is bool for r in got)
+        zero_a0 += sum(1 for r in got if r[0][0] == 0 and r[1] != 0)
+        zero_disc += sum(1 for r in got if r[1] == 0)
+    assert zero_a0 and zero_disc
+    if q == 9:
+        assert _shards(q) == [(1, 8), (9, 9)]

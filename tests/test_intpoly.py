@@ -4,11 +4,14 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicsep.intpoly import (
     IntPoly,
     content_primitive,
     discriminant,
+    discriminant_coeffs,
     eisenstein_check,
     hadamard_bound,
     interpolate,
@@ -263,6 +266,39 @@ def test_is_irreducible_matches_sympy_quartics():
         c, prim = content_primitive(p)
         expect = sympy.Poly(list(reversed(prim.coeffs)), X).is_irreducible
         assert bool(is_irreducible(prim)) == expect, prim
+
+
+PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def polys_deg_2_to_6(draw):
+    """Degree 2..6, a_0 and a_n nonzero; half of them products of two factors."""
+    def poly(lo, hi, height):
+        n = draw(st.integers(lo, hi))
+        coef, nonzero = st.integers(-height, height), st.integers(-height, height).filter(bool)
+        mid = draw(st.lists(coef, min_size=n - 1, max_size=n - 1))
+        return IntPoly([draw(nonzero)] + mid + [draw(nonzero)])
+
+    if draw(st.booleans()):
+        return poly(2, 6, 12)
+    left = poly(1, 3, 4)
+    return left * poly(max(1, 2 - left.degree), 6 - left.degree, 4)
+
+
+@PROPERTY
+@given(polys_deg_2_to_6())
+def test_discriminant_coeffs_property_against_sympy(poly):
+    assert discriminant_coeffs(poly.coeffs) == int(sympy.discriminant(to_sympy(poly).as_expr(), X))
+
+
+@PROPERTY
+@given(polys_deg_2_to_6())
+def test_is_irreducible_property_against_sympy_factor_list(poly):
+    prim = content_primitive(poly)[1]
+    _, factors = sympy.factor_list(to_sympy(prim))
+    expect = len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == prim.degree
+    assert bool(is_irreducible(prim)) == expect, prim
 
 
 def test_poly_irreducible_mod():

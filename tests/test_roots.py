@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from padicsep.intpoly import IntPoly, discriminant
+from padicsep.intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
 from padicsep.padic import INF, valuation
 from padicsep.roots import (
     DistanceProfile,
@@ -19,7 +19,7 @@ from padicsep.roots import (
     profile_at_zp_root,
     zp_roots,
 )
-from padicsep.roots import _difference_elementary
+from padicsep.roots import _difference_elementary, _squarefree_from
 from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
 
 
@@ -213,6 +213,30 @@ def test_profile_at_zp_root():
     prof = profile_at_zp_root(poly, near_one.residue, 3)
     assert prof.entries[0] is INF
     assert list(prof.entries[1:]) == [5, 0, 0]
+
+
+def test_squarefree_from_decomposition_equals_squarefree_part():
+    # seeded degree 2..6 inputs, both signs, with and without content, half of
+    # them products of small factors with repeats: the Hensel target of
+    # profile_at_zp_root and zp_roots is squarefree_part, exactly
+    rng = random.Random(20261018)
+    repeated = 0
+    for _ in range(400):
+        if rng.random() < 0.5:
+            poly = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 6))]
+                           + [rng.choice([-3, -2, -1, 1, 2, 3])])
+        else:
+            poly = IntPoly([rng.choice([-2, -1, 1, 2, 6])])
+            while poly.degree < 2:
+                factor = IntPoly([rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])]
+                                 + ([rng.choice([1, 2])] if rng.random() < 0.3 else []))
+                for _ in range(rng.randint(1, 3)):
+                    if poly.degree + factor.degree <= 6:
+                        poly = poly * factor
+        decomp = squarefree_decomposition(poly)
+        repeated += any(m > 1 for _, m in decomp)
+        assert _squarefree_from(poly, decomp) == squarefree_part(poly), poly
+    assert repeated >= 100
 
 
 def test_profile_at_zp_root_keeps_a_distant_root_finite():
