@@ -269,8 +269,9 @@ def rational_roots(poly: IntPoly) -> list[Fraction]:
     if n == 0:
         return roots
     a0, an = coeffs[0], coeffs[-1]
+    an_divisors = _divisors(an)
     for r in _divisors(a0):
-        for s in _divisors(an):
+        for s in an_divisors:
             if gcd(r, s) != 1:
                 continue
             for num in (r, -r):
@@ -291,57 +292,49 @@ def _trim(c: list[int]) -> list[int]:
 # --- polynomial arithmetic over F_l ---------------------------------------
 
 
-def _ff_mulmod(a: list[int], b: list[int], mod: list[int], l: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _ff_gcd(a: list[int], b: list[int], l: int) -> list[int]:
+    """A gcd over F_l of two trimmed coefficient lists (Euclid, not made monic)."""
+    a, b = a[:], b[:]
+    while b:
+        inv, db = pow(b[-1], -1, l), len(b) - 1
+        while len(a) > db:  # a <- a mod b
+            f, off = a[-1] * inv % l, len(a) - 1 - db
+            for i, m in enumerate(b):
+                a[off + i] = (a[off + i] - f * m) % l
+            _trim(a)
+        a, b = b, a
+    return a
+
+
+def _ff_mulmod(a: list[int], b: list[int], m: list[int], l: int) -> list[int]:
+    """a*b mod (f, l) for residues of n coefficients, f monic with x^n = -sum m_i x^i."""
+    n = len(m)
+    prod = [0] * (2 * n - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return _ff_rem(out, mod, l)
-
-
-def _ff_rem(a: list[int], mod: list[int], l: int) -> list[int]:
-    a = a[:]
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, l)
-    while len(a) - 1 >= dm and _trim(a):
-        if not a:
-            break
-        f = a[-1] * inv_lead % l
-        off = len(a) - 1 - dm
-        for i, m in enumerate(mod):
-            a[off + i] = (a[off + i] - f * m) % l
-        _trim(a)
-    return a
-
-
-def _ff_gcd(a: list[int], b: list[int], l: int) -> list[int]:
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        a, b = b, _ff_rem(a, b, l)
-        _trim(b)
-    if a:
-        inv = pow(a[-1], -1, l)
-        a = [x * inv % l for x in a]
-    return a
-
-
-def _ff_powmod_x(e: int, mod: list[int], l: int) -> list[int]:
-    """x^e mod (mod, l) by binary exponentiation."""
-    result = [1]
-    base = _ff_rem([0, 1], mod, l)
-    while e:
-        if e & 1:
-            result = _ff_mulmod(result, base, mod, l)
-        base = _ff_mulmod(base, base, mod, l)
-        e >>= 1
-    return result
+                prod[i + j] += x * y
+    for k in range(2 * n - 2, n - 1, -1):  # reduce from the top
+        c = prod[k] % l
+        if c:
+            for i, mi in enumerate(m, start=k - n):
+                prod[i] -= c * mi
+    return [v % l for v in prod[:n]]
 
 
 def poly_irreducible_mod(poly: IntPoly, l: int) -> bool:
-    """True iff P mod l is irreducible of full degree over F_l (Rabin's test)."""
+    """True iff P mod l is irreducible of full degree over F_l (Berlekamp rank).
+
+    For f = P mod l of degree n, Q is the n x n matrix whose row i holds the
+    coefficients of x^(il) mod f.  Frobenius g -> g^l is F_l-linear on
+    A = F_l[x]/(f), and g^l = sum g_i x^(il) because g_i^l = g_i, so g^l - g
+    is the row vector g (Q - I).  For squarefree f = p_1 ... p_k with
+    distinct irreducible p_j, the Chinese remainder theorem makes A a product
+    of the fields F_l[x]/(p_j), and Frobenius fixes exactly F_l in each, so
+    dim ker(Q - I) = k (Berlekamp 1967; Knuth, TAOCP vol. 2, 4.6.2).  Hence a
+    squarefree f is irreducible iff rank(Q - I) = n - 1; gcd(f, f') rejects
+    the others first.  Residues are lists of n coefficients mod f made monic.
+    """
     n = poly.degree
     f = _trim([a % l for a in poly.coeffs])
     if len(f) - 1 != n:
@@ -351,16 +344,28 @@ def poly_irreducible_mod(poly: IntPoly, l: int) -> bool:
     deriv = _trim([(j * a) % l for j, a in enumerate(f)][1:])
     if not deriv or len(_ff_gcd(f, deriv, l)) > 1:
         return False
-    xq = _ff_powmod_x(l**n, f, l)
-    x_minus = _trim([(a - b) % l for a, b in itertools.zip_longest(xq, [0, 1], fillvalue=0)])
-    if x_minus:
-        return False
-    n_primes = {r for r in range(2, n + 1) if n % r == 0 and is_prime(r)}
-    for r in n_primes:
-        xr = _ff_powmod_x(l ** (n // r), f, l)
-        diff = _trim([(a - b) % l for a, b in itertools.zip_longest(xr, [0, 1], fillvalue=0)])
-        if len(_ff_gcd(f, diff, l)) > 1:
-            return False
+    inv = pow(f[n], -1, l)
+    m = [a * inv % l for a in f[:n]]
+    xl = [0, 1] + [0] * (n - 2)
+    for bit in bin(l)[3:]:  # x^l by square-and-multiply
+        xl = _ff_mulmod(xl, xl, m, l)
+        if bit == "1":  # times x: shift up and reduce x^n
+            c = xl[-1]
+            xl = [(a - c * mi) % l for a, mi in zip([0] + xl[:-1], m)]
+    basis = []  # reduced rows of Q - I: 1 at their own pivot, 0 at earlier pivots
+    for i in range(1, n):  # row 0 of Q - I is zero
+        row = xl if i == 1 else _ff_mulmod(row, xl, m, l)  # x^(il) mod f
+        v = row[:]
+        v[i] = (v[i] - 1) % l
+        for col, b in basis:
+            if v[col]:
+                c = v[col]
+                v = [(x - c * y) % l for x, y in zip(v, b)]
+        col = next((j for j, x in enumerate(v) if x), None)
+        if col is None:
+            return False  # rank(Q - I) < n - 1
+        inv = pow(v[col], -1, l)
+        basis.append((col, [x * inv % l for x in v]))
     return True
 
 
@@ -497,8 +502,10 @@ def is_irreducible(poly: IntPoly) -> IrreducibilityResult:
     """Irreducibility over Q for a primitive polynomial of degree >= 1.
 
     Pipeline: rational-root test, Eisenstein scan (primes q <= 100, shifts
-    |c| <= 3), irreducible-mod-l for the first ten primes not dividing a_n,
-    then Kronecker exhaustive factor search as the complete fallback.
+    |c| <= 3; a shift is skipped when gcd(a_0, ..., a_(n-1)) = 1, since every
+    such q divides it), irreducible-mod-l by Berlekamp rank for the first ten
+    primes not dividing a_n, then Kronecker exhaustive factor search as the
+    complete fallback.
     """
     n = poly.degree
     if n < 1:
@@ -522,10 +529,16 @@ def is_irreducible(poly: IntPoly) -> IrreducibilityResult:
         return IrreducibilityResult(False, "rational-root", (r.numerator, r.denominator))
     if n == 3:
         return IrreducibilityResult(True, "exhaustive-factor-search", ("linear-only",))
+    an = poly.leading
     for c in _EISENSTEIN_SHIFTS:
-        shifted = poly.shift(c)
+        a = poly.shift(c).coeffs
+        g = gcd(*a[:n])  # Eisenstein at q needs q | g
+        if g == 1:
+            continue
         for q in _SMALL_PRIMES:
-            if eisenstein_check(shifted, q):
+            if q > g:
+                break
+            if g % q == 0 and an % q and a[0] % (q * q):
                 return IrreducibilityResult(True, "eisenstein", (q, c))
     tried = 0
     for l in _SMALL_PRIMES:

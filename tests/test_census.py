@@ -150,6 +150,14 @@ def test_disc_census_max_records_cap():
     assert {r.height_bound for r in res.rows} == {6}
 
 
+def test_sep_census_max_records_cap():
+    # Q = 2^8 alone would exceed the cap, so that level is refused before it starts
+    res = sep_census(2, 2, [3, 8], [Fraction(1)], max_records=10_000)
+    assert not res.complete
+    assert {r.t for r in res.rows} == {3}
+    assert res.records_seen == poly_count(2, 8)
+
+
 def test_sep_census_small():
     res = sep_census(2, 2, [3, 4], [Fraction(1)], c0_exp=0)
     assert len(res.rows) == 2
@@ -408,6 +416,7 @@ def test_census_results_record_the_processes_started(monkeypatch):
     assert sep_census(2, 2, [4], theta, workers=1).workers_used == 0
     # a level skipped by max_records starts nothing
     assert disc_census(2, 3, [8, 20], nu, workers=8, max_records=10**4).workers_used == 0
+    assert sep_census(2, 2, [3, 8], theta, workers=8, max_records=10**4).workers_used == 0
 
 
 def test_n2_sep_shard_against_per_record_recount():

@@ -283,6 +283,15 @@ def test_resource_cap_exit_code(tmp_path):
     assert summary["results"]["complete"] is False
 
 
+def test_sep_census_resource_cap_exit_code(tmp_path):
+    code, out, err = run_cli("sep-census", "--n", "2", "--p", "2", "--q-grid", "8,256",
+                             "--theta", "1", "--max-records", "10000",
+                             "--out-dir", str(tmp_path))
+    assert code == 3
+    summary = json.loads((tmp_path / "sep_census_summary.json").read_text())
+    assert summary["results"]["complete"] is False
+
+
 def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
     disc = ["disc-census", "--n", "2", "--p", "3", "--nu", "1/2"]
     sep = ["sep-census", "--n", "2", "--p", "2", "--theta", "1"]

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicsep.intpoly import (
+    _EISENSTEIN_SHIFTS,
+    _SMALL_PRIMES,
     IntPoly,
     content_primitive,
     discriminant,
@@ -26,6 +28,7 @@ from padicsep.intpoly import (
     squarefree_part,
 )
 from padicsep.padic import valuation
+from rabin_oracle import is_irreducible_reference, poly_irreducible_mod_rabin
 
 X = sympy.Symbol("x")
 
@@ -148,6 +151,9 @@ def test_resultant_basics():
     p, q = IntPoly([1, 2, 3]), IntPoly([-1, 5])
     expect = int(sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(), X))
     assert resultant(p, q) == expect
+    # the root product over x^3 = 1 is (1 + 1)(w^5 + 1)(w^10 + 1) = 2 (-w)(-w^2) = 2;
+    # sympy 1.14's resultant returns -2 here
+    assert resultant(IntPoly([-1, 0, 0, 1]), IntPoly([1, 0, 0, 0, 0, 1])) == 2
 
 
 def test_hadamard_bound_examples():
@@ -305,6 +311,106 @@ def test_poly_irreducible_mod():
     assert poly_irreducible_mod(IntPoly([-2, 0, 1]), 5)  # 2 is not a square mod 5
     assert not poly_irreducible_mod(IntPoly([-2, 0, 1]), 7)  # 3^2 = 2 mod 7
     assert not poly_irreducible_mod(IntPoly([1, 2, 1]), 5)  # (x+1)^2
+
+
+@st.composite
+def polys_mod_l(draw):
+    """(P, l, kind): degree 1..7 and l a scan prime <= 31; kind "lead" has l | a_n,
+    kind "square" is (x - r)^2 g + l h, so P mod l has a double root and l | D(P)."""
+    l = draw(st.sampled_from([q for q in _SMALL_PRIMES if q <= 31]))
+    n = draw(st.integers(1, 7))
+    coef = st.integers(-40, 40)
+    kind = draw(st.sampled_from(("random", "lead", "square") if n >= 2 else ("random", "lead")))
+    if kind == "square":
+        unit = draw(st.integers(1, l - 1)) + l * draw(st.integers(0, 3))
+        g = IntPoly(draw(st.lists(coef, min_size=n - 2, max_size=n - 2)) + [unit])
+        root = IntPoly([-draw(st.integers(0, l - 1)), 1])
+        base = root * root * g
+        h = draw(st.lists(coef, min_size=n, max_size=n)) + [0]
+        return IntPoly(a + l * b for a, b in zip(base.coeffs, h)), l, kind
+    lead = draw(st.integers(1, 40))
+    if kind == "lead":
+        lead = l * draw(st.integers(1, 4))
+    return IntPoly(draw(st.lists(coef, min_size=n, max_size=n)) + [lead]), l, kind
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(polys_mod_l())
+def test_poly_irreducible_mod_against_rabin_and_sympy(case):
+    poly, l, kind = case
+    got = poly_irreducible_mod(poly, l)
+    assert got == poly_irreducible_mod_rabin(poly, l), (poly, l)
+    if kind == "square":
+        assert discriminant(poly) % l == 0 and not got
+    if poly.leading % l == 0:
+        assert not got  # the degree drops mod l
+    else:
+        assert got == sympy.Poly(list(reversed(poly.coeffs)), X, modulus=l).is_irreducible, (poly, l)
+
+
+def _pipeline_cases():
+    """Seeded primitive polynomials of degree 3..6: random, a quadratic times a factor
+    of degree 2..4, and (half of them) Eisenstein polynomials E at every scan prime
+    q, moved to E(x - c) for every scan shift c (so E is P(x + c))."""
+    rng = random.Random(2024)
+    for i in range(2000):
+        if i % 4 == 0:
+            n = rng.randint(3, 6)
+            coeffs = [rng.randint(-20, 20) for _ in range(n)] + [rng.randint(1, 20)]
+        elif i % 4 == 1:
+            left = [rng.randint(-5, 5) for _ in range(2)] + [rng.randint(1, 4)]
+            d = 2 if i % 8 == 1 else rng.randint(2, 4)
+            right = [rng.randint(-5, 5) for _ in range(d)] + [rng.randint(1, 4)]
+            coeffs = (IntPoly(left) * IntPoly(right)).coeffs
+        else:
+            q = _SMALL_PRIMES[(i // 2) % len(_SMALL_PRIMES)]
+            c = _EISENSTEIN_SHIFTS[(i // 50) % len(_EISENSTEIN_SHIFTS)]
+            n = rng.randint(4, 6)
+            lead = rng.choice([a for a in range(1, 7) if a % q])
+            low = [q * rng.choice([b for b in range(-5, 6) if b % q])]
+            low += [q * rng.randint(-3, 3) for _ in range(n - 1)]
+            coeffs = IntPoly(low + [lead]).shift(-c).coeffs
+        yield content_primitive(IntPoly(coeffs))[1]
+
+
+def test_is_irreducible_equals_the_rabin_pipeline():
+    certificates, first_hits = set(), set()
+    count = 0
+    for poly in _pipeline_cases():
+        got = is_irreducible(poly)
+        expect = is_irreducible_reference(poly)
+        assert (got.irreducible, got.certificate, got.detail) == \
+            (expect.irreducible, expect.certificate, expect.detail), poly
+        certificates.add(got.certificate)
+        if got.certificate == "eisenstein":
+            first_hits.add(got.detail)
+        count += 1
+    assert count == 2000
+    assert certificates >= {"rational-root", "eisenstein", "irreducible-mod-l", "factor-found",
+                            "exhaustive-factor-search"}
+    assert {c for _, c in first_hits} == set(_EISENSTEIN_SHIFTS)
+    assert {q for q, _ in first_hits} == set(_SMALL_PRIMES)
+
+
+def euclid_resultant(f, g):
+    """Res(f, g) over Q by Euclid: Res(f, g) = (-1)^(mn) b^(m - deg r) Res(g, r), r = f mod g."""
+    m, n = f.degree(), g.degree()
+    if n == 0:
+        return g.LC() ** m
+    r = f.rem(g)
+    if r.is_zero:
+        return 0
+    return (-1) ** (m * n) * g.LC() ** (m - r.degree()) * euclid_resultant(g, r)
+
+
+@PROPERTY
+@given(polys_deg_2_to_6(), polys_deg_2_to_6())
+def test_resultant_property_against_sympy(p, q):
+    # sympy.resultant slips its sign on some (3, 5) degree pairs (see
+    # test_resultant_basics), so the sign comes from the Euclidean recursion
+    got = resultant(p, q)
+    assert got == euclid_resultant(to_sympy(p).set_domain("QQ"), to_sympy(q).set_domain("QQ"))
+    assert abs(got) == abs(sympy.resultant(to_sympy(p).as_expr(), to_sympy(q).as_expr(), X))
 
 
 def test_rational_roots():

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicsep.intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
 from padicsep.padic import INF, valuation
@@ -339,6 +341,35 @@ def test_power_sum_route_against_resultant_oracle_exhaustive():
             assert sep == expect and type(sep) is type(expect), (coeffs, p)
             checked += 1
     assert checked > 1000 and repeated > 100
+
+
+@st.composite
+def polys_and_primes(draw):
+    """(P, p): degree 2..6, either random of height 12 or a_n prod (x - r_i) + p^4 e(x)
+    with roots r_i = p^k s_i, whose roots crowd p-adically (repeated roots included)."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+        return IntPoly(coeffs + [draw(st.integers(1, 12))]), p
+    poly = IntPoly([draw(st.integers(1, 4))])
+    for _ in range(n):
+        poly = poly * IntPoly([-p ** draw(st.integers(0, 3)) * draw(st.integers(-4, 4)), 1])
+    noise = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)) + [0]
+    return IntPoly(a + p**4 * e for a, e in zip(poly.coeffs, noise)), p
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(polys_and_primes())
+def test_min_conjugate_separation_property_against_resultant_oracle(case):
+    poly, p = case
+    expect = separation_by_resultants(poly, p)
+    if expect is None:
+        with pytest.raises(ValueError):
+            min_conjugate_separation(poly, p)
+        return
+    sep = min_conjugate_separation(poly, p).val
+    assert sep == expect and type(sep) is type(expect), (poly, p)
 
 
 def test_difference_elementary_gives_the_discriminant():
