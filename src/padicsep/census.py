@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
 from .lattice import XiParams, _box_points, _power_of_p_exponent
 from .padic import _as_p, valuation
-from .roots import min_conjugate_separation
+from .roots import _first_slope, min_conjugate_separation
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _SAMPLE_BLOCK = 512  # Monte-Carlo block size; fixed so results ignore worker count
@@ -284,10 +284,10 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     complete = True
     seen_total = used = 0
     for hb in height_grid:
-        if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
+        if max_records is not None and seen_total + poly_count(n, hb) > max_records:
             complete = False
             break
-        seen_total += poly_count(n, hb) // 2
+        seen_total += poly_count(n, hb)
         hist: dict[int, list[int]] = {}
         shards, started = _run_shards(_disc_shard,
                                       [(n, q, hb, lo, hi) for lo, hi in _shards(hb)], workers)
@@ -309,7 +309,7 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
         for k in sorted(hist):
             cnt, cnt_irr, min_ad, max_ad = hist[k]
             stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // q**k, max_ad))
-    return DiscCensus(rows, stats, complete, 2 * seen_total, used)
+    return DiscCensus(rows, stats, complete, seen_total, used)
 
 
 def _run_shards(fn, shard_args, workers: int) -> tuple[list, int]:
@@ -354,6 +354,29 @@ def _sep_shard(args) -> dict[tuple, int]:
     ties in max_exponent by the first irreducible record.  At n = 2 the loop
     keys on 2 sep = v_p(D) - 2 v_p(a_2), from D = a_2^2 (alpha_1 - alpha_2)^2;
     the one-to-one renaming at the end keeps that order.
+
+    At n = 3 the separation is read off v_p(D), v_p(a_3) and v_p(u),
+    u = 3 a_1 a_3 - a_2^2, by the slope rule of min_conjugate_separation
+    (roots._first_slope), memoised per shard since it depends on nothing else.
+    That rule reads R(y) = prod_(i != j) (y - beta_i + beta_j), beta_i = a_3 alpha_i,
+    and for a cubic R(y) = y^6 + E_2 y^4 + E_4 y^2 + E_6 with
+        E_2 = 2u,   E_4 = u^2,   E_6 = -a_3^2 D.
+    Proof.  The beta_i are the roots of y^3 + a_2 y^2 + a_1 a_3 y + a_0 a_3^2, so
+    e_1(beta) = -a_2 and e_2(beta) = a_1 a_3.  Put d_1 = beta_1 - beta_2,
+    d_2 = beta_2 - beta_3, d_3 = beta_3 - beta_1: the six roots of R are the
+    +-d_k, so R(y) = (y^2 - d_1^2)(y^2 - d_2^2)(y^2 - d_3^2), and d_1 + d_2 + d_3 = 0.
+    (1) E_2 = -sum d_k^2 = -(2 e_1^2 - 6 e_2) = 6 a_1 a_3 - 2 a_2^2 = 2u.
+    (2) With s = d_1 d_2 + d_2 d_3 + d_3 d_1, sum d_k^2 = (sum d_k)^2 - 2s = -2s,
+    and E_4 = sum_(k<l) d_k^2 d_l^2 = s^2 - 2 d_1 d_2 d_3 (sum d_k) = s^2
+    = (E_2 / 2)^2 = u^2: for three roots, e_2 of the squared differences is e_1^2 / 4.
+    (3) E_6 = -(d_1 d_2 d_3)^2 = -prod_(i<j) (beta_i - beta_j)^2
+    = -a_3^6 prod_(i<j) (alpha_i - alpha_j)^2 = -a_3^2 D, as D = a_3^4 prod (alpha_i - alpha_j)^2.
+    So with e = v_p(E_6) = v_p(D) + 2 v_p(a_3) the rule gives
+        sep = max(e/6, (e - v_p(2) - v_p(u))/4, (e - 2 v_p(u))/2) - v_p(a_3),
+    the last two terms dropped when u = 0 (then E_2 = E_4 = 0).  The middle
+    term never decides: v_p(E_2) >= v_p(u) puts (2, v_p(E_2)) on or above the
+    chord from (0, 0) to (4, 2 v_p(u)), so it is no vertex of the Newton
+    polygon, and the shard passes the rule only (0, 0) and (4, 2 v_p(u)).
     """
     n, p, t, an_lo, an_hi = args
     shell_lo = p**t // p
@@ -371,6 +394,28 @@ def _sep_shard(args) -> dict[tuple, int]:
                     hist[key] = hist.get(key, 0) + 1
         return {(h, tw // 2 if tw % 2 == 0 else Fraction(tw, 2), irr): cnt
                 for (h, tw, irr), cnt in hist.items()}
+    if n == 3:
+        v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)}
+        memo: dict[tuple, dict] = {}  # (v_p(a_3), v_p(u)) -> {v_p(D): sep}
+        last_a1 = None
+        for (a0, a1, a2, a3), _, v, irr in records:
+            if a1 != last_a1:  # in canonical order a_1 changes with every (a_3, a_2, a_1)
+                last_a1 = a1
+                m = max(a3, abs(a2), abs(a1))
+                u = 3 * a1 * a3 - a2 * a2
+                va3, vu = v_lead[a3], valuation(u, p) if u else None
+                seps = memo.setdefault((va3, vu), {})
+            if v is None:
+                continue
+            h = a0 if a0 > m else -a0 if -a0 > m else m
+            if h >= shell_lo:
+                sep = seps.get(v)
+                if sep is None:
+                    terms = [(0, 0)] if vu is None else [(0, 0), (4, 2 * vu)]
+                    sep = seps[v] = _first_slope(6, v + 2 * va3, terms, va3)
+                key = (h, sep, irr)
+                hist[key] = hist.get(key, 0) + 1
+        return hist
     for coeffs, _, v, irr in records:
         if v is not None and (h := max(map(abs, coeffs))) >= shell_lo:
             key = (h, min_conjugate_separation(IntPoly(coeffs), p).val, irr)
@@ -406,10 +451,10 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     seen_total = used = 0
     for t in t_grid:
         hb = q**t
-        if max_records is not None and seen_total + poly_count(n, hb) // 2 > max_records:
+        if max_records is not None and seen_total + poly_count(n, hb) > max_records:
             complete = False
             break
-        seen_total += poly_count(n, hb) // 2
+        seen_total += poly_count(n, hb)
         hist: dict[tuple, int] = {}
         shards, started = _run_shards(_sep_shard,
                                       [(n, q, t, lo, hi) for lo, hi in _shards(hb)], workers)
@@ -432,7 +477,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             ca = sum(cnt for (_, sep, _), cnt in hist.items() if sep >= floor)
             ci = sum(cnt for (_, sep, irr), cnt in hist.items() if irr and sep >= floor)
             rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
-    return SepCensus(rows, complete, 2 * seen_total, used)
+    return SepCensus(rows, complete, seen_total, used)
 
 
 # --- exponent fitting -----------------------------------------------------------

@@ -330,10 +330,20 @@ def min_conjugate_separation(poly: IntPoly, p) -> PadicMag:
     big_n = n * (n - 1)
     if e[big_n] == 0:
         raise ValueError("repeated roots: separation undefined")
-    v_last = valuation(e[big_n], q)
-    best = max(Fraction(v_last - valuation(e[k], q), big_n - k)
-               for k in range(0, big_n, 2) if e[k]) - valuation(poly.leading, q)
-    return PadicMag(int(best) if best.denominator == 1 else best)
+    return PadicMag(_first_slope(big_n, valuation(e[big_n], q),
+                                 [(k, valuation(e[k], q)) for k in range(0, big_n, 2) if e[k]],
+                                 valuation(poly.leading, q)))
+
+
+def _first_slope(big_n: int, v_last: int, terms: Sequence[tuple[int, int]],
+                 v_lead: int) -> int | Fraction:
+    """max over (k, v_p(E_k)) in terms of (v_last - v_p(E_k)) / (big_n - k), less v_lead.
+
+    The slope rule of min_conjugate_separation, shared with the cubic census:
+    an int when the value is integral, else a Fraction.
+    """
+    best = max(Fraction(v_last - vk, big_n - k) for k, vk in terms) - v_lead
+    return int(best) if best.denominator == 1 else best
 
 
 @dataclass(frozen=True)

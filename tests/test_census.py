@@ -158,6 +158,20 @@ def test_sep_census_max_records_cap():
     assert res.records_seen == poly_count(2, 8)
 
 
+def test_max_records_counts_both_signs():
+    # the cap is compared with the count records_seen reports, both signs included
+    nu, theta = [Fraction(1, 2)], [Fraction(1)]
+    for cap, complete in ((poly_count(2, 6) - 1, False), (poly_count(2, 6), True)):
+        res = disc_census(2, 3, [6], nu, c_exps=(0,), max_records=cap)
+        assert res.complete is complete and res.records_seen <= cap, cap
+        assert res.records_seen == (poly_count(2, 6) if complete else 0)
+    res = sep_census(2, 2, [3], theta, max_records=poly_count(2, 8) // 2)
+    assert not res.complete and res.records_seen == 0 and not res.rows
+    res = sep_census(2, 2, [1, 3], theta, max_records=poly_count(2, 8))
+    assert not res.complete and res.records_seen == poly_count(2, 2)
+    assert {r.t for r in res.rows} == {1}
+
+
 def test_sep_census_small():
     res = sep_census(2, 2, [3, 4], [Fraction(1)], c0_exp=0)
     assert len(res.rows) == 2
@@ -440,6 +454,39 @@ def test_n2_sep_shard_against_per_record_recount():
                 got = _sep_shard((2, p, t, lo, hi))
                 assert list(got.items()) == list(expect.items()), (p, t, lo)
                 assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+
+
+def test_n3_sep_shard_against_per_record_recount():
+    # the closed-form shard against min_conjugate_separation record by record
+    # on every shard: keys, their types and their insertion order
+    zero_u = lead_div = fractional = 0
+    for p, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
+        q = p**t
+        for lo, hi in _shards(q):
+            expect: dict = {}
+            for (a0, a1, a2, a3), _, v, irr in _records(3, p, q, lo, hi):
+                h = max(abs(a0), abs(a1), abs(a2), a3)
+                if v is None or h < q // p:
+                    continue
+                key = (h, min_conjugate_separation(IntPoly([a0, a1, a2, a3]), p).val, irr)
+                expect[key] = expect.get(key, 0) + 1
+                zero_u += 3 * a1 * a3 == a2 * a2
+                lead_div += a3 % p == 0
+                fractional += type(key[1]) is Fraction
+            got = _sep_shard((3, p, t, lo, hi))
+            assert list(got.items()) == list(expect.items()), (p, t, lo)
+            assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+    assert zero_u and lead_div and fractional
+
+
+def test_sep_shard_closed_forms_skip_the_per_record_route(monkeypatch):
+    def refuse(*_):
+        raise RuntimeError("per-record separation called")
+
+    monkeypatch.setattr("padicsep.census.min_conjugate_separation", refuse)
+    assert _sep_shard((2, 2, 2, 1, 4)) and _sep_shard((3, 2, 1, 1, 2))
+    with pytest.raises(RuntimeError, match="per-record"):
+        _sep_shard((4, 2, 1, 1, 2))
 
 
 @pytest.mark.parametrize("p, q", [(2, 4), (3, 5), (5, 3), (2, 9)])

@@ -383,6 +383,23 @@ def test_difference_elementary_gives_the_discriminant():
             assert rem == 0 and quo == discriminant(IntPoly(coeffs)), coeffs
 
 
+def test_cubic_difference_elementary_closed_form():
+    # the identities the n = 3 sep census rests on: E_2 = 2u, E_4 = u^2,
+    # E_6 = -a_3^2 D, with u = 3 a_1 a_3 - a_2^2
+    rng = random.Random(63)
+    cases = [(0, 3, 3, 1), (5, 12, 6, 1), (2, -3, 0, 1), (-4, 0, 3, 1), (0, 0, 0, 2)]
+    cases += [tuple(rng.randint(-20, 20) for _ in range(3)) + (rng.choice([1, -2, 3, 8, -9]),)
+              for _ in range(200)]
+    zero_u = zero_d = 0
+    for a0, a1, a2, a3 in cases:
+        u = 3 * a1 * a3 - a2 * a2
+        d = discriminant(IntPoly([a0, a1, a2, a3]))
+        zero_u += u == 0
+        zero_d += d == 0
+        assert _difference_elementary([a0, a1, a2, a3]) == [1, 0, 2 * u, 0, u * u, 0, -a3 * a3 * d]
+    assert zero_u >= 2 and zero_d >= 2
+
+
 def test_check_ordering_lemma():
     poly = IntPoly([-2, 0, 1])
     prof = distance_profile(poly, 3, 7)
