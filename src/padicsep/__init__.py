@@ -55,7 +55,6 @@ from .lattice import (
     successive_minima,
 )
 from .census import (
-    CensusRecord,
     DiscCensus,
     MeasureEstimate,
     SepCensus,
@@ -64,7 +63,6 @@ from .census import (
     fit_exponent,
     measure_estimate,
     poly_count,
-    record_stream,
     sep_census,
 )
 

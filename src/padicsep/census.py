@@ -25,17 +25,6 @@ _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _SAMPLE_BLOCK = 512  # Monte-Carlo block size; fixed so results ignore worker count
 
 
-@dataclass(frozen=True)
-class CensusRecord:
-    coeffs: tuple[int, ...]
-    height: int
-    disc: int
-    vp_disc: Optional[int]  # None when disc = 0
-    irreducible: Optional[bool]
-    sep_val: Optional[Fraction]
-    flag: str = ""
-
-
 def poly_count(n: int, height_bound: int) -> int:
     """Total number of degree-n polynomials of height <= Q (both signs of a_n)."""
     return 2 * height_bound * (2 * height_bound + 1) ** n
@@ -158,28 +147,6 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int) -> int:
     return q
 
 
-def record_stream(n: int, height_bound: int, p, want_sep: bool = False,
-                  an_lo: int = 1, an_hi: Optional[int] = None) -> Iterator[CensusRecord]:
-    """CensusRecords in canonical order, read off the census kernel.
-
-    D, v_p(D) and irreducibility are the values the censuses count.  With
-    want_sep, every record with D != 0 also carries its exact separation
-    valuation from min_conjugate_separation, flagged "sep-exact".  The
-    inputs are checked at the call, not at the first record.
-    """
-    q = _census_inputs(n, p, [height_bound], 1)
-    hi = an_hi if an_hi is not None else height_bound
-
-    def records() -> Iterator[CensusRecord]:
-        for coeffs, disc, vpd, irr in _records(n, q, height_bound, an_lo, hi):
-            exact = want_sep and vpd is not None
-            sep = Fraction(min_conjugate_separation(IntPoly(coeffs), q).val) if exact else None
-            yield CensusRecord(coeffs, max(map(abs, coeffs)), disc, vpd, irr, sep,
-                               "sep-exact" if exact else "")
-
-    return records()
-
-
 # --- discriminant census ------------------------------------------------------
 
 
@@ -256,15 +223,9 @@ def _disc_shard(args) -> dict[int, list[int]]:
     return hist
 
 
-def _shards(height_bound: int, shard_size: int = 8) -> list[tuple[int, int]]:
-    """Leading-coefficient ranges; fixed rule independent of the worker count."""
-    out = []
-    lo = 1
-    while lo <= height_bound:
-        hi = min(height_bound, lo + shard_size - 1)
-        out.append((lo, hi))
-        lo = hi + 1
-    return out
+def _shards(height_bound: int) -> list[tuple[int, int]]:
+    """Leading-coefficient ranges of 8; fixed rule independent of the worker count."""
+    return [(lo, min(height_bound, lo + 7)) for lo in range(1, height_bound + 1, 8)]
 
 
 def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fraction],
@@ -558,16 +519,9 @@ def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
 
 
 def _measure_block(args) -> int:
-    mode, p, b, t, thr_exp, pinch_extra, count, block_seed, require_top = args
+    p, bb, radius, require_top, count, block_seed = args
     rng = random.Random(block_seed)
     hits = 0
-    if mode == "short-vector":
-        radius = p ** (t - thr_exp) if t >= thr_exp else 0
-        bb = list(b)
-    else:
-        radius = pinch_extra[1]
-        bb = list(b)
-        bb[pinch_extra[0]] += pinch_extra[2]
     # the event is decided by x mod p^max(bb); sample with resolution to spare
     modulus = p ** (max(bb) + 4)
     for _ in range(count):
@@ -593,8 +547,9 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     count.  Returns the exact hit fraction with a 95% Wilson interval.
     """
     p = params.p
+    bb = list(params.b)
     if mode == "short-vector":
-        pinch_extra = None
+        radius = p ** (params.t - threshold_exp) if params.t >= threshold_exp else 0
         require_top = False
     elif mode == "pinch":
         if i_pinch is None or c2 is None:
@@ -603,8 +558,8 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
         if c2_exp is None or c2_exp < 0 or c2_exp % 2:
             raise ValueError("C2 must be a power of p^2")
         n = params.n
-        extra = 2 * (n + 1) * threshold_exp + (n + 1) * c2_exp
-        pinch_extra = (i_pinch, c2 * params.Q, extra)
+        bb[i_pinch] += 2 * (n + 1) * threshold_exp + (n + 1) * c2_exp
+        radius = c2 * params.Q
         require_top = True
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -617,8 +572,7 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     while done < samples:
         count = min(_SAMPLE_BLOCK, samples - done)
         block_seed = f"{seed}:{idx}"
-        blocks.append((mode, p, params.b, params.t, threshold_exp, pinch_extra,
-                       count, block_seed, require_top))
+        blocks.append((p, bb, radius, require_top, count, block_seed))
         done += count
         idx += 1
     hits = sum(_run_shards(_measure_block, blocks, workers)[0])

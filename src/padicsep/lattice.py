@@ -666,8 +666,7 @@ def smallest_c2(p: int, lower: Fraction) -> int:
 GENERATE_ENUM_LIMIT = 100_000
 
 
-def generate(x: int, params: XiParams, c2_hint: Optional[int] = None,
-             enum_limit: int = GENERATE_ENUM_LIMIT) -> GeneratorOutput:
+def generate(x: int, params: XiParams) -> GeneratorOutput:
     """Full pipeline: lattice, short vectors, index m, prime q, twist, verify.
 
     Every claimed property of the outputs (degree, primitivity, Eisenstein
@@ -678,7 +677,7 @@ def generate(x: int, params: XiParams, c2_hint: Optional[int] = None,
     n = params.n
     Q = params.Q
     lat = build_gamma(x, params)
-    sv = short_vectors(lat, enum_limit)
+    sv = short_vectors(lat, GENERATE_ENUM_LIMIT)
     rows = [[sv.vectors[c][r] for c in range(n + 1)] for r in range(n + 1)]
     det = abs(bareiss_det(rows))
     if det == 0:
@@ -687,8 +686,6 @@ def generate(x: int, params: XiParams, c2_hint: Optional[int] = None,
     if rem:
         raise InvariantError("sublattice determinant is not a multiple of cov(Gamma)")
     c2 = smallest_c2(p, sv.c0 * ((4 * m) ** 2 - 1))
-    if c2_hint is not None:
-        c2 = max(c2, smallest_c2(p, Fraction(c2_hint)))
 
     last_error: Optional[DegenerateSample] = None
     for q in admissible_primes(m, p):

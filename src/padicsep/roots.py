@@ -1,10 +1,12 @@
 """Roots of integer polynomials over Z_p and root-distance geometry.
 
 Root valuations come from Newton polygons, roots in Z_p from a residue
-branch-and-lift search with a provable depth cap, and the minimal distance
-between distinct roots in the algebraic closure from the Newton polygon of
-the root-difference polynomial, built from power sums (the composed sums of
-Bostan, Flajolet, Salvy and Schost).  All valuations are exact rationals.
+branch-and-lift search with a provable depth cap, run per factor of the
+squarefree decomposition (which gives the multiplicities), and the minimal
+distance between distinct roots in the algebraic closure from the Newton
+polygon of the root-difference polynomial, built from power sums (the
+composed sums of Bostan, Flajolet, Salvy and Schost).  All valuations are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -133,36 +135,52 @@ def _squarefree_from(poly: IntPoly, decomp: list[tuple[IntPoly, int]]) -> IntPol
     return out if (out.leading > 0) == (poly.leading > 0) else -out
 
 
-def _simple_flags(decomp: list[tuple[IntPoly, int]], sqfree: IntPoly, roots: list[int],
-                  p: int, precision: int) -> list[bool]:
-    """Multiplicity-1 test per root, via the squarefree decomposition of P."""
-    if len(decomp) == 1:
-        only_mult = decomp[0][1]
-        return [only_mult == 1] * len(roots)
-    flags = []
-    for r in roots:
-        n_check = max(precision, PROFILE_START_PRECISION)
-        while True:
-            # refine r against the squarefree part so valuations are decisive
-            root, _ = hensel_lift(sqfree, r, p, n_check)
-            vals = [(m, valuation(s(root.residue), p)) for s, m in decomp]
-            big = [m for m, v in vals if v >= n_check]
-            if len(big) == 1:
-                flags.append(big[0] == 1)
-                break
-            n_check *= 2
-            if n_check > PROFILE_MAX_PRECISION:
-                raise PrecisionExhausted("could not separate multiplicity classes")
-    return flags
+def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
+    """The roots of a squarefree P in Z_p, each Hensel-lifted to at least p^precision.
+
+    Branches on residue classes and lifts as soon as a class provably
+    contains exactly one root; classes provably empty are dropped.  The branch
+    depth is capped at 2 v_p(D(P)) + 4, beyond which the simple-root closure
+    must have triggered for well-formed inputs.
+    """
+    if poly.degree >= 2:
+        cap = 2 * valuation(discriminant(poly), p) + 4
+    else:
+        cap = valuation(poly.leading, p) + precision + 4
+    deriv = poly.derivative()
+    lifted: list[int] = []
+    stack: list[tuple[int, int]] = [(0, 0)]
+    while stack:
+        r, k = stack.pop()
+        vs = valuation(poly(r), p)
+        v1 = valuation(deriv(r), p)
+        if v1 < k and vs > 2 * v1:
+            if vs - v1 >= k:
+                root, _ = hensel_lift(poly, r, p, max(precision, 2 * v1 + 2))
+                lifted.append(root.residue)
+            # else: the unique nearby root lies outside this class; class empty
+            continue
+        if k >= cap:
+            raise PrecisionExhausted(
+                f"root search depth cap {cap} exceeded at residue {r} mod {p}^{k}"
+            )
+        step = p**k
+        for c in range(p - 1, -1, -1):
+            child = r + c * step
+            if valuation(poly(child), p) >= k + 1:
+                stack.append((child, k + 1))
+    return lifted
 
 
 def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
-    """All roots of P in Z_p, each as a residue mod p^precision.
+    """All roots of P in Z_p, each as a residue mod p^precision, in ascending order.
 
-    Branches on residue classes and Hensel-lifts as soon as a class provably
-    contains exactly one root; classes provably empty are dropped.  The branch
-    depth is capped at 2 v_p(D(squarefree part)) + 4, beyond which the
-    simple-root closure must have triggered for well-formed inputs.
+    The roots are searched factor by factor of the squarefree decomposition
+    P = c prod S_m^m (Yun).  The S_m are squarefree and pairwise coprime, so
+    each root of P is a root of exactly one S_m, with multiplicity m: it is
+    simple exactly when m = 1.  Distinct roots congruent mod p^precision share
+    a residue; they are ordered by their lifts to the higher precision the
+    search reached, then non-simple before simple.
     """
     q = _as_p(p)
     if poly.is_zero:
@@ -171,41 +189,10 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
         raise ValueError("precision must be >= 1")
     if poly.degree == 0:
         return []
-    decomp = squarefree_decomposition(poly)
-    sqfree = _squarefree_from(poly, decomp)
-    disc = discriminant(sqfree) if sqfree.degree >= 1 else 1
-    cap = 2 * valuation(disc, q) + 4 if sqfree.degree >= 2 else valuation(sqfree.leading, q) + precision + 4
-    deriv = sqfree.derivative()
-
-    refined: list[int] = []  # residues at precision high enough to re-lift
-    stack: list[tuple[int, int]] = [(0, 0)]
-    while stack:
-        r, k = stack.pop()
-        vs = valuation(sqfree(r), q)
-        v1 = valuation(deriv(r), q)
-        if v1 < k and vs > 2 * v1:
-            if vs - v1 >= k:
-                high = max(precision, 2 * v1 + 2)
-                root, _ = hensel_lift(sqfree, r, q, high)
-                refined.append(root.residue)
-            # else: the unique nearby root lies outside this class; class empty
-            continue
-        if k >= cap:
-            raise PrecisionExhausted(
-                f"root search depth cap {cap} exceeded at residue {r} mod {q}^{k}"
-            )
-        step = q**k
-        for c in range(q - 1, -1, -1):
-            child = r + c * step
-            if valuation(sqfree(child), q) >= k + 1:
-                stack.append((child, k + 1))
-
-    refined.sort()
-    flags = _simple_flags(decomp, sqfree, refined, q, precision)
     modulus = q**precision
-    out = [ZpRoot(r % modulus, precision, s) for r, s in zip(refined, flags)]
-    out.sort(key=lambda z: z.residue)
-    return out
+    found = sorted((r % modulus, r, m == 1) for s, m in squarefree_decomposition(poly)
+                   for r in _lifted_roots(s, q, precision))
+    return [ZpRoot(residue, precision, simple) for residue, _, simple in found]
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from padicsep.census import (
+    _census_inputs,
     _records,
     _sep_shard,
     _shards,
@@ -16,7 +17,6 @@ from padicsep.census import (
     iter_coeffs,
     measure_estimate,
     poly_count,
-    record_stream,
     sep_census,
 )
 from padicsep.intpoly import (
@@ -56,18 +56,18 @@ def test_iter_coeffs_deterministic_and_sharded():
 
 
 def test_record_invariants():
-    for rec in record_stream(2, 3, 5, want_sep=True):
-        assert rec.disc == discriminant(IntPoly(rec.coeffs))
-        assert rec.height == max(abs(c) for c in rec.coeffs)
-        if rec.disc != 0:
-            assert rec.vp_disc == valuation(rec.disc, 5)
+    for coeffs, disc, vpd, _ in _records(2, 5, 3, 1, 3):
+        assert disc == discriminant(IntPoly(coeffs))
+        if disc != 0:
+            assert vpd == valuation(disc, 5)
             # exact prime power split
-            cof = abs(rec.disc) // 5**rec.vp_disc
-            assert cof * 5**rec.vp_disc == abs(rec.disc) and cof % 5 != 0
+            cof = abs(disc) // 5**vpd
+            assert cof * 5**vpd == abs(disc) and cof % 5 != 0
             # n = 2 cross-check: 2 sep + (2n-2) v(a_n) = v(D)
-            assert 2 * rec.sep_val + 2 * valuation(rec.coeffs[2], 5) == rec.vp_disc
+            sep = min_conjugate_separation(IntPoly(coeffs), 5).val
+            assert 2 * sep + 2 * valuation(coeffs[2], 5) == vpd
         else:
-            assert rec.vp_disc is None and rec.sep_val is None
+            assert vpd is None
 
 
 def test_disc_threshold_exactness():
@@ -371,11 +371,11 @@ def test_measure_estimate_pinch_mode():
     lambda: sep_census(2, 2, [1.5], [Fraction(1)]),
     lambda: sep_census(1, 2, [2], [Fraction(1)]),
     lambda: sep_census(2, 2, [2], [Fraction(1), Fraction(-1)]),
-    lambda: record_stream(2, 0, 3),
-    lambda: record_stream(1, 2, 3),
+    lambda: _census_inputs(2, 3, [0], 1),
+    lambda: _census_inputs(1, 3, [2], 1),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
-        "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "stream-Q-0",
-        "stream-n-1"])
+        "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "inputs-Q-0",
+        "inputs-n-1"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a shard ran before the inputs were checked")

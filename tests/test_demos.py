@@ -1,0 +1,39 @@
+"""The demos stay in step with the package: their imports resolve and the fast ones run.
+
+demo_measure_decay.py and demo_separation_census.py take several seconds each,
+so only their imports are checked here.
+"""
+
+import ast
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.name)
+def test_demo_imports_exist(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and node.module and node.module.split(".")[0] == "padicsep"]
+    assert imports, f"{demo.name} imports nothing from padicsep"
+    for node in imports:
+        module = importlib.import_module(node.module)
+        missing = [a.name for a in node.names if not hasattr(module, a.name)]
+        assert not missing, f"{demo.name}: {node.module} has no {missing}"
+
+
+@pytest.mark.parametrize("name", ["demo_padic_roots.py", "demo_disc_census.py"])
+def test_demo_runs(name, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

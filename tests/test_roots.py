@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from padicsep.roots import (
 )
 from padicsep.roots import _difference_elementary, _squarefree_from
 from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
+
+X = sympy.Symbol("x")
 
 
 def test_newton_polygon_examples():
@@ -156,6 +159,30 @@ def test_zp_roots_multiplicity_flags():
     roots = zp_roots(IntPoly([-25, 0, 1]), 5, 3)
     assert sorted(r.residue for r in roots) == [5, 120]
     assert all(r.simple for r in roots)
+
+
+def test_zp_roots_multiplicities_match_factorization_seeded():
+    # P = prod g^m over random small factors with repeats: the (residue, simple)
+    # multiset of P is the union over sympy's factors of (r, m == 1), r in zp_roots(g)
+    rng = random.Random(20260311)
+    repeated = 0
+    for _ in range(400):
+        poly = IntPoly([rng.choice([-1, 1]) * rng.randint(1, 4)])
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(1, 2)
+            factor = IntPoly([rng.randint(-4, 4) for _ in range(degree)] + [rng.randint(1, 3)])
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = poly * factor
+        p, prec = rng.choice([2, 3, 5]), rng.randint(1, 4)
+        _, factors = sympy.factor_list(sympy.Poly(list(reversed(poly.coeffs)), X))
+        repeated += any(m > 1 for _, m in factors)
+        expect = Counter((r.residue, m == 1) for g, m in factors
+                         for r in zp_roots(IntPoly([int(c) for c in reversed(g.all_coeffs())]),
+                                           p, prec))
+        got = zp_roots(poly, p, prec)
+        assert Counter((r.residue, r.simple) for r in got) == expect, (poly, p, prec)
+        assert [r.residue for r in got] == sorted(r.residue for r in got)
+    assert repeated >= 100
 
 
 def test_zp_roots_exhaustive_small():
