@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
-from .lattice import XiParams, _box_points, _power_of_p_exponent
+from .lattice import XiParams, _box_points, _pinch_c2_exponent
 from .padic import _as_p, valuation
 from .roots import _first_slope, min_conjugate_separation
 
@@ -151,8 +151,10 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int) -> int:
 
 
 def disc_threshold(p: int, height_bound: int, nu: Fraction, c_exp: int) -> int:
-    """Smallest k with p^(k + c_exp) >= Q^(2 nu): membership is v_p(D) >= k."""
+    """Smallest k with p^(k + c_exp) >= Q^(2 nu), nu >= 0: membership is v_p(D) >= k."""
     nu = Fraction(nu)
+    if nu < 0:
+        raise ValueError(f"nu must be >= 0, got {nu}")
     if nu == 0:
         return -c_exp
     a, d = nu.numerator, nu.denominator
@@ -238,8 +240,12 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     unrestricted and the irreducible-only versions, plus the prime-power
     split statistic of the discriminant values.  Every row is read off the
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
+    A negative nu is a ValueError, raised before any shard runs.
     """
     q = _census_inputs(n, p, height_grid, 1)
+    nus = [Fraction(nu) for nu in nu_grid]
+    if any(nu < 0 for nu in nus):
+        raise ValueError(f"every nu must be >= 0, got {[str(nu) for nu in nus]}")
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
     complete = True
@@ -260,7 +266,7 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
                 tgt[1] += cnt_irr
                 tgt[2] = min(tgt[2], min_ad)
                 tgt[3] = max(tgt[3], max_ad)
-        for nu in map(Fraction, nu_grid):
+        for nu in nus:
             for ce in c_exps:
                 thr = disc_threshold(q, hb, nu, ce)
                 ca = sum(e[0] for v, e in hist.items() if v >= thr)
@@ -552,11 +558,7 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
         radius = p ** (params.t - threshold_exp) if params.t >= threshold_exp else 0
         require_top = False
     elif mode == "pinch":
-        if i_pinch is None or c2 is None:
-            raise ValueError("pinch mode needs i_pinch and c2")
-        c2_exp = _power_of_p_exponent(Fraction(c2), p)
-        if c2_exp is None or c2_exp < 0 or c2_exp % 2:
-            raise ValueError("C2 must be a power of p^2")
+        c2_exp = _pinch_c2_exponent(params, i_pinch, c2)
         n = params.n
         bb[i_pinch] += 2 * (n + 1) * threshold_exp + (n + 1) * c2_exp
         radius = c2 * params.Q

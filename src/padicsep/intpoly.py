@@ -186,12 +186,12 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
 def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
     """Discriminant from a raw low-to-high coefficient tuple.
 
-    Callers: discriminant (so zp_roots and the theorem3 summary of the generate
-    command) and the census kernel, once per record at n >= 4; the n = 2 and
-    n = 3 kernels inline their own closed forms.  Degrees 2 and 3 use the
-    expanded closed forms of the Sylvester determinant; higher degrees go
-    through the Bareiss determinant.  Degree 1 has discriminant 1 (empty
-    root-difference product).
+    Callers: discriminant (so zp_roots, profile_at_zp_root and the theorem3
+    summary of the generate command) and the census kernel, once per record at
+    n >= 4; the n = 2 and n = 3 kernels inline their own closed forms.
+    Degrees 2 and 3 use the expanded closed forms of the Sylvester
+    determinant; higher degrees go through the Bareiss determinant.  Degree 1
+    has discriminant 1 (empty root-difference product).
     """
     n = len(coeffs) - 1
     if n < 1 or coeffs[n] == 0:

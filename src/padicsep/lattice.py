@@ -492,13 +492,7 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
         # certified floor: prod_(i<k) d|g_i|_p >= Q^v
         rhs_exp = Fraction(t) * v
     elif mode == "derivative-pinch":
-        if i_pinch is None or not 0 <= i_pinch <= n:
-            raise ValueError("pinch mode needs i_pinch in [0, n]")
-        if c2 is None:
-            raise ValueError("pinch mode needs C2")
-        c2_exp = _power_of_p_exponent(Fraction(c2), p)
-        if c2_exp is None or c2_exp < 0 or c2_exp % 2:
-            raise ValueError("C2 must be a power of p^2, at least 1")
+        c2_exp = _pinch_c2_exponent(params, i_pinch, c2)
         g_exp = tuple(
             (bi - dv) if i != i_pinch
             else bi + dv * (2 * (n + 1) - 1) + c2_exp * (n + 1)
@@ -522,6 +516,16 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
     return Normalization(mode, params, dv, c2_exp if mode == "derivative-pinch" else 0,
                          i_pinch if mode == "derivative-pinch" else None, v,
                          g_exp, d_exp, tuple(certs))
+
+
+def _pinch_c2_exponent(params: XiParams, i_pinch: Optional[int], c2: Optional[int]) -> int:
+    """The even exponent of C2 = p^e >= 1, once i_pinch is checked to lie in [0, n]."""
+    if not isinstance(i_pinch, int) or not 0 <= i_pinch <= params.n:
+        raise ValueError(f"pinch mode needs i_pinch in [0, {params.n}], got {i_pinch!r}")
+    c2_exp = None if c2 is None else _power_of_p_exponent(Fraction(c2), params.p)
+    if c2_exp is None or c2_exp < 0 or c2_exp % 2:
+        raise ValueError(f"pinch mode needs C2 a power of p^2, at least 1, got {c2!r}")
+    return c2_exp
 
 
 def _power_of_p_exponent(value: Fraction, p: int) -> Optional[int]:

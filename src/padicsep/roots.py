@@ -14,13 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .intpoly import IntPoly, discriminant, squarefree_decomposition
+from .intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
 from .padic import INF, InvariantError, PadicMag, Valuation, _as_p, valuation
-
-PROFILE_START_PRECISION = 8
-PROFILE_MAX_PRECISION = 512
 
 
 class HenselInapplicable(ValueError):
@@ -28,7 +25,7 @@ class HenselInapplicable(ValueError):
 
 
 class PrecisionExhausted(RuntimeError):
-    """An adaptive-precision loop hit its hard cap without stabilizing."""
+    """The Z_p root search hit its depth cap (raised only by _lifted_roots)."""
 
 
 @dataclass(frozen=True)
@@ -120,19 +117,6 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
         return ZpRoot(x0 % q**precision, precision, True), INF
     x = _newton_refine(poly, x0, q, precision + v1, v1)
     return ZpRoot(x % q**precision, precision, True), v0 - v1
-
-
-def _squarefree_from(poly: IntPoly, decomp: list[tuple[IntPoly, int]]) -> IntPoly:
-    """squarefree_part(poly), read off its squarefree decomposition.
-
-    P = c prod S_m^m with every S_m primitive, so prod S_m has each root of P
-    once and is primitive by Gauss's lemma; squarefree_part differs from it
-    at most in sign, and carries the sign of P's leading coefficient.
-    """
-    out = decomp[0][0]
-    for s, _ in decomp[1:]:
-        out = out * s
-    return out if (out.leading > 0) == (poly.leading > 0) else -out
 
 
 def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
@@ -227,30 +211,35 @@ def distance_profile(poly: IntPoly, a: int, p) -> DistanceProfile:
 
 
 def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
-    """Distance profile centered at the Z_p root approximated by residue.
+    """Distance profile centered at the Z_p root alpha approximated by residue.
 
-    Recomputes the profile at centers residue mod p^N with N doubled until
-    the entries below N - 1 repeat and those at or above N - 1, made +inf, are
-    as many as the root's multiplicity m (its factor S_m vanishes).  Raises
-    PrecisionExhausted beyond the hard cap, HenselInapplicable when the
-    residue does not isolate a simple root of the squarefree part.
+    One Hensel lift of S = squarefree_part(P) to precision N, then one exact
+    distance_profile of P at the lifted center a, whose entries >= N - 1 are
+    the copies of alpha and become +inf.  Raises HenselInapplicable when the
+    residue does not isolate a simple root of S.
+
+    Proof.  Let S have degree s, leading coefficient c, gamma = v_p(c) and
+    roots alpha_1, ..., alpha_s, the distinct roots of P.  The c alpha_i are
+    algebraic integers and prod_(i<j) (c alpha_i - c alpha_j)^2
+    = c^((s-1)(s-2)) D(S), so each pair has 2 v_p(c alpha_i - c alpha_j)
+    <= X = (s-1)(s-2) gamma + v_p(D(S)), and v_p(alpha_i - alpha_j)
+    <= X/2 - gamma < B + 1 with B = floor(X/2) - gamma.  Take N = max(B + 2, 1).
+    The lift gives v_p(a - alpha) >= N, so the m copies of alpha in P lie at
+    valuation >= N, and every other root alpha_j at exactly
+    v_p(a - alpha_j) = v_p(alpha - alpha_j) < N - 1.
     """
     q = _as_p(p)
-    decomp = squarefree_decomposition(poly)
-    sqfree = _squarefree_from(poly, decomp)
-    n = PROFILE_START_PRECISION
-    prev: Optional[tuple] = None
-    while n <= PROFILE_MAX_PRECISION:
-        root, _ = hensel_lift(sqfree, residue, q, n)
-        prof = distance_profile(poly, root.residue, q)
-        finite = tuple(v for v in prof.entries if v is not INF and v < n - 1)
-        large = len(prof.entries) - len(finite)
-        mults = [m for s, m in decomp if valuation(s(root.residue), q) >= n]
-        if prev is not None and finite == prev and mults == [large]:
-            return DistanceProfile(root.residue, (INF,) * large + finite)
-        prev = finite
-        n *= 2
-    raise PrecisionExhausted("distance profile did not stabilize")
+    sqfree = squarefree_part(poly)
+    s, gamma = sqfree.degree, valuation(sqfree.leading, q)
+    bound = ((s - 1) * (s - 2) * gamma + valuation(discriminant(sqfree), q)) // 2 - gamma
+    n = max(bound + 2, 1)
+    root, _ = hensel_lift(sqfree, residue, q, n)
+    prof = distance_profile(poly, root.residue, q)
+    finite = tuple(v for v in prof.entries if v < n - 1)
+    large = len(prof.entries) - len(finite)
+    if not large:
+        raise InvariantError(f"no root of P within p^{n - 1} of the lifted center")
+    return DistanceProfile(root.residue, (INF,) * large + finite)
 
 
 def _difference_elementary(coeffs: Sequence[int]) -> list[int]:

@@ -75,6 +75,8 @@ def test_disc_threshold_exactness():
     assert disc_threshold(3, 20, Fraction(1, 2), 1) == 2
     assert disc_threshold(3, 9, Fraction(1, 2), 0) == 2  # exact power boundary
     assert disc_threshold(3, 9, Fraction(0), 0) == 0
+    with pytest.raises(ValueError):
+        disc_threshold(3, 9, Fraction(-1, 2), 0)
     assert disc_threshold(2, 16, Fraction(1), 0) == 8
     # the membership v(D) >= k must match |D|_p <= C Q^(-2nu) exactly
     for q in (7, 8, 9, 10):
@@ -357,6 +359,9 @@ def test_measure_estimate_pinch_mode():
     assert 0 <= m2.estimate <= m1.estimate <= 1
     with pytest.raises(ValueError):
         measure_estimate(params, 1, mode="pinch", samples=10, seed=0)
+    for i_pinch in (-1, params.n + 1):  # b_(-1) would silently pinch b_n
+        with pytest.raises(ValueError):
+            measure_estimate(params, 1, mode="pinch", samples=10, seed=0, i_pinch=i_pinch, c2=9)
     with pytest.raises(ValueError):
         measure_estimate(params, 1, mode="bogus", samples=10, seed=0)
 
@@ -367,6 +372,7 @@ def test_measure_estimate_pinch_mode():
     lambda: disc_census(2, 3, [0], [Fraction(1, 2)]),
     lambda: disc_census(2, 3, [4, -2], [Fraction(1, 2)]),
     lambda: disc_census(2, 4, [2], [Fraction(1, 2)]),
+    lambda: disc_census(2, 3, [2], [Fraction(1, 2), Fraction(-1, 2)]),
     lambda: sep_census(2, 2, [-1], [Fraction(1)]),
     lambda: sep_census(2, 2, [1.5], [Fraction(1)]),
     lambda: sep_census(1, 2, [2], [Fraction(1)]),
@@ -374,7 +380,7 @@ def test_measure_estimate_pinch_mode():
     lambda: _census_inputs(2, 3, [0], 1),
     lambda: _census_inputs(1, 3, [2], 1),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
-        "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "inputs-Q-0",
+        "disc-nu-negative", "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "inputs-Q-0",
         "inputs-n-1"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):

@@ -275,6 +275,9 @@ def test_normalization_validation():
         normalization(params, "height-floor", Fraction(1, 2))  # delta not power of 3
     with pytest.raises(ValueError):
         normalization(params, "derivative-pinch", Fraction(1, 3))  # missing c2/i_pinch
+    for i_pinch in (-1, params.n + 1):
+        with pytest.raises(ValueError):
+            normalization(params, "derivative-pinch", Fraction(1, 3), c2=9, i_pinch=i_pinch)
     with pytest.raises(ValueError):
         normalization(XiParams(3, 2, (2, 2, 2)), "height-floor", Fraction(1, 3))
     with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicsep.intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
+from padicsep.intpoly import IntPoly, discriminant, squarefree_part
 from padicsep.padic import INF, valuation
 from padicsep.roots import (
     DistanceProfile,
@@ -22,7 +22,8 @@ from padicsep.roots import (
     profile_at_zp_root,
     zp_roots,
 )
-from padicsep.roots import _difference_elementary, _squarefree_from
+from padicsep.roots import _difference_elementary
+from profile_oracle import profile_by_doubling
 from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
 
 X = sympy.Symbol("x")
@@ -244,30 +245,6 @@ def test_profile_at_zp_root():
     assert list(prof.entries[1:]) == [5, 0, 0]
 
 
-def test_squarefree_from_decomposition_equals_squarefree_part():
-    # seeded degree 2..6 inputs, both signs, with and without content, half of
-    # them products of small factors with repeats: the Hensel target of
-    # profile_at_zp_root and zp_roots is squarefree_part, exactly
-    rng = random.Random(20261018)
-    repeated = 0
-    for _ in range(400):
-        if rng.random() < 0.5:
-            poly = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(2, 6))]
-                           + [rng.choice([-3, -2, -1, 1, 2, 3])])
-        else:
-            poly = IntPoly([rng.choice([-2, -1, 1, 2, 6])])
-            while poly.degree < 2:
-                factor = IntPoly([rng.randint(-3, 3), rng.choice([-2, -1, 1, 2])]
-                                 + ([rng.choice([1, 2])] if rng.random() < 0.3 else []))
-                for _ in range(rng.randint(1, 3)):
-                    if poly.degree + factor.degree <= 6:
-                        poly = poly * factor
-        decomp = squarefree_decomposition(poly)
-        repeated += any(m > 1 for _, m in decomp)
-        assert _squarefree_from(poly, decomp) == squarefree_part(poly), poly
-    assert repeated >= 100
-
-
 def test_profile_at_zp_root_keeps_a_distant_root_finite():
     # x (x - 3) (x - 2^40) at p = 2: the root 2^40 lies at distance 40 from the
     # root 0, above the first precisions tried, and must not turn into +inf;
@@ -277,6 +254,90 @@ def test_profile_at_zp_root_keeps_a_distant_root_finite():
     double = simple * IntPoly([0, 1])
     assert profile_at_zp_root(double, 0, 2).entries == (INF, INF, 40, 0)
     assert profile_at_zp_root(double, 3, 2).entries == (INF, 0, 0, 0)
+
+
+def _largest_first(vals):
+    return tuple(sorted(vals, key=lambda v: (0, 0) if v is INF else (1, -v)))
+
+
+def _fraction_valuation(x: Fraction, p: int):
+    return INF if x == 0 else valuation(x.numerator, p) - valuation(x.denominator, p)
+
+
+def test_profile_at_zp_root_matches_exact_split_distances():
+    # a prod (s_j x - r_j)^(m_j), with p | a and repeated and close roots among
+    # them: the profile at each root r/s in Z_p is the multiset of exact
+    # v_p(r/s - r_j/s_j) over the roots with multiplicity
+    rng = random.Random(20261019)
+    checked = p_divides_lead = repeated = 0
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        lead = rng.choice([1, 2, 3, 5, 6, 10, -4, -9])
+        roots: dict[Fraction, int] = {}
+        count = rng.randint(2, 4)
+        while len(roots) < count:
+            alpha = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
+            if roots and rng.random() < 0.3:  # close to a root already taken
+                alpha = rng.choice(list(roots)) + p ** rng.randint(2, 8)
+            roots[alpha] = rng.choice([1, 1, 2, 3])
+        poly = IntPoly([lead])
+        for alpha, m in roots.items():
+            for _ in range(m):
+                poly = poly * IntPoly([-alpha.numerator, alpha.denominator])
+        modulus = p**64
+        for alpha in roots:
+            if alpha.denominator % p == 0:
+                continue
+            residue = alpha.numerator * pow(alpha.denominator, -1, modulus) % modulus
+            expect = _largest_first(_fraction_valuation(alpha - beta, p)
+                                    for beta, m in roots.items() for _ in range(m))
+            assert profile_at_zp_root(poly, residue, p).entries == expect, (poly, p, alpha)
+            checked += 1
+            p_divides_lead += lead % p == 0
+            repeated += roots[alpha] > 1
+    assert checked >= 500 and p_divides_lead >= 100 and repeated >= 100
+
+
+def test_profile_at_zp_root_precision_bound_is_attained():
+    # (2x - 1)(x - 1)(x - 1 - 2^20) at p = 2: S = P, c = 2, v_2(D) = 40, so
+    # B = ((2)(1)(1) + 40) // 2 - 1 = 20 is the distance of the two close roots;
+    # the lift precision N = B + 2 keeps it finite, N = B + 1 would not
+    poly = IntPoly([-1, 2]) * IntPoly([-1, 1]) * IntPoly([-(1 + 2**20), 1])
+    assert valuation(discriminant(poly), 2) == 40
+    for residue in (1, 1 + 2**20, 1 + 2**25):
+        assert profile_at_zp_root(poly, residue, 2).entries == (INF, 20, -1)
+
+
+def test_profile_at_zp_root_matches_precision_doubling_seeded():
+    # seeded polynomials that mostly do not split over Q, a third of them
+    # times a repeated factor: every Z_p root gets the doubling loop's entries
+    rng = random.Random(20261020)
+    compared = non_simple = 0
+    for _ in range(150):
+        p = rng.choice([2, 3, 5])
+        poly = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(2, 4))]
+                       + [rng.choice([-4, -3, -2, -1, 1, 2, 3, 4, 9])])
+        if rng.random() < 0.35:
+            factor = IntPoly([rng.randint(-4, 4), rng.choice([-3, -1, 1, 2])])
+            poly = poly * factor * factor
+        sqfree = squarefree_part(poly)
+        s, gamma = sqfree.degree, valuation(sqfree.leading, p)
+        precision = 2 * valuation(discriminant(sqfree), p) + 2 * s * s * gamma + 4
+        for root in zp_roots(poly, p, precision):
+            got = profile_at_zp_root(poly, root.residue, p).entries
+            assert got == profile_by_doubling(poly, root.residue, p).entries, (poly, p, root)
+            compared += 1
+            non_simple += not root.simple
+    assert compared >= 100 and non_simple >= 20
+
+
+def test_profile_at_zp_root_needs_no_squarefree_decomposition(monkeypatch):
+    def no_decomposition(poly):
+        raise AssertionError("profile_at_zp_root ran a squarefree decomposition")
+
+    monkeypatch.setattr("padicsep.roots.squarefree_decomposition", no_decomposition)
+    double = IntPoly([0, 3 * 2**40, -(2**40 + 3), 1]) * IntPoly([0, 1])
+    assert profile_at_zp_root(double, 0, 2).entries == (INF, INF, 40, 0)
 
 
 def test_min_conjugate_separation_examples():
