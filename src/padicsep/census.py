@@ -48,9 +48,12 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
              an_hi: int) -> Iterator[tuple[tuple[int, ...], int, Optional[int], bool]]:
     """The census kernel: (coeffs, D, v_p(D), irreducible) in canonical order.
 
-    This is the one place the censuses compute the discriminant, its
-    valuation and the irreducibility verdict.  D = 0 yields v_p(D) = None and
-    irreducible = False: a repeated root makes P reducible over Q.
+    The sep census reads D, v_p(D) and the irreducibility verdict here at
+    every degree, and the disc census from n = 3 on.  At n = 2 the disc
+    census counts each (a_2, a_1) block in closed form instead
+    (_quadratic_disc_blocks), with no record per a_0.  D = 0 yields
+    v_p(D) = None and irreducible = False: a repeated root makes P reducible
+    over Q.
 
     At n = 3 the verdict is a rational-root sieve, exact by three facts.
     (1) A cubic with D != 0 is irreducible over Q iff it has no rational
@@ -199,13 +202,155 @@ class DiscCensus:
     workers_used: int  # the most worker processes any height level started
 
 
+def _hist_add(hist: dict[int, list[int]], v: int, cnt: int, min_ad: int, max_ad: int) -> None:
+    """Merge cnt records at level v, all irreducible so far, with |D| in [min_ad, max_ad]."""
+    entry = hist.get(v)
+    if entry is None:
+        hist[v] = [cnt, cnt, min_ad, max_ad]
+        return
+    entry[0] += cnt
+    entry[1] += cnt
+    if min_ad < entry[2]:
+        entry[2] = min_ad
+    if max_ad > entry[3]:
+        entry[3] = max_ad
+
+
+def _level_extremes(a: int, f: int, q: int, r: int, m: int, r_next: int,
+                    m_next: int) -> tuple[int, int]:
+    """min and max of |a - f x| over x in [-q, q], x = r mod m, x != r_next mod m_next.
+
+    Needs a >= 0, f > 0, m_next = p m, r_next = r mod m and at least two
+    members x = r mod m in the box; _quadratic_disc_blocks proves that one step
+    past an excluded member suffices.
+    """
+    x = min(a // f, q)
+    x -= (x - r) % m  # the largest member <= min(a/f, q)
+    if (x - r_next) % m_next == 0:
+        x -= m
+    y = -(-a // f)
+    y += (r - y) % m  # the smallest member >= a/f >= -q
+    if (y - r_next) % m_next == 0:
+        y += m
+    if x < -q:
+        lo = f * y - a
+    elif y > q:
+        lo = a - f * x
+    else:
+        lo = min(a - f * x, f * y - a)
+    s = -q + (r + q) % m  # the smallest member
+    if (s - r_next) % m_next == 0:
+        s += m
+    t = q - (q - r) % m  # the largest member
+    if (t - r_next) % m_next == 0:
+        t -= m
+    return lo, max(abs(a - f * s), abs(a - f * t))
+
+
+def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
+                           a1_values) -> dict[int, list[int]]:
+    """The n = 2 disc histogram of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi].
+
+    a1_values is a subset of [-Q, Q].  Each block is counted over a_0 in
+    [-Q, Q] in closed form, with no record per a_0.  Write A = a_1^2,
+    B = -4 a_2 and F = -B > 0, so D = A + B a_0 = A - F a_0, and b = v_p(B).
+    The box holds N = 2Q + 1 values of a_0.
+
+    Valuation.  If v_p(A) < b, then v_p(B a_0) >= b > v_p(A) for every a_0,
+    so v_p(D) = v_p(A) and D != 0.  Otherwise D = p^b (A' + B' a_0) with
+    A' = A / p^b and B' = B / p^b prime to p, so v_p(D) >= b + j iff p^j
+    divides A' + B' a_0, i.e. iff a_0 = r_j mod p^j with r_j = -A' B'^(-1).
+    The class r mod m holds floor((Q - r)/m) - floor((-Q - 1 - r)/m) values
+    of the box, and since class j + 1 lies inside class j, level b + j holds
+    count(class j) - count(class j + 1) of them.  All r_j up to the first
+    p^J >= N are residues of one r_J: from there on a class holds at most one
+    value of the box.
+
+    D = 0.  The point z = A/F, when it is an integer in the box, has D = 0, so
+    it lies in every class.  It drops out of every level count, which is a
+    difference of two class counts that both hold it; the extremes never pick
+    it, since it lies in the next class; and the tail skips it.
+
+    Extremes.  |D| = F |a_0 - A/F| is |linear| in a_0, so on the values at
+    one level, |D| is least at the one nearest A/F on either side, and
+    greatest at the smallest or the largest one.  The values of class j form
+    a progression of step p^j, and class j + 1 takes every p-th term of it:
+    two terms p^j apart cannot both be r_(j+1) mod p^(j+1).  So when the term
+    nearest A/F (or the box end) lies in class j + 1, the next term one step
+    further lies at the level, if it is in the box.  With two or more terms in
+    class j, its smallest and largest terms differ, so the step from either
+    end stays in the box.
+
+    Tail.  The descent stops once class j holds at most one value of the box;
+    that value, unless it is z, is one record whose v_p(D) is computed.
+
+    Irreducibility.  A quadratic with D != 0 is reducible over Q iff it has
+    a rational root, iff D is the square of a rational, iff D = m^2 for an
+    integer m >= 1.  D = m^2 reads a_0 = (A - m^2)/F, an integer iff
+    m^2 = A mod F, and in the box iff A - F Q <= m^2 <= A + F Q.  Distinct
+    m >= 1 give distinct a_0, so each such m takes one record at level
+    v_p(m^2) = 2 v_p(m) out of count_irr.  The m are stepped through the
+    residues mod F whose squares are A mod F, from a table built once per a_2.
+    """
+    q = height_bound
+    size = 2 * q + 1
+    top = p
+    while top < size:
+        top *= p
+    # v_p(m^2) for 0 < m <= sqrt(A + F Q), which covers m = |a_1| too
+    twice_v = [0] + [2 * valuation(m, p) for m in range(1, math.isqrt(q * q + 4 * a2_hi * q) + 1)]
+    hist: dict[int, list[int]] = {}
+    for a2 in range(a2_lo, a2_hi + 1):
+        f = 4 * a2
+        b = valuation(f, p)
+        pb = p**b
+        inv = pow(f // pb, -1, top)  # (-B')^(-1) mod p^J
+        square_roots: dict[int, list[int]] = {}  # s -> the m mod F with m^2 = s mod F
+        for m in range(f):
+            square_roots.setdefault(m * m % f, []).append(m)
+        for a1 in a1_values:
+            a = a1 * a1
+            if a1 and twice_v[abs(a1)] < b:
+                # one level: |D| is least at the integer nearest A/F >= 0, greatest at a_0 = -Q
+                x = a // f
+                lo = a - f * q if x >= q else min(a - f * x, f * (x + 1) - a)
+                _hist_add(hist, twice_v[abs(a1)], size, lo, a + f * q)
+            else:
+                r_top = (a // pb) * inv % top
+                m, cnt, level = 1, size, b
+                while cnt > 1:
+                    m_next = m * p
+                    r_next = r_top % m_next
+                    cnt_next = (q - r_next) // m_next - (-q - 1 - r_next) // m_next
+                    lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
+                    _hist_add(hist, level, cnt - cnt_next, lo, hi)
+                    m, cnt, level = m_next, cnt_next, level + 1
+                if cnt:
+                    x = -q + (r_top % m + q) % m
+                    d = a - f * x
+                    if d:
+                        _hist_add(hist, valuation(d, p), 1, abs(d), abs(d))
+            low = a - f * q
+            m_lo = math.isqrt(low - 1) + 1 if low > 1 else 1
+            m_hi = math.isqrt(a + f * q)
+            for res in square_roots[a % f]:
+                for m in range(m_lo + (res - m_lo) % f, m_hi + 1, f):
+                    hist[twice_v[m]][1] -= 1
+    return hist
+
+
 def _disc_shard(args) -> dict[int, list[int]]:
     """v_p(D) -> [count, count_irr, min |D|, max |D|] over one a_n range, D != 0.
 
     Within one v_p(D) the cofactor |D| / p^v is monotone in |D|, so the
-    minimal cofactor follows from the minimal |D|.
+    minimal cofactor follows from the minimal |D|.  At n = 2 each (a_2, a_1)
+    block is counted in closed form by _quadratic_disc_blocks; from n = 3
+    the histogram is read off the census kernel record by record.
     """
     n, p, height_bound, an_lo, an_hi = args
+    if n == 2:
+        return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi,
+                                      range(-height_bound, height_bound + 1))
     hist: dict[int, list[int]] = {}
     for _, disc, v, irr in _records(n, p, height_bound, an_lo, an_hi):
         if v is None:

@@ -8,6 +8,8 @@ import sympy
 
 from padicsep.census import (
     _census_inputs,
+    _disc_shard,
+    _quadratic_disc_blocks,
     _records,
     _sep_shard,
     _shards,
@@ -78,14 +80,14 @@ def test_disc_threshold_exactness():
     with pytest.raises(ValueError):
         disc_threshold(3, 9, Fraction(-1, 2), 0)
     assert disc_threshold(2, 16, Fraction(1), 0) == 8
-    # the membership v(D) >= k must match |D|_p <= C Q^(-2nu) exactly
-    for q in (7, 8, 9, 10):
-        k = disc_threshold(3, q, Fraction(3, 4), 1)
-        assert 3**(k + 1) >= q ** Fraction(3, 2).__round__() or True
-        assert Fraction(3) ** (k + 1) >= Fraction(q) ** 2 * Fraction(1) ** 0 or True
-        # direct definition check via rational powers: 3^(2(k+1)) >= q^3
-        assert 3 ** (4 * (k + 1)) >= q**6
-        assert k == 0 or 3 ** (4 * k) < q**6
+    # k is the least integer with p^(k + c) >= Q^(2 nu): with nu = a/d, raise
+    # both sides to the power d, p^((k + c) d) >= Q^(2a), and k - 1 fails it
+    for p, q, nu, c in itertools.product((2, 3), range(2, 31),
+                                         [Fraction(i, 4) for i in range(5)], (0, 1, 2)):
+        k = disc_threshold(p, q, nu, c)
+        a, d = nu.numerator, nu.denominator
+        assert Fraction(p) ** ((k + c) * d) >= q ** (2 * a), (p, q, nu, c, k)
+        assert Fraction(p) ** ((k - 1 + c) * d) < q ** (2 * a), (p, q, nu, c, k)
 
 
 def test_disc_census_against_direct_recount():
@@ -517,3 +519,70 @@ def test_cubic_kernel_against_per_record_oracle(p, q):
     assert zero_a0 and zero_disc
     if q == 9:
         assert _shards(q) == [(1, 8), (9, 9)]
+
+
+def _disc_hist_from_records(p, q, lo, hi):
+    """The n = 2 disc histogram v_p(D) -> [count, count_irr, min |D|, max |D|] of _records."""
+    hist = {}
+    for _, disc, v, irr in _records(2, p, q, lo, hi):
+        if v is None:
+            continue
+        entry = hist.setdefault(v, [0, 0, abs(disc), abs(disc)])
+        entry[0] += 1
+        entry[1] += irr
+        entry[2] = min(entry[2], abs(disc))
+        entry[3] = max(entry[3], abs(disc))
+    return hist
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quadratic_disc_shard_against_record_oracle(p):
+    # the closed-form block counts against the n = 2 record kernel, on every shard
+    for q in [*range(1, 14), 20, 41]:
+        for lo, hi in _shards(q):
+            assert _disc_shard((2, p, q, lo, hi)) == _disc_hist_from_records(p, q, lo, hi), \
+                (p, q, lo)
+
+
+def test_quadratic_disc_blocks_seeded_against_brute_force():
+    # single (a_2, a_1) blocks at Q = 300 against a direct count over a_0
+    q = 300
+    rng = random.Random(13)
+    blocks = [(2, 1, 0), (3, 1, 0), (2, 8, 5), (2, 16, 32), (3, 9, 18), (5, 25, 0), (7, 1, 2)]
+    while len(blocks) < 200:
+        p = rng.choice([2, 3, 5, 7])
+        a2 = rng.choice([rng.randint(1, q), p * rng.randint(1, q // p), p**3])
+        a1 = rng.choice([rng.randint(-q, q)] * 4 + [0, 2 * a2 * rng.choice([-2, -1, 1, 2])])
+        if abs(a1) <= q:
+            blocks.append((p, a2, a1))
+    seen = {"a1 = 0": 0, "p | a2": 0, "v_2(4 a2) >= 3": 0, "D = 0 in box": 0, "tail": 0}
+    for p, a2, a1 in blocks:
+        expect = {}
+        for a0 in range(-q, q + 1):
+            d = a1 * a1 - 4 * a2 * a0
+            if d:
+                entry = expect.setdefault(valuation(d, p), [0, 0, abs(d), abs(d)])
+                entry[0] += 1
+                entry[1] += d < 0 or math.isqrt(d) ** 2 != d
+                entry[2] = min(entry[2], abs(d))
+                entry[3] = max(entry[3], abs(d))
+        assert _quadratic_disc_blocks(p, q, a2, a2, [a1]) == expect, (p, a2, a1)
+        has_zero = a1 * a1 % (4 * a2) == 0 and a1 * a1 // (4 * a2) <= q
+        seen["a1 = 0"] += a1 == 0
+        seen["p | a2"] += a2 % p == 0
+        seen["v_2(4 a2) >= 3"] += p == 2 and a2 % 2 == 0
+        seen["D = 0 in box"] += has_zero
+        # without the D = 0 point, a top level of one record is the descent's tail
+        seen["tail"] += not has_zero and expect[max(expect)][0] == 1
+    assert all(seen.values()), seen
+
+
+def test_quadratic_disc_census_skips_the_record_kernel(monkeypatch):
+    def refuse(*_):
+        raise RuntimeError("record kernel called")
+
+    monkeypatch.setattr("padicsep.census._records", refuse)
+    nu = [Fraction(1, 2)]
+    assert disc_census(2, 3, [5, 9], nu).rows
+    with pytest.raises(RuntimeError, match="record kernel"):
+        sep_census(2, 2, [2], [Fraction(1)])
