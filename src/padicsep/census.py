@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
 from .lattice import XiParams, _box_points, _pinch_c2_exponent
-from .padic import _as_p, valuation
+from .padic import _as_p, _ceil_log, valuation
 from .roots import _first_slope, min_conjugate_separation
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -48,12 +48,9 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
              an_hi: int) -> Iterator[tuple[tuple[int, ...], int, Optional[int], bool]]:
     """The census kernel: (coeffs, D, v_p(D), irreducible) in canonical order.
 
-    The sep census reads D, v_p(D) and the irreducibility verdict here at
-    every degree, and the disc census from n = 3 on.  At n = 2 the disc
-    census counts each (a_2, a_1) block in closed form instead
-    (_quadratic_disc_blocks), with no record per a_0.  D = 0 yields
-    v_p(D) = None and irreducible = False: a repeated root makes P reducible
-    over Q.
+    Both censuses read D, v_p(D) and the irreducibility verdict here from
+    n = 3 on.  D = 0 yields v_p(D) = None and irreducible = False: a repeated
+    root makes P reducible over Q.
 
     At n = 3 the verdict is a rational-root sieve, exact by three facts.
     (1) A cubic with D != 0 is irreducible over Q iff it has no rational
@@ -73,27 +70,8 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
     these; every other a_0 != 0 gives an irreducible P.  D is the closed
     cubic form, written as A + a_0 (B + C a_0) for each (a_3, a_2, a_1).
     """
-    rng = range(-height_bound, height_bound + 1)
-    if n == 2:
-        # Closed-form D with the valuation loop and the square test inline:
-        # calling padic.valuation here made this loop about 1.6x slower.
-        for a2 in range(an_lo, an_hi + 1):
-            four_a2 = 4 * a2
-            for a1 in rng:
-                a1sq = a1 * a1
-                for a0 in rng:
-                    disc = a1sq - four_a2 * a0
-                    if disc == 0:
-                        yield (a0, a1, a2), 0, None, False
-                        continue
-                    v = 0
-                    d = disc
-                    while d % p == 0:
-                        d //= p
-                        v += 1
-                    yield (a0, a1, a2), disc, v, disc < 0 or math.isqrt(disc) ** 2 != disc
-        return
     if n == 3:
+        rng = range(-height_bound, height_bound + 1)
         for a3 in range(an_lo, an_hi + 1):
             # per root candidate r/s: (a_3 r^3, r^2 s, r s^2, s^3)
             cands = []
@@ -158,14 +136,8 @@ def disc_threshold(p: int, height_bound: int, nu: Fraction, c_exp: int) -> int:
     nu = Fraction(nu)
     if nu < 0:
         raise ValueError(f"nu must be >= 0, got {nu}")
-    if nu == 0:
-        return -c_exp
-    a, d = nu.numerator, nu.denominator
-    rhs = height_bound ** (2 * a)
-    k = 0
-    while p ** (k * d) < rhs:
-        k += 1
-    return k - c_exp
+    # with nu = a/d: p^(k d) >= Q^(2a)  <=>  k d >= ceil(log_p Q^(2a))
+    return -(-_ceil_log(height_bound ** (2 * nu.numerator), p) // nu.denominator) - c_exp
 
 
 @dataclass(frozen=True)
@@ -294,9 +266,7 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     """
     q = height_bound
     size = 2 * q + 1
-    top = p
-    while top < size:
-        top *= p
+    top = p ** _ceil_log(size, p)
     # v_p(m^2) for 0 < m <= sqrt(A + F Q), which covers m = |a_1| too
     twice_v = [0] + [2 * valuation(m, p) for m in range(1, math.isqrt(q * q + 4 * a2_hi * q) + 1)]
     hist: dict[int, list[int]] = {}
@@ -463,9 +433,14 @@ def _sep_shard(args) -> dict[tuple, int]:
 
     Only distinct-root polynomials in the shell H in [Q/p, Q] are counted.
     Keys are inserted in canonical order, which sep_census relies on to break
-    ties in max_exponent by the first irreducible record.  At n = 2 the loop
-    keys on 2 sep = v_p(D) - 2 v_p(a_2), from D = a_2^2 (alpha_1 - alpha_2)^2;
-    the one-to-one renaming at the end keeps that order.
+    ties in max_exponent by the first irreducible record.
+
+    At n = 2 the shard runs its own loop over (a_2, a_1, a_0), with no record
+    kernel: H is checked before D = a_1^2 - 4 a_2 a_0 is formed, and the
+    valuation loop and the square test (P with D != 0 is reducible iff D is a
+    square) are inline.  It keys on 2 sep = v_p(D) - 2 v_p(a_2), from
+    D = a_2^2 (alpha_1 - alpha_2)^2; the one-to-one renaming at the end keeps
+    that order.
 
     At n = 3 the separation is read off v_p(D), v_p(a_3) and v_p(u),
     u = 3 a_1 a_3 - a_2^2, by the slope rule of min_conjugate_separation
@@ -493,19 +468,32 @@ def _sep_shard(args) -> dict[tuple, int]:
     n, p, t, an_lo, an_hi = args
     shell_lo = p**t // p
     hist: dict[tuple, int] = {}
-    records = _records(n, p, p**t, an_lo, an_hi)
     if n == 2:
-        twice_lead = {a2: 2 * valuation(a2, p) for a2 in range(an_lo, an_hi + 1)}
-        for (a0, a1, a2), _, v, irr in records:
-            if v is not None:
+        rng = range(-p**t, p**t + 1)
+        for a2 in range(an_lo, an_hi + 1):
+            four_a2, twice_lead = 4 * a2, 2 * valuation(a2, p)
+            for a1 in rng:
+                a1sq = a1 * a1
                 # H = max(a_2, |a_1|, |a_0|) by comparisons: a max() call costs more
-                h = a1 if a1 > a2 else -a1 if -a1 > a2 else a2
-                h = a0 if a0 > h else -a0 if -a0 > h else h
-                if h >= shell_lo:
-                    key = (h, v - twice_lead[a2], irr)
+                m = a1 if a1 > a2 else -a1 if -a1 > a2 else a2
+                for a0 in rng:
+                    h = a0 if a0 > m else -a0 if -a0 > m else m
+                    if h < shell_lo:
+                        continue
+                    disc = a1sq - four_a2 * a0
+                    if disc == 0:
+                        continue
+                    # the valuation inline: a padic.valuation call made this loop about 1.6x slower
+                    tw = -twice_lead  # ends at v_p(D) - 2 v_p(a_2)
+                    d = disc
+                    while d % p == 0:
+                        d //= p
+                        tw += 1
+                    key = (h, tw, disc < 0 or math.isqrt(disc) ** 2 != disc)
                     hist[key] = hist.get(key, 0) + 1
         return {(h, tw // 2 if tw % 2 == 0 else Fraction(tw, 2), irr): cnt
                 for (h, tw, irr), cnt in hist.items()}
+    records = _records(n, p, p**t, an_lo, an_hi)
     if n == 3:
         v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)}
         memo: dict[tuple, dict] = {}  # (v_p(a_3), v_p(u)) -> {v_p(D): sep}
@@ -696,7 +684,11 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     Sampling is uniform over x mod p^(max b_i + 4); blocks of 512 samples use
     seeds derived from (seed, block), so results do not depend on the worker
     count.  Returns the exact hit fraction with a 95% Wilson interval.
+    threshold_exp must be an integer >= 0 (epsilon, delta <= 1), or this is a
+    ValueError, raised before any block runs.
     """
+    if not isinstance(threshold_exp, int) or threshold_exp < 0:
+        raise ValueError(f"threshold_exp must be an integer >= 0, got {threshold_exp!r}")
     p = params.p
     bb = list(params.b)
     if mode == "short-vector":

@@ -30,7 +30,7 @@ from . import census as census_mod
 from . import lattice as lattice_mod
 from .intpoly import IntPoly, discriminant
 from .linalg import bareiss_det
-from .padic import INF, is_prime, valuation
+from .padic import INF, _power_exponent, is_prime, valuation
 from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
@@ -230,7 +230,7 @@ def cmd_disc_census(args) -> int:
 
 def cmd_sep_census(args) -> int:
     q_grid, theta_grid, workers = _census_front_end(args, "theta")
-    t_grid = [lattice_mod._power_of_p_exponent(q, args.p) for q in q_grid]
+    t_grid = [_power_exponent(q, args.p) for q in q_grid]
     for q, t in zip(q_grid, t_grid):
         if t is None:
             raise ConfigError("q-grid", f"{q} is not a power of p = {args.p}")

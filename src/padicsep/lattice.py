@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, eisenstein_check
 from .linalg import bareiss_det, lll_reduce, solve_mod_prime
-from .padic import INF, InvariantError, _as_p, is_prime, valuation
+from .padic import INF, InvariantError, _as_p, _ceil_log, _power_exponent, is_prime, valuation
 
 DEFAULT_ENUM_LIMIT = 10**7
 
@@ -60,28 +60,6 @@ class XiParams:
         return Fraction(1, self.p ** self.b[i])
 
 
-def _ceil_log(p: int, value: Fraction) -> int:
-    """Smallest integer e with p^e >= value (value > 0); may be negative."""
-    e = 0
-    if value > 1:
-        power = Fraction(1)
-        while power < value:
-            power *= p
-            e += 1
-        return e
-    power = Fraction(1)
-    while power / p >= value:
-        power /= p
-        e -= 1
-    return e
-
-
-def _floor_log(p: int, value: Fraction) -> int:
-    """Largest integer e with p^e <= value (value > 0); may be negative."""
-    e = _ceil_log(p, value)
-    return e if Fraction(p) ** e == value else e - 1
-
-
 def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiParams:
     """Round positive rationals xi_i to powers p^-b_i with sum b_i = t(n+1).
 
@@ -96,9 +74,9 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
     xs = [Fraction(x) for x in xi]
     if any(x <= 0 for x in xs):
         raise ValueError("xi values must be positive")
-    # p^-b <= xi  <=>  b >= ceil(log_p 1/xi);   xi <= p^(n-b)  <=>  b <= n + floor(log_p 1/xi)
-    lo = [max(0, _ceil_log(q, 1 / x)) for x in xs]
-    hi = [n + _floor_log(q, 1 / x) for x in xs]
+    # p^-b <= xi  <=>  b >= ceil(log_p 1/xi);   xi <= p^(n-b)  <=>  b <= n - ceil(log_p xi)
+    lo = [max(0, _ceil_log(1 / x, q)) for x in xs]
+    hi = [n - _ceil_log(x, q) for x in xs]
     if any(l > h for l, h in zip(lo, hi)):
         bad = [i for i, (l, h) in enumerate(zip(lo, hi)) if l > h]
         raise RoundingInfeasible(f"xi at indices {bad} admit no b in the sandwich")
@@ -473,7 +451,7 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
         raise ValueError("normalization needs Q = p^t > 1")
     if b[-1] != 0 or any(b[i] < b[i + 1] for i in range(n)):
         raise ValueError("normalization requires xi_0 <= ... <= xi_n = 1 (b non-increasing, b_n = 0)")
-    delta_e = _power_of_p_exponent(delta, p)
+    delta_e = _power_exponent(delta, p)
     if delta_e is None or delta_e >= 0:
         raise ValueError("delta must be a power of p strictly below 1")
     dv = -delta_e  # delta = p^-dv with dv >= 1
@@ -522,27 +500,10 @@ def _pinch_c2_exponent(params: XiParams, i_pinch: Optional[int], c2: Optional[in
     """The even exponent of C2 = p^e >= 1, once i_pinch is checked to lie in [0, n]."""
     if not isinstance(i_pinch, int) or not 0 <= i_pinch <= params.n:
         raise ValueError(f"pinch mode needs i_pinch in [0, {params.n}], got {i_pinch!r}")
-    c2_exp = None if c2 is None else _power_of_p_exponent(Fraction(c2), params.p)
+    c2_exp = None if c2 is None else _power_exponent(c2, params.p)
     if c2_exp is None or c2_exp < 0 or c2_exp % 2:
         raise ValueError(f"pinch mode needs C2 a power of p^2, at least 1, got {c2!r}")
     return c2_exp
-
-
-def _power_of_p_exponent(value: Fraction, p: int) -> Optional[int]:
-    """The exact exponent e with value = p^e, or None if value is no p power."""
-    value = Fraction(value)
-    if value <= 0:
-        return None
-    num, den = value.numerator, value.denominator
-    if num == 1 and den > 1:
-        e = valuation(den, p)
-        return -e if p**e == den else None
-    if den == 1:
-        if num == 1:
-            return 0
-        e = valuation(num, p)
-        return e if p**e == num else None
-    return None
 
 
 # --- the Eisenstein twist and the full pipeline ------------------------------
@@ -661,10 +622,8 @@ class GeneratorOutput:
 
 def smallest_c2(p: int, lower: Fraction) -> int:
     """Smallest power of p^2 that is >= lower (and >= 1)."""
-    c2 = 1
-    while c2 < lower:
-        c2 *= p * p
-    return c2
+    e = _ceil_log(max(lower, 1), p)
+    return p ** (e + e % 2)
 
 
 GENERATE_ENUM_LIMIT = 100_000

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 
 class _Infinity:
@@ -146,6 +146,32 @@ def valuation(x: int, p) -> Valuation:
         x //= q
         v += 1
     return v
+
+
+def _ceil_log(value, p) -> int:
+    """The least integer e with p^e >= value, for a positive rational value; may be negative."""
+    p = _as_p(p)
+    value = Fraction(value)
+    if value <= 0:
+        raise ValueError(f"log_p needs a positive value, got {value}")
+    num, den, e = value.numerator, value.denominator, 0
+    while den < num:  # p^e >= num/den  <=>  den p^e >= num
+        den *= p
+        e += 1
+    while num * p <= den:
+        num *= p
+        e -= 1
+    return e
+
+
+def _power_exponent(value, p) -> Optional[int]:
+    """The exponent e with value = p^e, or None if value is no power of p."""
+    p = _as_p(p)
+    value = Fraction(value)
+    if value <= 0:
+        return None
+    e = _ceil_log(value, p)
+    return e if Fraction(p) ** e == value else None
 
 
 @dataclass(frozen=True, order=False)

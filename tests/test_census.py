@@ -58,16 +58,13 @@ def test_iter_coeffs_deterministic_and_sharded():
 
 
 def test_record_invariants():
-    for coeffs, disc, vpd, _ in _records(2, 5, 3, 1, 3):
+    for coeffs, disc, vpd, _ in _records(3, 5, 3, 1, 3):
         assert disc == discriminant(IntPoly(coeffs))
         if disc != 0:
             assert vpd == valuation(disc, 5)
             # exact prime power split
             cof = abs(disc) // 5**vpd
             assert cof * 5**vpd == abs(disc) and cof % 5 != 0
-            # n = 2 cross-check: 2 sep + (2n-2) v(a_n) = v(D)
-            sep = min_conjugate_separation(IntPoly(coeffs), 5).val
-            assert 2 * sep + 2 * valuation(coeffs[2], 5) == vpd
         else:
             assert vpd is None
 
@@ -368,6 +365,17 @@ def test_measure_estimate_pinch_mode():
         measure_estimate(params, 1, mode="bogus", samples=10, seed=0)
 
 
+@pytest.mark.parametrize("mode, threshold_exp", [("pinch", -2), ("short-vector", Fraction(1, 2)),
+                                                 ("short-vector", -1), ("pinch", 1.0)],
+                         ids=["pinch-negative", "short-vector-half", "short-vector-negative",
+                              "pinch-float"])
+def test_measure_estimate_rejects_threshold_exp(mode, threshold_exp):
+    # epsilon, delta = p^-threshold_exp <= 1 with an integer exponent
+    params = XiParams(3, 2, (4, 2, 0))
+    with pytest.raises(ValueError, match="threshold_exp"):
+        measure_estimate(params, threshold_exp, mode=mode, samples=10, seed=0, i_pinch=0, c2=9)
+
+
 @pytest.mark.parametrize("call", [
     lambda: disc_census(-1, 3, [2], [Fraction(1, 2)]),
     lambda: disc_census(1, 3, [2], [Fraction(1, 2)]),
@@ -443,25 +451,33 @@ def test_census_results_record_the_processes_started(monkeypatch):
 
 def test_n2_sep_shard_against_per_record_recount():
     # the closed-form shard against min_conjugate_separation on every quadratic
-    # with H <= 8: keys, their types and their insertion order
-    for p, t_top in ((2, 3), (3, 2)):
-        for t in range(t_top + 1):
-            q = p**t
-            for lo, hi in _shards(q):
-                expect: dict = {}
-                for a2 in range(lo, hi + 1):
-                    for a1 in range(-q, q + 1):
-                        for a0 in range(-q, q + 1):
-                            poly = IntPoly([a0, a1, a2])
-                            h = poly.height
-                            if discriminant(poly) == 0 or h < q // p:
-                                continue
-                            irr = bool(is_irreducible(content_primitive(poly)[1]))
-                            key = (h, min_conjugate_separation(poly, p).val, irr)
-                            expect[key] = expect.get(key, 0) + 1
-                got = _sep_shard((2, p, t, lo, hi))
-                assert list(got.items()) == list(expect.items()), (p, t, lo)
-                assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+    # of every shard: keys, their types and their insertion order
+    zero_below_shell = fractional = 0
+    for p, t in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (5, 1), (7, 1)):
+        q = p**t
+        for lo, hi in _shards(q):
+            expect: dict = {}
+            for a2 in range(lo, hi + 1):
+                for a1 in range(-q, q + 1):
+                    for a0 in range(-q, q + 1):
+                        poly = IntPoly([a0, a1, a2])
+                        h = poly.height
+                        disc = discriminant(poly)
+                        if disc == 0 or h < q // p:
+                            zero_below_shell += disc == 0 and h < q // p
+                            continue
+                        sep = min_conjugate_separation(poly, p).val
+                        # D = a_2^2 (alpha_1 - alpha_2)^2
+                        assert 2 * sep + 2 * valuation(a2, p) == valuation(disc, p)
+                        irr = bool(is_irreducible(content_primitive(poly)[1]))
+                        key = (h, sep, irr)
+                        expect[key] = expect.get(key, 0) + 1
+                        fractional += type(sep) is Fraction
+            got = _sep_shard((2, p, t, lo, hi))
+            assert list(got.items()) == list(expect.items()), (p, t, lo)
+            assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+    assert zero_below_shell and fractional
+    assert _shards(16) == [(1, 8), (9, 16)]
 
 
 def test_n3_sep_shard_against_per_record_recount():
@@ -485,16 +501,6 @@ def test_n3_sep_shard_against_per_record_recount():
             assert list(got.items()) == list(expect.items()), (p, t, lo)
             assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
     assert zero_u and lead_div and fractional
-
-
-def test_sep_shard_closed_forms_skip_the_per_record_route(monkeypatch):
-    def refuse(*_):
-        raise RuntimeError("per-record separation called")
-
-    monkeypatch.setattr("padicsep.census.min_conjugate_separation", refuse)
-    assert _sep_shard((2, 2, 2, 1, 4)) and _sep_shard((3, 2, 1, 1, 2))
-    with pytest.raises(RuntimeError, match="per-record"):
-        _sep_shard((4, 2, 1, 1, 2))
 
 
 @pytest.mark.parametrize("p, q", [(2, 4), (3, 5), (5, 3), (2, 9)])
@@ -521,27 +527,30 @@ def test_cubic_kernel_against_per_record_oracle(p, q):
         assert _shards(q) == [(1, 8), (9, 9)]
 
 
-def _disc_hist_from_records(p, q, lo, hi):
-    """The n = 2 disc histogram v_p(D) -> [count, count_irr, min |D|, max |D|] of _records."""
+def _brute_disc_hist(p, q, a2_values, a1_values):
+    """The n = 2 disc histogram v_p(D) -> [count, count_irr, min |D|, max |D|], D != 0,
+    of the blocks (a_2, a_1) over a_0 in [-Q, Q], counted directly."""
     hist = {}
-    for _, disc, v, irr in _records(2, p, q, lo, hi):
-        if v is None:
-            continue
-        entry = hist.setdefault(v, [0, 0, abs(disc), abs(disc)])
-        entry[0] += 1
-        entry[1] += irr
-        entry[2] = min(entry[2], abs(disc))
-        entry[3] = max(entry[3], abs(disc))
+    for a2 in a2_values:
+        for a1 in a1_values:
+            for a0 in range(-q, q + 1):
+                d = a1 * a1 - 4 * a2 * a0
+                if d:
+                    entry = hist.setdefault(valuation(d, p), [0, 0, abs(d), abs(d)])
+                    entry[0] += 1
+                    entry[1] += d < 0 or math.isqrt(d) ** 2 != d
+                    entry[2] = min(entry[2], abs(d))
+                    entry[3] = max(entry[3], abs(d))
     return hist
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_quadratic_disc_shard_against_record_oracle(p):
-    # the closed-form block counts against the n = 2 record kernel, on every shard
+    # the closed-form block counts against a direct count record by record, on every shard
     for q in [*range(1, 14), 20, 41]:
         for lo, hi in _shards(q):
-            assert _disc_shard((2, p, q, lo, hi)) == _disc_hist_from_records(p, q, lo, hi), \
-                (p, q, lo)
+            expect = _brute_disc_hist(p, q, range(lo, hi + 1), range(-q, q + 1))
+            assert _disc_shard((2, p, q, lo, hi)) == expect, (p, q, lo)
 
 
 def test_quadratic_disc_blocks_seeded_against_brute_force():
@@ -557,15 +566,7 @@ def test_quadratic_disc_blocks_seeded_against_brute_force():
             blocks.append((p, a2, a1))
     seen = {"a1 = 0": 0, "p | a2": 0, "v_2(4 a2) >= 3": 0, "D = 0 in box": 0, "tail": 0}
     for p, a2, a1 in blocks:
-        expect = {}
-        for a0 in range(-q, q + 1):
-            d = a1 * a1 - 4 * a2 * a0
-            if d:
-                entry = expect.setdefault(valuation(d, p), [0, 0, abs(d), abs(d)])
-                entry[0] += 1
-                entry[1] += d < 0 or math.isqrt(d) ** 2 != d
-                entry[2] = min(entry[2], abs(d))
-                entry[3] = max(entry[3], abs(d))
+        expect = _brute_disc_hist(p, q, [a2], [a1])
         assert _quadratic_disc_blocks(p, q, a2, a2, [a1]) == expect, (p, a2, a1)
         has_zero = a1 * a1 % (4 * a2) == 0 and a1 * a1 // (4 * a2) <= q
         seen["a1 = 0"] += a1 == 0
@@ -577,12 +578,30 @@ def test_quadratic_disc_blocks_seeded_against_brute_force():
     assert all(seen.values()), seen
 
 
-def test_quadratic_disc_census_skips_the_record_kernel(monkeypatch):
+@pytest.mark.parametrize("patched, reached", [
+    ("_records", {"disc n=3", "sep n=3", "disc n=4", "sep n=4"}),
+    ("min_conjugate_separation", {"sep n=4"}),
+], ids=["records-patched", "separation-patched"])
+def test_census_routes(patched, reached, monkeypatch):
+    # at n = 2 neither census reads the record kernel or the per-record
+    # separation; at n = 3 both read the kernel only; from n = 4 the sep
+    # census reads both
     def refuse(*_):
-        raise RuntimeError("record kernel called")
+        raise RuntimeError(f"{patched} called")
 
-    monkeypatch.setattr("padicsep.census._records", refuse)
-    nu = [Fraction(1, 2)]
-    assert disc_census(2, 3, [5, 9], nu).rows
-    with pytest.raises(RuntimeError, match="record kernel"):
-        sep_census(2, 2, [2], [Fraction(1)])
+    monkeypatch.setattr(f"padicsep.census.{patched}", refuse)
+    nu, theta = [Fraction(1, 2)], [Fraction(1)]
+    runs = {
+        "disc n=2": lambda: disc_census(2, 3, [5, 9], nu),
+        "sep n=2": lambda: sep_census(2, 2, [2, 3], theta),
+        "disc n=3": lambda: disc_census(3, 2, [2], nu),
+        "sep n=3": lambda: sep_census(3, 2, [1], theta),
+        "disc n=4": lambda: disc_census(4, 2, [1], nu),
+        "sep n=4": lambda: sep_census(4, 2, [1], theta),
+    }
+    for name, run in runs.items():
+        if name in reached:
+            with pytest.raises(RuntimeError, match=patched):
+                run()
+        else:
+            assert run().rows, name

@@ -4,7 +4,18 @@ from fractions import Fraction
 import pytest
 
 from padicsep.intpoly import IntPoly
-from padicsep.padic import INF, PadicMag, Prime, is_prime, ultrametric_max, valuation, vp, vp_rat
+from padicsep.padic import (
+    INF,
+    PadicMag,
+    Prime,
+    _ceil_log,
+    _power_exponent,
+    is_prime,
+    ultrametric_max,
+    valuation,
+    vp,
+    vp_rat,
+)
 from padicsep.roots import newton_polygon, zp_roots
 
 
@@ -20,6 +31,29 @@ def test_vp_rat_examples():
     assert vp_rat(0, 3, 3).is_zero
     with pytest.raises(ZeroDivisionError):
         vp_rat(1, 0, 3)
+
+
+def test_ceil_log_against_fraction_loop():
+    # the least e with p^e >= v, by stepping Fraction powers of p from p^0
+    rng = random.Random(11)
+    for _ in range(2000):
+        p = rng.choice([2, 3, 5, 7])
+        v = Fraction(rng.randint(1, 10**rng.randint(0, 6)), rng.randint(1, 10**rng.randint(0, 6)))
+        if rng.random() < 0.3:
+            v = Fraction(p) ** rng.randint(-12, 12)
+        e = 0
+        while Fraction(p) ** e < v:
+            e += 1
+        while Fraction(p) ** (e - 1) >= v:
+            e -= 1
+        assert _ceil_log(v, p) == e, (v, p)
+        assert _power_exponent(v, p) == (e if Fraction(p) ** e == v else None), (v, p)
+    assert _ceil_log(1, 2) == 0 and _ceil_log(Fraction(1, 9), 3) == -2 and _ceil_log(10, 3) == 3
+    assert _power_exponent(Fraction(1, 27), Prime(3)) == -3 and _power_exponent(12, 2) is None
+    for bad in (0, -4, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            _ceil_log(bad, 3)
+        assert _power_exponent(bad, 3) is None
 
 
 def test_ultrametric_max_examples():
