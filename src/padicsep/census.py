@@ -8,6 +8,7 @@ coefficient lattice admits unusually short vectors.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -219,6 +220,43 @@ def _level_extremes(a: int, f: int, q: int, r: int, m: int, r_next: int,
     return lo, max(abs(a - f * s), abs(a - f * t))
 
 
+def _class_count(r: int, m: int, q: int) -> int:
+    """The number of x = r mod m in [-q, q], q >= 0."""
+    return (q - r) // m - (-q - 1 - r) // m
+
+
+def _square_roots_in(a: int, f: int, q: int, roots: dict[int, list[int]]) -> Iterator[int]:
+    """The m >= 1 with D = a - f a_0 = m^2 for an a_0 in [-q, q], one per such a_0.
+
+    D = m^2 reads a_0 = (a - m^2)/f, an integer iff m^2 = a mod f, and in the
+    box iff a - f q <= m^2 <= a + f q; roots maps s to the x mod f with x^2 = s.
+    """
+    low = a - f * q
+    m_lo = math.isqrt(low - 1) + 1 if low > 1 else 1
+    m_hi = math.isqrt(a + f * q)
+    for res in roots[a % f]:
+        yield from range(m_lo + (res - m_lo) % f, m_hi + 1, f)
+
+
+def _quadratic_tables(p: int, q: int, a2_lo: int, a2_hi: int) -> tuple[int, list[int], list]:
+    """What the n = 2 blocks over a_0 in [-Q, Q] share, a_2 in [a2_lo, a2_hi].
+
+    top = p^J >= 2Q + 1 least; v_p(m^2) for m <= sqrt(Q^2 + 4 a_2 Q), every m
+    of _square_roots_in and |a_1|; per a_2, (a_2, F = 4 a_2, b = v_p(F), p^b,
+    (F / p^b)^(-1) mod p^J, the square roots mod F of _square_roots_in).
+    """
+    top = p ** _ceil_log(2 * q + 1, p)
+    twice_v = [0] + [2 * valuation(m, p) for m in range(1, math.isqrt(q * q + 4 * a2_hi * q) + 1)]
+    per_a2 = []
+    for a2 in range(a2_lo, a2_hi + 1):
+        f, b = 4 * a2, valuation(4 * a2, p)
+        roots: dict[int, list[int]] = {}
+        for x in range(f):
+            roots.setdefault(x * x % f, []).append(x)
+        per_a2.append((a2, f, b, p**b, pow(f // p**b, -1, top), roots))
+    return top, twice_v, per_a2
+
+
 def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                            a1_values) -> dict[int, list[int]]:
     """The n = 2 disc histogram of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi].
@@ -258,26 +296,16 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
 
     Irreducibility.  A quadratic with D != 0 is reducible over Q iff it has
     a rational root, iff D is the square of a rational, iff D = m^2 for an
-    integer m >= 1.  D = m^2 reads a_0 = (A - m^2)/F, an integer iff
-    m^2 = A mod F, and in the box iff A - F Q <= m^2 <= A + F Q.  Distinct
-    m >= 1 give distinct a_0, so each such m takes one record at level
-    v_p(m^2) = 2 v_p(m) out of count_irr.  The m are stepped through the
-    residues mod F whose squares are A mod F, from a table built once per a_2.
+    integer m >= 1.  Distinct m >= 1 give distinct a_0, so each m that
+    _square_roots_in lists takes one record at level v_p(m^2) = 2 v_p(m) out
+    of count_irr.  The walk is inline here: as a generator call per block it
+    cost this loop about 5%.
     """
     q = height_bound
     size = 2 * q + 1
-    top = p ** _ceil_log(size, p)
-    # v_p(m^2) for 0 < m <= sqrt(A + F Q), which covers m = |a_1| too
-    twice_v = [0] + [2 * valuation(m, p) for m in range(1, math.isqrt(q * q + 4 * a2_hi * q) + 1)]
+    top, twice_v, per_a2 = _quadratic_tables(p, q, a2_lo, a2_hi)
     hist: dict[int, list[int]] = {}
-    for a2 in range(a2_lo, a2_hi + 1):
-        f = 4 * a2
-        b = valuation(f, p)
-        pb = p**b
-        inv = pow(f // pb, -1, top)  # (-B')^(-1) mod p^J
-        square_roots: dict[int, list[int]] = {}  # s -> the m mod F with m^2 = s mod F
-        for m in range(f):
-            square_roots.setdefault(m * m % f, []).append(m)
+    for a2, f, b, pb, inv, square_roots in per_a2:
         for a1 in a1_values:
             a = a1 * a1
             if a1 and twice_v[abs(a1)] < b:
@@ -291,7 +319,7 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                 while cnt > 1:
                     m_next = m * p
                     r_next = r_top % m_next
-                    cnt_next = (q - r_next) // m_next - (-q - 1 - r_next) // m_next
+                    cnt_next = _class_count(r_next, m_next, q)
                     lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
                     _hist_add(hist, level, cnt - cnt_next, lo, hi)
                     m, cnt, level = m_next, cnt_next, level + 1
@@ -401,7 +429,13 @@ def _run_shards(fn, shard_args, workers: int) -> tuple[list, int]:
     # at most one process per shard: under fork the pool starts all its workers at once
     started = min(workers, len(shard_args))
     with ProcessPoolExecutor(max_workers=started) as pool:
-        return list(pool.map(fn, shard_args)), started
+        try:
+            return list(pool.map(fn, shard_args)), started
+        except BaseException:
+            # leaving the block would wait for the running shards: stop them now
+            for proc in pool._processes.values():
+                proc.kill()
+            raise
 
 
 # --- separation census ---------------------------------------------------------
@@ -428,23 +462,123 @@ class SepCensus:
     workers_used: int  # the most worker processes any height level started
 
 
-def _sep_shard(args) -> dict[tuple, int]:
-    """(height, separation valuation, irreducible) -> count over one a_n range.
+def _nearest_irreducible(a: int, f: int, q: int, w: int, r: int, m: int, r_next: int,
+                         m_next: int) -> Optional[int]:
+    """The least |x| >= w over x in [-q, q], x = r mod m, with a - f x neither 0 nor a square.
 
-    Only distinct-root polynomials in the shell H in [Q/p, Q] are counted.
-    Keys are inserted in canonical order, which sep_census relies on to break
-    ties in max_exponent by the first irreducible record.
+    x != r_next mod m_next too, unless m_next = 0.  None when there is no such x.
+    """
+    up = range(w + (r - w) % m, q + 1, m)  # the members >= w, ascending
+    down = range(-w - (-w - r) % m, -q - 1, -m)  # the members <= -w, descending
+    for x in heapq.merge(up, down, key=abs):
+        d = a - f * x
+        if (not m_next or (x - r_next) % m_next) and (d < 0 or d and math.isqrt(d) ** 2 != d):
+            return abs(x)
+    return None
 
-    At n = 2 the shard runs its own loop over (a_2, a_1, a_0), with no record
-    kernel: H is checked before D = a_1^2 - 4 a_2 a_0 is formed, and the
-    valuation loop and the square test (P with D != 0 is reducible iff D is a
-    square) are inline.  It keys on 2 sep = v_p(D) - 2 v_p(a_2), from
-    D = a_2^2 (alpha_1 - alpha_2)^2; the one-to-one renaming at the end keeps
-    that order.
+
+def _quadratic_sep_blocks(p: int, t: int, a2_lo: int, a2_hi: int,
+                          a1_values) -> tuple[dict[tuple, int], dict]:
+    """The n = 2 _sep_shard of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi], Q = p^t.
+
+    a1_values is a subset of [-Q, Q].  Each block is counted over a_0 by the
+    descent of _quadratic_disc_blocks (its A, F, b, classes r_j mod p^j, z
+    and tail), with no record per a_0.  Write h_0 = max(a_2, |a_1|) and
+    s = floor(Q/p).  D = a_2^2 (alpha_1 - alpha_2)^2 gives
+    2 sep = v_p(D) - 2 v_p(a_2), so within a block each level is one sep.
+
+    Shell.  H = max(h_0, |a_0|), so H >= s iff h_0 >= s or |a_0| >= s.  The
+    block's a_0 set is the box [-Q, Q] when h_0 >= s, and otherwise the box
+    less the inner box [-(s - 1), s - 1] (then s > h_0 >= 1, so s - 1 >= 1).
+    A class holds count(box) - count(inner box) values of the set, and a
+    level the difference of two such counts: z drops out of each box that
+    holds it.  The tail value counts when it is in the set and is not z.
+    The reducible a_0 of the set are those of the box less those of the
+    inner box.
+
+    Least H.  A record of the set has H > 1 iff |a_0| >= w, where w = 0 when
+    h_0 >= max(s, 2) and w = max(s, 2) otherwise: then H >= s and H > 1 ask
+    max(h_0, |a_0|) >= max(s, 2) > h_0.  H does not fall as |a_0| grows, so
+    at one level the least H > 1 of an irreducible record comes from the
+    member of class j nearest 0 with |a_0| >= w that is not in class j + 1
+    (those lie at higher levels), not z and not reducible:
+    _nearest_irreducible walks out to it from w on both sides.  Every H > 1
+    in the block is >= max(h_0, w), so a level whose running least H is
+    already that small skips the walk.  Fed a_1 by |a_1| ascending, h_0
+    never falls within an a_2, and most blocks skip every walk.
+    """
+    q = p**t
+    s = q // p
+    size = 2 * q + 1
+    top, twice_v, per_a2 = _quadratic_tables(p, q, a2_lo, a2_hi)
+    counts: dict[int, int] = {}  # 2 sep -> records
+    reducible: dict[int, int] = {}  # 2 sep -> reducible records
+    least: dict[int, int] = {}  # 2 sep -> least H > 1 of an irreducible record
+
+    def add_level(tw, k, r, m, r_next, m_next):  # k records: r mod m, not r_next mod m_next
+        counts[tw] = counts.get(tw, 0) + k
+        if least.get(tw, q + 1) > max(h0, w):
+            x = _nearest_irreducible(a, f, q, w, r, m, r_next, m_next)
+            if x is not None:
+                least[tw] = min(least.get(tw, q + 1), max(h0, x))
+
+    for a2, f, b, pb, inv, roots in per_a2:
+        lead = 2 * valuation(a2, p)
+        for a1 in a1_values:
+            a = a1 * a1
+            h0 = max(a2, abs(a1))
+            inner = s - 1 if h0 < s else -1  # the set is the box less |a_0| <= inner
+            w = 0 if h0 >= max(s, 2) else max(s, 2)
+            if a1 and twice_v[abs(a1)] < b:
+                add_level(twice_v[abs(a1)] - lead, size - max(2 * inner + 1, 0), 0, 1, 0, 0)
+            else:
+                r_top = (a // pb) * inv % top
+                m, cnt, cnt_in, level = 1, size, max(2 * inner + 1, 0), b
+                while cnt > 1:
+                    m_next = m * p
+                    r_next = r_top % m_next
+                    cnt_next = _class_count(r_next, m_next, q)
+                    in_next = _class_count(r_next, m_next, inner) if inner > 0 else 0
+                    if cnt - cnt_next - cnt_in + in_next:
+                        add_level(level - lead, cnt - cnt_next - cnt_in + in_next,
+                                  r_top % m, m, r_next, m_next)
+                    m, cnt, cnt_in, level = m_next, cnt_next, in_next, level + 1
+                if cnt:
+                    x = -q + (r_top % m + q) % m
+                    if a != f * x and abs(x) > inner:
+                        add_level(valuation(a - f * x, p) - lead, 1, x, m, 0, 0)
+            for m in _square_roots_in(a, f, q, roots):
+                reducible[twice_v[m] - lead] = reducible.get(twice_v[m] - lead, 0) + 1
+            if inner > 0:
+                for m in _square_roots_in(a, f, inner, roots):
+                    reducible[twice_v[m] - lead] -= 1
+    half = {tw: tw // 2 if tw % 2 == 0 else Fraction(tw, 2) for tw in counts}
+    shard = {(half[tw], True): c - reducible.get(tw, 0)
+             for tw, c in counts.items() if c > reducible.get(tw, 0)}
+    shard.update(((half[tw], False), c) for tw, c in reducible.items() if c)
+    return shard, {half[tw]: h for tw, h in least.items()}
+
+
+def _cubic_sep(va3: int, vu: Optional[int], v: int):
+    """A cubic's separation from v_p(a_3), v_p(u) (None for u = 0) and v_p(D); see _sep_shard."""
+    return _first_slope(6, v + 2 * va3, [(0, 0)] if vu is None else [(0, 0), (4, 2 * vu)], va3)
+
+
+def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
+    """({(sep, irreducible): count}, {sep: least H > 1 of an irreducible record}).
+
+    Over one a_n range, sep the separation valuation; only distinct-root
+    polynomials in the shell H in [Q/p, Q] are counted.  sep_census reads H
+    only through max_exponent, which needs no more than the least H per sep.
+
+    At n = 2 every (a_2, a_1) block is counted in closed form by
+    _quadratic_sep_blocks, a_1 by |a_1| ascending for its walk skip.
 
     At n = 3 the separation is read off v_p(D), v_p(a_3) and v_p(u),
     u = 3 a_1 a_3 - a_2^2, by the slope rule of min_conjugate_separation
-    (roots._first_slope), memoised per shard since it depends on nothing else.
+    (roots._first_slope).  It depends on nothing else, so the records are
+    counted by (v_p(a_3), v_p(u), v_p(D), irreducible) and each key is mapped
+    to its sep once, at the end.
     That rule reads R(y) = prod_(i != j) (y - beta_i + beta_j), beta_i = a_3 alpha_i,
     and for a cubic R(y) = y^6 + E_2 y^4 + E_4 y^2 + E_6 with
         E_2 = 2u,   E_4 = u^2,   E_6 = -a_3^2 D.
@@ -466,37 +600,17 @@ def _sep_shard(args) -> dict[tuple, int]:
     polygon, and the shard passes the rule only (0, 0) and (4, 2 v_p(u)).
     """
     n, p, t, an_lo, an_hi = args
-    shell_lo = p**t // p
-    hist: dict[tuple, int] = {}
     if n == 2:
-        rng = range(-p**t, p**t + 1)
-        for a2 in range(an_lo, an_hi + 1):
-            four_a2, twice_lead = 4 * a2, 2 * valuation(a2, p)
-            for a1 in rng:
-                a1sq = a1 * a1
-                # H = max(a_2, |a_1|, |a_0|) by comparisons: a max() call costs more
-                m = a1 if a1 > a2 else -a1 if -a1 > a2 else a2
-                for a0 in rng:
-                    h = a0 if a0 > m else -a0 if -a0 > m else m
-                    if h < shell_lo:
-                        continue
-                    disc = a1sq - four_a2 * a0
-                    if disc == 0:
-                        continue
-                    # the valuation inline: a padic.valuation call made this loop about 1.6x slower
-                    tw = -twice_lead  # ends at v_p(D) - 2 v_p(a_2)
-                    d = disc
-                    while d % p == 0:
-                        d //= p
-                        tw += 1
-                    key = (h, tw, disc < 0 or math.isqrt(disc) ** 2 != disc)
-                    hist[key] = hist.get(key, 0) + 1
-        return {(h, tw // 2 if tw % 2 == 0 else Fraction(tw, 2), irr): cnt
-                for (h, tw, irr), cnt in hist.items()}
+        q = p**t
+        return _quadratic_sep_blocks(p, t, an_lo, an_hi, sorted(range(-q, q + 1), key=abs))
+    shell_lo = p**t // p
+    counts: dict[tuple, int] = {}
+    least: dict = {}
     records = _records(n, p, p**t, an_lo, an_hi)
     if n == 3:
         v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)}
-        memo: dict[tuple, dict] = {}  # (v_p(a_3), v_p(u)) -> {v_p(D): sep}
+        raw: dict[tuple, int] = {}  # (v_p(a_3), v_p(u), v_p(D), irreducible) -> count
+        raw_least: dict[tuple, int] = {}  # (v_p(a_3), v_p(u), v_p(D)) -> least H > 1, irreducible
         last_a1 = None
         for (a0, a1, a2, a3), _, v, irr in records:
             if a1 != last_a1:  # in canonical order a_1 changes with every (a_3, a_2, a_1)
@@ -504,23 +618,30 @@ def _sep_shard(args) -> dict[tuple, int]:
                 m = max(a3, abs(a2), abs(a1))
                 u = 3 * a1 * a3 - a2 * a2
                 va3, vu = v_lead[a3], valuation(u, p) if u else None
-                seps = memo.setdefault((va3, vu), {})
             if v is None:
                 continue
             h = a0 if a0 > m else -a0 if -a0 > m else m
             if h >= shell_lo:
-                sep = seps.get(v)
-                if sep is None:
-                    terms = [(0, 0)] if vu is None else [(0, 0), (4, 2 * vu)]
-                    sep = seps[v] = _first_slope(6, v + 2 * va3, terms, va3)
-                key = (h, sep, irr)
-                hist[key] = hist.get(key, 0) + 1
-        return hist
+                key = (va3, vu, v, irr)
+                raw[key] = raw.get(key, 0) + 1
+                if irr and h > 1:
+                    key = (va3, vu, v)
+                    if h < raw_least.get(key, h + 1):
+                        raw_least[key] = h
+        for (va3, vu, v, irr), cnt in raw.items():
+            key = (_cubic_sep(va3, vu, v), irr)
+            counts[key] = counts.get(key, 0) + cnt
+        for (va3, vu, v), h in raw_least.items():
+            sep = _cubic_sep(va3, vu, v)
+            least[sep] = min(least.get(sep, h), h)
+        return counts, least
     for coeffs, _, v, irr in records:
         if v is not None and (h := max(map(abs, coeffs))) >= shell_lo:
-            key = (h, min_conjugate_separation(IntPoly(coeffs), p).val, irr)
-            hist[key] = hist.get(key, 0) + 1
-    return hist
+            key = (min_conjugate_separation(IntPoly(coeffs), p).val, irr)
+            counts[key] = counts.get(key, 0) + 1
+            if irr and h > 1:
+                least[key[0]] = min(least.get(key[0], h), h)
+    return counts, least
 
 
 def _exp_less(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
@@ -539,8 +660,17 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
 
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
-    Rows and max_exponent are read off the merged (H, sep, irreducible)
-    histogram.  A negative theta is a ValueError, raised before any shard runs.
+    Rows are read off the summed (sep, irreducible) counts of the shards.
+    A negative theta is a ValueError, raised before any shard runs.
+
+    max_exponent is the largest sep / log_p H over irreducible shell records
+    with H > 1, found exactly by _exp_less over the seps in ascending order
+    from the least H per sep (the minimum over the shards), an exact tie
+    going to the smaller sep; the float is then (sep num / sep den) / log(H, p).
+    For sep > 0 the least H gives the largest sep / log_p H.  Seps <= 0 never
+    decide: for t >= 1 the first shard holds x^n + Q x + p, Eisenstein at p
+    with H = Q, whose roots all have valuation 1/n, so sep >= 1/n > 0; and
+    t = 0 has no H > 1.
     """
     q = _census_inputs(n, p, t_grid, 0)
     thetas = [Fraction(th) for th in theta_grid]
@@ -555,27 +685,29 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             complete = False
             break
         seen_total += poly_count(n, hb)
-        hist: dict[tuple, int] = {}
+        counts: dict[tuple, int] = {}
+        least: dict = {}
         shards, started = _run_shards(_sep_shard,
                                       [(n, q, t, lo, hi) for lo, hi in _shards(hb)], workers)
         used = max(used, started)
-        for shard in shards:
-            for key, cnt in shard.items():
-                hist[key] = hist.get(key, 0) + cnt
+        for shard_counts, shard_least in shards:
+            for key, cnt in shard_counts.items():
+                counts[key] = counts.get(key, 0) + cnt
+            for sep, h in shard_least.items():
+                least[sep] = min(least.get(sep, h), h)
         best = None  # (sep num, sep den, height) of the largest sep / log H
-        for h, sep, irr in hist:
-            if irr and h > 1:
-                cand = (sep.numerator, sep.denominator, h)
-                if best is None or _exp_less(best, cand):
-                    best = cand
+        for sep in sorted(least):
+            cand = (sep.numerator, sep.denominator, least[sep])
+            if best is None or _exp_less(best, cand):
+                best = cand
         max_exp = None
         if best is not None:
             sn, sd, h = best
             max_exp = (sn / sd) / math.log(h, q)
         for theta in thetas:
             floor = theta * t - c0_exp
-            ca = sum(cnt for (_, sep, _), cnt in hist.items() if sep >= floor)
-            ci = sum(cnt for (_, sep, irr), cnt in hist.items() if irr and sep >= floor)
+            ca = sum(cnt for (sep, _), cnt in counts.items() if sep >= floor)
+            ci = sum(cnt for (sep, irr), cnt in counts.items() if irr and sep >= floor)
             rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
     return SepCensus(rows, complete, seen_total, used)
 

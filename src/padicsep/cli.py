@@ -8,7 +8,8 @@ time, and the workers used by a census or the short-vector routes taken by
 generate) go to an unhashed `<kind>_telemetry.json` sidecar next to the summary.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 resource cap hit (partial artifacts are flagged).  Every configuration
+3 resource cap hit (partial artifacts are flagged), 143 stopped by SIGTERM
+(census workers are stopped too).  Every configuration
 error is a ConfigError naming the flag at fault; main() alone turns it into
 one {"error", "field"} JSON line on stderr and its exit code.
 """
@@ -21,7 +22,9 @@ import json
 import math
 import os
 import random
+import signal
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -655,17 +658,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
+    # SIGTERM unwinds as SystemExit(143), so a census pool stops its workers on the way out
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:
         return args.func(args)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "field": exc.field, **exc.detail}) + "\n")
         return exc.code
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

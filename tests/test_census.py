@@ -10,6 +10,7 @@ from padicsep.census import (
     _census_inputs,
     _disc_shard,
     _quadratic_disc_blocks,
+    _quadratic_sep_blocks,
     _records,
     _sep_shard,
     _shards,
@@ -296,6 +297,44 @@ def test_sep_census_cubic_against_recount():
             assert math.isclose(row.max_exponent, best, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("p, t_max", [(2, 4), (3, 2)])
+def test_sep_census_quadratic_against_recount(p, t_max):
+    # every quadratic in the shell H in [Q/p, Q], both signs of a_2, counted directly
+    thetas = [Fraction(0), Fraction(1, 2), Fraction(1)]
+    res = sep_census(2, p, list(range(t_max + 1)), thetas, workers=2)
+    assert res.complete
+    for t in range(t_max + 1):
+        q = p**t
+        seps = []  # (separation valuation, height, irreducible)
+        for coeffs in itertools.product(range(-q, q + 1), repeat=3):
+            poly = IntPoly(coeffs)
+            if coeffs[2] == 0 or poly.height < q // p or discriminant(poly) == 0:
+                continue
+            irr = bool(is_irreducible(content_primitive(poly)[1]))
+            seps.append((Fraction(min_conjugate_separation(poly, p).val), poly.height, irr))
+        exps = [float(sep) / math.log(h, p) for sep, h, irr in seps if irr and h > 1]
+        rows = [r for r in res.rows if r.t == t]
+        assert [r.theta for r in rows] == thetas
+        for row in rows:
+            assert row.count_all == sum(1 for sep, _, _ in seps if sep >= row.theta * t)
+            assert row.count_irr == sum(1 for sep, _, irr in seps if irr and sep >= row.theta * t)
+            if exps:
+                assert math.isclose(row.max_exponent, max(exps), rel_tol=1e-12)
+            else:
+                assert t == 0 and row.max_exponent is None
+
+
+def test_max_exponent_breaks_exact_ties_to_the_smallest_sep(monkeypatch):
+    # 1 / log_2 3 = 3 / log_2 27 exactly, but the two floats differ in the last bit
+    assert 1 / math.log(3, 2) != 3 / math.log(27, 2)
+    half = Fraction(1, 2)
+    shard = ({(3, True): 1, (1, True): 1, (half, True): 1}, {3: 27, 1: 3, half: 3})
+    monkeypatch.setattr("padicsep.census._sep_shard", lambda args: shard)
+    row, = sep_census(2, 2, [1], [Fraction(1)]).rows
+    assert row.max_exponent == 1 / math.log(3, 2)
+    assert (row.count_all, row.count_irr) == (4, 4)
+
+
 def test_fit_exponent_examples():
     assert abs(fit_exponent([(10, 100), (100, 10000)]).slope - 2) < 1e-12
     assert abs(fit_exponent([(10, 7), (40, 7), (160, 7)]).slope) < 1e-12
@@ -449,14 +488,29 @@ def test_census_results_record_the_processes_started(monkeypatch):
     assert sep_census(2, 2, [3, 8], theta, workers=8, max_records=10**4).workers_used == 0
 
 
+def _sep_tally(counts, least, sep, irr, h):
+    """The _sep_shard reduction of one shell record, done the slow way."""
+    counts[sep, irr] = counts.get((sep, irr), 0) + 1
+    if irr and h > 1:
+        least[sep] = min(least.get(sep, h), h)
+
+
+def _assert_same_shard(got, expect, label):
+    assert got == expect, label
+    # Fraction(2) == 2: compare the key types as well
+    for g, e in zip(got, expect):
+        assert {k: type(k[0] if isinstance(k, tuple) else k) for k in g} == \
+            {k: type(k[0] if isinstance(k, tuple) else k) for k in e}, label
+
+
 def test_n2_sep_shard_against_per_record_recount():
     # the closed-form shard against min_conjugate_separation on every quadratic
-    # of every shard: keys, their types and their insertion order
+    # of every shard, reduced to (sep, irr) counts and the least H > 1 per sep
     zero_below_shell = fractional = 0
     for p, t in ((2, 0), (2, 1), (2, 2), (2, 3), (2, 4), (3, 0), (3, 1), (3, 2), (5, 1), (7, 1)):
         q = p**t
         for lo, hi in _shards(q):
-            expect: dict = {}
+            counts, least = {}, {}
             for a2 in range(lo, hi + 1):
                 for a1 in range(-q, q + 1):
                     for a0 in range(-q, q + 1):
@@ -470,37 +524,95 @@ def test_n2_sep_shard_against_per_record_recount():
                         # D = a_2^2 (alpha_1 - alpha_2)^2
                         assert 2 * sep + 2 * valuation(a2, p) == valuation(disc, p)
                         irr = bool(is_irreducible(content_primitive(poly)[1]))
-                        key = (h, sep, irr)
-                        expect[key] = expect.get(key, 0) + 1
+                        _sep_tally(counts, least, sep, irr, h)
                         fractional += type(sep) is Fraction
-            got = _sep_shard((2, p, t, lo, hi))
-            assert list(got.items()) == list(expect.items()), (p, t, lo)
-            assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+            _assert_same_shard(_sep_shard((2, p, t, lo, hi)), (counts, least), (p, t, lo))
     assert zero_below_shell and fractional
     assert _shards(16) == [(1, 8), (9, 16)]
 
 
 def test_n3_sep_shard_against_per_record_recount():
     # the closed-form shard against min_conjugate_separation record by record
-    # on every shard: keys, their types and their insertion order
+    # on every shard, reduced to (sep, irr) counts and the least H > 1 per sep
     zero_u = lead_div = fractional = 0
     for p, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)):
         q = p**t
         for lo, hi in _shards(q):
-            expect: dict = {}
+            counts, least = {}, {}
             for (a0, a1, a2, a3), _, v, irr in _records(3, p, q, lo, hi):
                 h = max(abs(a0), abs(a1), abs(a2), a3)
                 if v is None or h < q // p:
                     continue
-                key = (h, min_conjugate_separation(IntPoly([a0, a1, a2, a3]), p).val, irr)
-                expect[key] = expect.get(key, 0) + 1
+                sep = min_conjugate_separation(IntPoly([a0, a1, a2, a3]), p).val
+                _sep_tally(counts, least, sep, irr, h)
                 zero_u += 3 * a1 * a3 == a2 * a2
                 lead_div += a3 % p == 0
-                fractional += type(key[1]) is Fraction
-            got = _sep_shard((3, p, t, lo, hi))
-            assert list(got.items()) == list(expect.items()), (p, t, lo)
-            assert [type(k[1]) for k in got] == [type(k[1]) for k in expect], (p, t, lo)
+                fractional += type(sep) is Fraction
+            _assert_same_shard(_sep_shard((3, p, t, lo, hi)), (counts, least), (p, t, lo))
     assert zero_u and lead_div and fractional
+
+
+def _brute_sep_block(p, t, a2, a1):
+    """The n = 2 sep counts and least H of one block (a_2, a_1), over a_0 in
+    [-Q, Q] record by record, with the cases the closed form must handle."""
+    q, s = p**t, p**t // p
+    counts, least, levels = {}, {}, {}
+    for a0 in range(-q, q + 1):
+        d = a1 * a1 - 4 * a2 * a0
+        h = max(a2, abs(a1), abs(a0))
+        if d and h >= s:
+            sep = Fraction(valuation(d, p) - 2 * valuation(a2, p), 2)
+            sep = int(sep) if sep.denominator == 1 else sep
+            irr = d < 0 or math.isqrt(d) ** 2 != d
+            _sep_tally(counts, least, sep, irr, h)
+            if h > 1:
+                levels.setdefault(sep, []).append((abs(a0), irr))
+    # the descent's class j is {a_0 : v_p(D) >= v_p(4 a_2) + j}, z included
+    b = valuation(4 * a2, p)
+    j = 0
+    while True:
+        members = [a0 for a0 in range(-q, q + 1)
+                   if a1 * a1 == 4 * a2 * a0 or valuation(a1 * a1 - 4 * a2 * a0, p) >= b + j]
+        if len(members) <= 1:
+            break
+        j += 1
+    single_level = a1 != 0 and valuation(a1 * a1, p) < b
+    tail = members[0] if len(members) == 1 and a1 * a1 != 4 * a2 * members[0] else None
+    nearest = [min(recs)[0] for recs in levels.values()]
+    cases = {
+        "h0 < s": max(a2, abs(a1)) < s,
+        "h0 >= s": max(a2, abs(a1)) >= s,
+        "D = 0 in box": a1 * a1 % (4 * a2) == 0 and abs(a1 * a1 // (4 * a2)) <= q,
+        # every record of the level nearest 0 is reducible: the walk must step past it
+        "reducible nearest 0": any(not any(irr for x, irr in recs if x == lo)
+                                   for lo, recs in zip(nearest, levels.values())),
+        "one-member tail": not single_level and tail is not None
+        and max(a2, abs(a1), abs(tail)) >= s,
+        "v(a1^2) < v(4 a2)": single_level,
+        "t = 0": t == 0,
+    }
+    return (counts, least), cases
+
+
+def test_quadratic_sep_blocks_seeded_against_brute_force():
+    # single (a_2, a_1) blocks at Q = 2^8, 3^5 and 1 against a direct count over a_0
+    rng = random.Random(29)
+    blocks = [(2, 0, 1, 0), (3, 0, 1, 1), (2, 8, 1, 0), (2, 8, 3, 5), (3, 5, 9, 0), (2, 8, 16, 8)]
+    while len(blocks) < 160:
+        p, t = rng.choice([(2, 8), (3, 5)])
+        q = p**t
+        a2 = rng.choice([rng.randint(1, q), rng.randint(1, q // p), p * rng.randint(1, q // p**2)])
+        a1 = rng.choice([rng.randint(-q, q), rng.randint(-q // p, q // p), 0,
+                         2 * a2 * rng.choice([-2, -1, 1, 2]), p**rng.randint(0, t)])
+        if abs(a1) <= q:
+            blocks.append((p, t, a2, a1))
+    seen: dict = {}
+    for p, t, a2, a1 in blocks:
+        expect, cases = _brute_sep_block(p, t, a2, a1)
+        _assert_same_shard(_quadratic_sep_blocks(p, t, a2, a2, [a1]), expect, (p, t, a2, a1))
+        for name, hit in cases.items():
+            seen[name] = seen.get(name, 0) + hit
+    assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("p, q", [(2, 4), (3, 5), (5, 3), (2, 9)])

@@ -1,7 +1,10 @@
 import argparse
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -404,3 +407,57 @@ def test_malformed_flag_values_exit_cleanly(command, flag, value, tmp_path, monk
         errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert len(errors) == 1 and errors[0]["field"], argv
         assert sorted(tmp_path.iterdir()) == before, argv
+
+
+def _child_pids(pid: int) -> list[int]:
+    """The live processes whose parent is pid, read off /proc/<pid>/stat."""
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_sigterm_stops_census_workers(tmp_path):
+    # SIGTERM to a census with a worker pool exits 143 and leaves no worker behind
+    proc = subprocess.Popen([sys.executable, "-m", "padicsep.cli", "disc-census", "--n", "3",
+                             "--p", "2", "--q-grid", "32", "--nu", "1/2", "--workers", "2",
+                             "--out-dir", str(tmp_path)],
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    kids: list[int] = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(kids) < 2 and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+            kids = _child_pids(proc.pid)
+        assert len(kids) == 2, "the census never started its two workers"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        deadline = time.monotonic() + 5
+        while any(Path(f"/proc/{k}").exists() for k in kids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not [k for k in kids if Path(f"/proc/{k}").exists()]
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+        for k in kids:
+            if Path(f"/proc/{k}").exists():
+                os.kill(k, signal.SIGKILL)
+
+
+def test_main_restores_the_sigterm_handler(capsys):
+    def mine(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, mine)
+    try:
+        assert main(["sep-census", "--n", "1", "--p", "2", "--q-grid", "4", "--theta", "1"]) == 2
+        assert signal.getsignal(signal.SIGTERM) is mine
+    finally:
+        signal.signal(signal.SIGTERM, previous)
