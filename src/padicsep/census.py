@@ -115,18 +115,46 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
             yield coeffs, disc, valuation(disc, p), bool(is_irreducible(prim))
 
 
-def _census_inputs(n: int, p, bounds: Sequence[int], least: int) -> int:
-    """The census entry check: the validated p, or ValueError before any shard runs.
+def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence,
+                   consts: Sequence[int]) -> tuple[int, list[Fraction]]:
+    """The census entry check: p and the rates validated, or ValueError before any shard runs.
 
-    n must be an integer >= 2 and every bound (a height Q, or an exponent t
-    of Q = p^t) an integer >= least.
+    n >= 2, every bound (Q, or t of Q = p^t) >= least and every constant
+    exponent (c_exp or c0_exp) must be integers, and every rate (nu or theta) >= 0.
     """
     q = _as_p(p)
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"need an integer degree n >= 2, got {n!r}")
     if not all(isinstance(b, int) and b >= least for b in bounds):
         raise ValueError(f"every bound must be an integer >= {least}, got {list(bounds)}")
-    return q
+    fracs = [Fraction(r) for r in rates]
+    if any(r < 0 for r in fracs):
+        raise ValueError(f"every nu or theta must be >= 0, got {[str(r) for r in fracs]}")
+    if not all(isinstance(c, int) for c in consts):
+        raise ValueError(f"every constant exponent must be an integer, got {list(consts)}")
+    return q, fracs
+
+
+def _census_grid(fn, n: int, q: int, keys: Sequence[int], heights: Sequence[int], workers: int,
+                 max_records: Optional[int]) -> tuple[list[list], int, bool, int]:
+    """(Per level shard results in shard order, records seen, complete, processes started).
+
+    Level i has height heights[i] and hands its shards keys[i] (Q, or t of
+    Q = p^t).  It runs only if the running record total, that level included,
+    stays within max_records; all levels that run go through one _run_shards.
+    """
+    levels, seen = [], 0
+    for key, hb in zip(keys, heights):
+        if max_records is not None and seen + poly_count(n, hb) > max_records:
+            break
+        seen += poly_count(n, hb)
+        levels.append([(n, q, key, lo, hi) for lo, hi in _shards(hb)])
+    # one pool per call, and none unless some level has two shards to spread
+    spread = workers if any(len(level) > 1 for level in levels) else 1
+    results, started = _run_shards(fn, [a for level in levels for a in level], spread)
+    it = iter(results)
+    return ([list(itertools.islice(it, len(level))) for level in levels], seen,
+            len(levels) == len(keys), started)
 
 
 # --- discriminant census ------------------------------------------------------
@@ -172,21 +200,21 @@ class DiscCensus:
     stats: list[PrimePowerStat]
     complete: bool
     records_seen: int
-    workers_used: int  # the most worker processes any height level started
+    workers_used: int  # the worker processes the call started, 0 when all ran in-process
 
 
-def _hist_add(hist: dict[int, list[int]], v: int, cnt: int, min_ad: int, max_ad: int) -> None:
-    """Merge cnt records at level v, all irreducible so far, with |D| in [min_ad, max_ad]."""
+def _hist_add(hist: dict[int, list[int]], v: int, cnt: int, irr: int, lo: int, hi: int) -> None:
+    """Merge cnt records at level v, irr of them irreducible, with |D| in [lo, hi]."""
     entry = hist.get(v)
     if entry is None:
-        hist[v] = [cnt, cnt, min_ad, max_ad]
+        hist[v] = [cnt, irr, lo, hi]
         return
     entry[0] += cnt
-    entry[1] += cnt
-    if min_ad < entry[2]:
-        entry[2] = min_ad
-    if max_ad > entry[3]:
-        entry[3] = max_ad
+    entry[1] += irr
+    if lo < entry[2]:
+        entry[2] = lo
+    if hi > entry[3]:
+        entry[3] = hi
 
 
 def _level_extremes(a: int, f: int, q: int, r: int, m: int, r_next: int,
@@ -312,7 +340,7 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                 # one level: |D| is least at the integer nearest A/F >= 0, greatest at a_0 = -Q
                 x = a // f
                 lo = a - f * q if x >= q else min(a - f * x, f * (x + 1) - a)
-                _hist_add(hist, twice_v[abs(a1)], size, lo, a + f * q)
+                _hist_add(hist, twice_v[abs(a1)], size, size, lo, a + f * q)
             else:
                 r_top = (a // pb) * inv % top
                 m, cnt, level = 1, size, b
@@ -321,13 +349,13 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                     r_next = r_top % m_next
                     cnt_next = _class_count(r_next, m_next, q)
                     lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
-                    _hist_add(hist, level, cnt - cnt_next, lo, hi)
+                    _hist_add(hist, level, cnt - cnt_next, cnt - cnt_next, lo, hi)
                     m, cnt, level = m_next, cnt_next, level + 1
                 if cnt:
                     x = -q + (r_top % m + q) % m
                     d = a - f * x
                     if d:
-                        _hist_add(hist, valuation(d, p), 1, abs(d), abs(d))
+                        _hist_add(hist, valuation(d, p), 1, 1, abs(d), abs(d))
             low = a - f * q
             m_lo = math.isqrt(low - 1) + 1 if low > 1 else 1
             m_hi = math.isqrt(a + f * q)
@@ -383,32 +411,18 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     unrestricted and the irreducible-only versions, plus the prime-power
     split statistic of the discriminant values.  Every row is read off the
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
-    A negative nu is a ValueError, raised before any shard runs.
+    A negative nu or non-integer c_exp is a ValueError before any shard runs.
     """
-    q = _census_inputs(n, p, height_grid, 1)
-    nus = [Fraction(nu) for nu in nu_grid]
-    if any(nu < 0 for nu in nus):
-        raise ValueError(f"every nu must be >= 0, got {[str(nu) for nu in nus]}")
+    q, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps)
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
-    complete = True
-    seen_total = used = 0
-    for hb in height_grid:
-        if max_records is not None and seen_total + poly_count(n, hb) > max_records:
-            complete = False
-            break
-        seen_total += poly_count(n, hb)
+    levels, seen, complete, used = _census_grid(_disc_shard, n, q, height_grid, height_grid,
+                                                workers, max_records)
+    for hb, shards in zip(height_grid, levels):
         hist: dict[int, list[int]] = {}
-        shards, started = _run_shards(_disc_shard,
-                                      [(n, q, hb, lo, hi) for lo, hi in _shards(hb)], workers)
-        used = max(used, started)
         for shard in shards:
-            for k, (cnt, cnt_irr, min_ad, max_ad) in shard.items():
-                tgt = hist.setdefault(k, [0, 0, min_ad, max_ad])
-                tgt[0] += cnt
-                tgt[1] += cnt_irr
-                tgt[2] = min(tgt[2], min_ad)
-                tgt[3] = max(tgt[3], max_ad)
+            for k, entry in shard.items():
+                _hist_add(hist, k, *entry)
         for nu in nus:
             for ce in c_exps:
                 thr = disc_threshold(q, hb, nu, ce)
@@ -419,7 +433,7 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
         for k in sorted(hist):
             cnt, cnt_irr, min_ad, max_ad = hist[k]
             stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // q**k, max_ad))
-    return DiscCensus(rows, stats, complete, seen_total, used)
+    return DiscCensus(rows, stats, complete, seen, used)
 
 
 def _run_shards(fn, shard_args, workers: int) -> tuple[list, int]:
@@ -459,7 +473,7 @@ class SepCensus:
     rows: list[SepCensusRow]
     complete: bool
     records_seen: int
-    workers_used: int  # the most worker processes any height level started
+    workers_used: int  # the worker processes the call started, 0 when all ran in-process
 
 
 def _nearest_irreducible(a: int, f: int, q: int, w: int, r: int, m: int, r_next: int,
@@ -661,7 +675,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
     Rows are read off the summed (sep, irreducible) counts of the shards.
-    A negative theta is a ValueError, raised before any shard runs.
+    A negative theta or non-integer c0_exp is a ValueError before any shard runs.
 
     max_exponent is the largest sep / log_p H over irreducible shell records
     with H > 1, found exactly by _exp_less over the seps in ascending order
@@ -672,24 +686,13 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     with H = Q, whose roots all have valuation 1/n, so sep >= 1/n > 0; and
     t = 0 has no H > 1.
     """
-    q = _census_inputs(n, p, t_grid, 0)
-    thetas = [Fraction(th) for th in theta_grid]
-    if any(th < 0 for th in thetas):
-        raise ValueError(f"every theta must be >= 0, got {[str(th) for th in thetas]}")
+    q, thetas = _census_inputs(n, p, t_grid, 0, theta_grid, [c0_exp])
     rows: list[SepCensusRow] = []
-    complete = True
-    seen_total = used = 0
-    for t in t_grid:
-        hb = q**t
-        if max_records is not None and seen_total + poly_count(n, hb) > max_records:
-            complete = False
-            break
-        seen_total += poly_count(n, hb)
+    levels, seen, complete, used = _census_grid(_sep_shard, n, q, t_grid, [q**t for t in t_grid],
+                                                workers, max_records)
+    for t, shards in zip(t_grid, levels):
         counts: dict[tuple, int] = {}
         least: dict = {}
-        shards, started = _run_shards(_sep_shard,
-                                      [(n, q, t, lo, hi) for lo, hi in _shards(hb)], workers)
-        used = max(used, started)
         for shard_counts, shard_least in shards:
             for key, cnt in shard_counts.items():
                 counts[key] = counts.get(key, 0) + cnt
@@ -709,7 +712,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             ca = sum(cnt for (sep, _), cnt in counts.items() if sep >= floor)
             ci = sum(cnt for (sep, irr), cnt in counts.items() if irr and sep >= floor)
             rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
-    return SepCensus(rows, complete, seen_total, used)
+    return SepCensus(rows, complete, seen, used)
 
 
 # --- exponent fitting -----------------------------------------------------------
@@ -816,11 +819,13 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     Sampling is uniform over x mod p^(max b_i + 4); blocks of 512 samples use
     seeds derived from (seed, block), so results do not depend on the worker
     count.  Returns the exact hit fraction with a 95% Wilson interval.
-    threshold_exp must be an integer >= 0 (epsilon, delta <= 1), or this is a
-    ValueError, raised before any block runs.
+    threshold_exp must be an integer >= 0 (epsilon, delta <= 1) and samples an
+    integer >= 1, or this is a ValueError, raised before any block runs.
     """
     if not isinstance(threshold_exp, int) or threshold_exp < 0:
         raise ValueError(f"threshold_exp must be an integer >= 0, got {threshold_exp!r}")
+    if not isinstance(samples, int) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     p = params.p
     bb = list(params.b)
     if mode == "short-vector":
@@ -834,18 +839,8 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
         require_top = True
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-
-    blocks = []
-    done = 0
-    idx = 0
-    while done < samples:
-        count = min(_SAMPLE_BLOCK, samples - done)
-        block_seed = f"{seed}:{idx}"
-        blocks.append((p, bb, radius, require_top, count, block_seed))
-        done += count
-        idx += 1
+    blocks = [(p, bb, radius, require_top, min(_SAMPLE_BLOCK, samples - done), f"{seed}:{idx}")
+              for idx, done in enumerate(range(0, samples, _SAMPLE_BLOCK))]
     hits = sum(_run_shards(_measure_block, blocks, workers)[0])
     lo, hi = _wilson(hits, samples)
     return MeasureEstimate(mode, threshold_exp, samples, hits,

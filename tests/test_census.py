@@ -415,6 +415,17 @@ def test_measure_estimate_rejects_threshold_exp(mode, threshold_exp):
         measure_estimate(params, threshold_exp, mode=mode, samples=10, seed=0, i_pinch=0, c2=9)
 
 
+@pytest.mark.parametrize("samples", [2.5, 0, -3, Fraction(4)], ids=["float", "zero", "negative",
+                                                                     "fraction"])
+def test_measure_estimate_rejects_samples(samples, monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block ran before samples was checked")
+
+    monkeypatch.setattr("padicsep.census._run_shards", no_blocks)
+    with pytest.raises(ValueError, match="samples"):
+        measure_estimate(XiParams(3, 2, (4, 2, 0)), 1, samples=samples, seed=0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: disc_census(-1, 3, [2], [Fraction(1, 2)]),
     lambda: disc_census(1, 3, [2], [Fraction(1, 2)]),
@@ -426,11 +437,14 @@ def test_measure_estimate_rejects_threshold_exp(mode, threshold_exp):
     lambda: sep_census(2, 2, [1.5], [Fraction(1)]),
     lambda: sep_census(1, 2, [2], [Fraction(1)]),
     lambda: sep_census(2, 2, [2], [Fraction(1), Fraction(-1)]),
-    lambda: _census_inputs(2, 3, [0], 1),
-    lambda: _census_inputs(1, 3, [2], 1),
+    lambda: disc_census(2, 3, [4], [1], c_exps=(Fraction(1, 2),)),
+    lambda: disc_census(2, 3, [4], [1], c_exps=(0, 1.0)),
+    lambda: sep_census(2, 2, [2], [Fraction(1)], c0_exp=0.5),
+    lambda: _census_inputs(2, 3, [0], 1, [], []),
+    lambda: _census_inputs(1, 3, [2], 1, [], []),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
-        "disc-nu-negative", "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative", "inputs-Q-0",
-        "inputs-n-1"])
+        "disc-nu-negative", "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative",
+        "disc-c-exp-half", "disc-c-exp-float", "sep-c0-exp-float", "inputs-Q-0", "inputs-n-1"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a shard ran before the inputs were checked")
@@ -476,16 +490,29 @@ def test_census_results_record_the_processes_started(monkeypatch):
     monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     nu, theta = [Fraction(1, 2)], [Fraction(1)]
-    # Q = 8 is one shard (no pool), Q = 16 two shards, Q = 20 three
+    # Q = 8 is one shard (no pool), Q = 16 two shards, Q = 20 three; one pool runs them all
     assert disc_census(2, 3, [8], nu, workers=8).workers_used == 0
-    assert disc_census(2, 3, [8, 20, 16], nu, workers=8).workers_used == 3
+    assert disc_census(2, 3, [8, 20, 16], nu, workers=8).workers_used == 6
     assert disc_census(2, 3, [20], nu, workers=2).workers_used == 2
     assert disc_census(2, 3, [20], nu, workers=1).workers_used == 0
-    assert sep_census(2, 2, [3, 4], theta, workers=8).workers_used == 2
+    assert sep_census(2, 2, [3, 4], theta, workers=8).workers_used == 3
     assert sep_census(2, 2, [4], theta, workers=1).workers_used == 0
     # a level skipped by max_records starts nothing
     assert disc_census(2, 3, [8, 20], nu, workers=8, max_records=10**4).workers_used == 0
     assert sep_census(2, 2, [3, 8], theta, workers=8, max_records=10**4).workers_used == 0
+
+
+def test_one_pool_per_census_call(monkeypatch):
+    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    nu, theta = [Fraction(1, 2)], [Fraction(1)]
+    # 1 + 3 + 2 shards over three levels share one pool of six
+    disc_census(2, 3, [8, 20, 16], nu, workers=8)
+    assert _SerialPool.sizes == [6]
+    # every level a single shard: two levels, yet no pool
+    disc_census(3, 3, [4, 8], nu, workers=2)
+    sep_census(3, 2, [1, 2], theta, workers=2)
+    assert _SerialPool.sizes == [6]
 
 
 def _sep_tally(counts, least, sep, irr, h):

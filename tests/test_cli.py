@@ -66,29 +66,30 @@ def test_sep_census_artifact_and_theta_warning(tmp_path):
 
 
 def test_worker_determinism_byte_identical(tmp_path):
-    a = tmp_path / "w1"
-    b = tmp_path / "w8"
-    for out_dir, workers in ((a, "1"), (b, "8")):
-        code, _, _ = run_cli("disc-census", "--n", "2", "--p", "3", "--q-grid", "8,16",
-                             "--nu", "1/4,1/2", "--constants", "0,1",
-                             "--workers", workers, "--out-dir", str(out_dir))
-        assert code == 0
-    assert (a / "disc_census.csv").read_bytes() == (b / "disc_census.csv").read_bytes()
-    assert (a / "disc_census_stats.csv").read_bytes() == (b / "disc_census_stats.csv").read_bytes()
-
-    for out_dir, workers in ((a, "1"), (b, "8")):
-        code, _, _ = run_cli("sep-census", "--n", "2", "--p", "2", "--q-grid", "16",
-                             "--theta", "1", "--workers", workers, "--out-dir", str(out_dir))
-        assert code == 0
-    assert (a / "sep_census.csv").read_bytes() == (b / "sep_census.csv").read_bytes()
-    for kind in ("disc_census", "sep_census"):
-        summary = f"{kind}_summary.json"
-        assert (a / summary).read_bytes() == (b / summary).read_bytes(), summary
-        # --workers 1 starts no process; Q = 16 has two shards, so --workers 8 starts two
-        for out_dir, started in ((a, 0), (b, 2)):
+    # (label, argv, processes started at workers 1, 2, 3); Q = 16 and Q = 9 are two shards
+    runs = [
+        ("disc-n2", ["disc-census", "--n", "2", "--p", "3", "--q-grid", "8,16",
+                     "--nu", "1/4,1/2", "--constants", "0,1"], (0, 2, 3)),
+        ("sep-n2", ["sep-census", "--n", "2", "--p", "2", "--q-grid", "16", "--theta", "1"],
+         (0, 2, 2)),
+        ("disc-n3", ["disc-census", "--n", "3", "--p", "3", "--q-grid", "4,9", "--nu", "1/2"],
+         (0, 2, 3)),
+    ]
+    for label, argv, started in runs:
+        kind = argv[0].replace("-", "_")
+        names = [f"{kind}.csv", f"{kind}_summary.json"]
+        if kind == "disc_census":
+            names.append("disc_census_stats.csv")
+        outputs = []
+        for workers, used in zip((1, 2, 3), started):
+            out_dir = tmp_path / f"{label}-w{workers}"
+            code, _, _ = run_cli(*argv, "--workers", str(workers), "--out-dir", str(out_dir))
+            assert code == 0
+            outputs.append([(out_dir / name).read_bytes() for name in names])
             telemetry = json.loads((out_dir / f"{kind}_telemetry.json").read_text())
-            assert telemetry["workers_used"] == started
+            assert telemetry["workers_used"] == used, (label, workers)
             assert float(telemetry["elapsed_s"]) >= 0
+        assert outputs[0] == outputs[1] == outputs[2], label
 
 
 def test_sep_census_negative_theta_exits_2(tmp_path):
