@@ -23,7 +23,7 @@ from .padic import _as_p, _ceil_log, valuation
 from .roots import _first_slope, min_conjugate_separation
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
-_SAMPLE_BLOCK = 512  # Monte-Carlo block size; fixed so results ignore worker count
+_SAMPLE_BLOCK = 512  # Monte-Carlo block size; the block seeds fix the sample stream
 
 
 def poly_count(n: int, height_bound: int) -> int:
@@ -116,11 +116,13 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
 
 
 def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence,
-                   consts: Sequence[int]) -> tuple[int, list[Fraction]]:
+                   consts: Sequence[int], workers: int,
+                   max_records: Optional[int]) -> tuple[int, list[Fraction]]:
     """The census entry check: p and the rates validated, or ValueError before any shard runs.
 
-    n >= 2, every bound (Q, or t of Q = p^t) >= least and every constant
-    exponent (c_exp or c0_exp) must be integers, and every rate (nu or theta) >= 0.
+    n >= 2, every bound (Q, or t of Q = p^t) >= least, workers >= 1, every
+    constant exponent (c_exp or c0_exp) and max_records (unless None) >= 0
+    must be integers, and every rate (nu or theta) >= 0.
     """
     q = _as_p(p)
     if not isinstance(n, int) or n < 2:
@@ -132,29 +134,36 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence
         raise ValueError(f"every nu or theta must be >= 0, got {[str(r) for r in fracs]}")
     if not all(isinstance(c, int) for c in consts):
         raise ValueError(f"every constant exponent must be an integer, got {list(consts)}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    if max_records is not None and (not isinstance(max_records, int) or max_records < 0):
+        raise ValueError(f"max_records must be None or an integer >= 0, got {max_records!r}")
     return q, fracs
 
 
-def _census_grid(fn, n: int, q: int, keys: Sequence[int], heights: Sequence[int], workers: int,
+def _census_grid(fn, n: int, q: int, heights: Sequence[int], workers: int,
                  max_records: Optional[int]) -> tuple[list[list], int, bool, int]:
     """(Per level shard results in shard order, records seen, complete, processes started).
 
-    Level i has height heights[i] and hands its shards keys[i] (Q, or t of
-    Q = p^t).  It runs only if the running record total, that level included,
-    stays within max_records; all levels that run go through one _run_shards.
+    Each shard gets (n, p, Q, a_n lo, a_n hi).  A level runs only if the
+    running record total, that level included, stays within max_records; all
+    levels that run go through one _run_shards, the only place that starts
+    worker processes.
     """
     levels, seen = [], 0
-    for key, hb in zip(keys, heights):
+    for hb in heights:
         if max_records is not None and seen + poly_count(n, hb) > max_records:
             break
         seen += poly_count(n, hb)
-        levels.append([(n, q, key, lo, hi) for lo, hi in _shards(hb)])
-    # one pool per call, and none unless some level has two shards to spread
-    spread = workers if any(len(level) > 1 for level in levels) else 1
-    results, started = _run_shards(fn, [a for level in levels for a in level], spread)
-    it = iter(results)
+        levels.append([(n, q, hb, lo, hi) for lo, hi in _shards(hb)])
+    args = [a for level in levels for a in level]
+    # one pool per call, none unless some level has two shards to spread, and at
+    # most one process per shard: under fork the pool starts all its workers at once
+    spread = workers > 1 and any(len(level) > 1 for level in levels)
+    started = min(workers, len(args)) if spread else 0
+    it = iter(_run_shards(fn, args, started))
     return ([list(itertools.islice(it, len(level))) for level in levels], seen,
-            len(levels) == len(keys), started)
+            len(levels) == len(heights), started)
 
 
 # --- discriminant census ------------------------------------------------------
@@ -179,7 +188,6 @@ class DiscCensusRow:
     threshold: int  # count requires v_p(D) >= threshold
     count_all: int
     count_irr: int
-    flagged: int = 0
 
 
 @dataclass(frozen=True)
@@ -411,13 +419,14 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     unrestricted and the irreducible-only versions, plus the prime-power
     split statistic of the discriminant values.  Every row is read off the
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
-    A negative nu or non-integer c_exp is a ValueError before any shard runs.
+    A negative nu, a non-integer c_exp, workers < 1 or max_records < 0 is a
+    ValueError before any shard runs.
     """
-    q, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps)
+    q, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps, workers, max_records)
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
-    levels, seen, complete, used = _census_grid(_disc_shard, n, q, height_grid, height_grid,
-                                                workers, max_records)
+    levels, seen, complete, used = _census_grid(_disc_shard, n, q, height_grid, workers,
+                                                max_records)
     for hb, shards in zip(height_grid, levels):
         hist: dict[int, list[int]] = {}
         for shard in shards:
@@ -436,15 +445,13 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     return DiscCensus(rows, stats, complete, seen, used)
 
 
-def _run_shards(fn, shard_args, workers: int) -> tuple[list, int]:
-    """The shard results in order, and the number of worker processes started."""
-    if workers <= 1 or len(shard_args) <= 1:
-        return [fn(a) for a in shard_args], 0
-    # at most one process per shard: under fork the pool starts all its workers at once
-    started = min(workers, len(shard_args))
-    with ProcessPoolExecutor(max_workers=started) as pool:
+def _run_shards(fn, shard_args, processes: int) -> list:
+    """The shard results in order: in process when processes is 0, else in a pool of that many."""
+    if not processes:
+        return [fn(a) for a in shard_args]
+    with ProcessPoolExecutor(max_workers=processes) as pool:
         try:
-            return list(pool.map(fn, shard_args)), started
+            return list(pool.map(fn, shard_args))
         except BaseException:
             # leaving the block would wait for the running shards: stop them now
             for proc in pool._processes.values():
@@ -464,7 +471,6 @@ class SepCensusRow:
     c0_exp: int  # C0 = p^c0_exp slack
     count_all: int  # distinct-root P, H in [Q/p, Q], sep valuation >= theta t - c0_exp
     count_irr: int  # same, irreducible over Q only
-    flagged: int
     max_exponent: Optional[float]  # max observed sep_val / log_p H, irreducible P
 
 
@@ -491,9 +497,9 @@ def _nearest_irreducible(a: int, f: int, q: int, w: int, r: int, m: int, r_next:
     return None
 
 
-def _quadratic_sep_blocks(p: int, t: int, a2_lo: int, a2_hi: int,
+def _quadratic_sep_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                           a1_values) -> tuple[dict[tuple, int], dict]:
-    """The n = 2 _sep_shard of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi], Q = p^t.
+    """The n = 2 _sep_shard of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi], Q a power of p.
 
     a1_values is a subset of [-Q, Q].  Each block is counted over a_0 by the
     descent of _quadratic_disc_blocks (its A, F, b, classes r_j mod p^j, z
@@ -521,7 +527,7 @@ def _quadratic_sep_blocks(p: int, t: int, a2_lo: int, a2_hi: int,
     already that small skips the walk.  Fed a_1 by |a_1| ascending, h_0
     never falls within an a_2, and most blocks skip every walk.
     """
-    q = p**t
+    q = height_bound
     s = q // p
     size = 2 * q + 1
     top, twice_v, per_a2 = _quadratic_tables(p, q, a2_lo, a2_hi)
@@ -613,14 +619,13 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
     chord from (0, 0) to (4, 2 v_p(u)), so it is no vertex of the Newton
     polygon, and the shard passes the rule only (0, 0) and (4, 2 v_p(u)).
     """
-    n, p, t, an_lo, an_hi = args
+    n, p, q, an_lo, an_hi = args
     if n == 2:
-        q = p**t
-        return _quadratic_sep_blocks(p, t, an_lo, an_hi, sorted(range(-q, q + 1), key=abs))
-    shell_lo = p**t // p
+        return _quadratic_sep_blocks(p, q, an_lo, an_hi, sorted(range(-q, q + 1), key=abs))
+    shell_lo = q // p
     counts: dict[tuple, int] = {}
     least: dict = {}
-    records = _records(n, p, p**t, an_lo, an_hi)
+    records = _records(n, p, q, an_lo, an_hi)
     if n == 3:
         v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)}
         raw: dict[tuple, int] = {}  # (v_p(a_3), v_p(u), v_p(D), irreducible) -> count
@@ -675,7 +680,8 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
     Rows are read off the summed (sep, irreducible) counts of the shards.
-    A negative theta or non-integer c0_exp is a ValueError before any shard runs.
+    A negative theta, a non-integer c0_exp, workers < 1 or max_records < 0 is
+    a ValueError before any shard runs.
 
     max_exponent is the largest sep / log_p H over irreducible shell records
     with H > 1, found exactly by _exp_less over the seps in ascending order
@@ -686,9 +692,9 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     with H = Q, whose roots all have valuation 1/n, so sep >= 1/n > 0; and
     t = 0 has no H > 1.
     """
-    q, thetas = _census_inputs(n, p, t_grid, 0, theta_grid, [c0_exp])
+    q, thetas = _census_inputs(n, p, t_grid, 0, theta_grid, [c0_exp], workers, max_records)
     rows: list[SepCensusRow] = []
-    levels, seen, complete, used = _census_grid(_sep_shard, n, q, t_grid, [q**t for t in t_grid],
+    levels, seen, complete, used = _census_grid(_sep_shard, n, q, [q**t for t in t_grid],
                                                 workers, max_records)
     for t, shards in zip(t_grid, levels):
         counts: dict[tuple, int] = {}
@@ -711,7 +717,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
             floor = theta * t - c0_exp
             ca = sum(cnt for (sep, _), cnt in counts.items() if sep >= floor)
             ci = sum(cnt for (sep, irr), cnt in counts.items() if irr and sep >= floor)
-            rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, 0, max_exp))
+            rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, max_exp))
     return SepCensus(rows, complete, seen, used)
 
 
@@ -792,22 +798,9 @@ def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
     return first is not None and (first[-1] != 0 or not require_top)
 
 
-def _measure_block(args) -> int:
-    p, bb, radius, require_top, count, block_seed = args
-    rng = random.Random(block_seed)
-    hits = 0
-    # the event is decided by x mod p^max(bb); sample with resolution to spare
-    modulus = p ** (max(bb) + 4)
-    for _ in range(count):
-        x = rng.randrange(modulus)
-        if _box_has_point(p, bb, x, radius, require_top):
-            hits += 1
-    return hits
-
-
 def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-vector",
-                     samples: int = 10_000, seed: int = 0, workers: int = 1,
-                     i_pinch: Optional[int] = None, c2: Optional[int] = None) -> MeasureEstimate:
+                     samples: int = 10_000, seed: int = 0, i_pinch: Optional[int] = None,
+                     c2: Optional[int] = None) -> MeasureEstimate:
     """Monte-Carlo measure of the exceptional set of centers x.
 
     mode "short-vector": the event is lambda_1 <= epsilon = p^-threshold_exp,
@@ -816,9 +809,9 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     height <= C2 Q satisfying the system with xi_(i_pinch) shrunk by
     delta^(2(n+1)) C2^-(n+1), delta = p^-threshold_exp.
 
-    Sampling is uniform over x mod p^(max b_i + 4); blocks of 512 samples use
-    seeds derived from (seed, block), so results do not depend on the worker
-    count.  Returns the exact hit fraction with a 95% Wilson interval.
+    Sampling is uniform over x mod p^(max b_i + 4), in process, in blocks of
+    512 samples seeded by (seed, block index); those seeds fix the sample
+    stream.  Returns the exact hit fraction with a 95% Wilson interval.
     threshold_exp must be an integer >= 0 (epsilon, delta <= 1) and samples an
     integer >= 1, or this is a ValueError, raised before any block runs.
     """
@@ -839,9 +832,13 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
         require_top = True
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    blocks = [(p, bb, radius, require_top, min(_SAMPLE_BLOCK, samples - done), f"{seed}:{idx}")
-              for idx, done in enumerate(range(0, samples, _SAMPLE_BLOCK))]
-    hits = sum(_run_shards(_measure_block, blocks, workers)[0])
+    # the event is decided by x mod p^max(bb); sample with resolution to spare
+    modulus = p ** (max(bb) + 4)
+    hits = 0
+    for idx, done in enumerate(range(0, samples, _SAMPLE_BLOCK)):
+        rng = random.Random(f"{seed}:{idx}")
+        for _ in range(min(_SAMPLE_BLOCK, samples - done)):
+            hits += _box_has_point(p, bb, rng.randrange(modulus), radius, require_top)
     lo, hi = _wilson(hits, samples)
     return MeasureEstimate(mode, threshold_exp, samples, hits,
                            Fraction(hits, samples), lo, hi, seed)

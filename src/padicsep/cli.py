@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import random
 import signal
 import sys
@@ -37,7 +36,7 @@ from .padic import INF, _power_exponent, is_prime, valuation
 from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
-CENSUS_HEADER = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"
+CENSUS_HEADER = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"  # flagged: reserved, 0
 
 
 class ConfigError(Exception):
@@ -143,8 +142,8 @@ def _out_file(flag: str, path: str) -> Path:
 # --- disc-census and sep-census ---------------------------------------------------
 
 
-def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction], int]:
-    """The checked (Q grid, --nu or --theta grid, worker count) of a census command.
+def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction]]:
+    """The checked (Q grid, --nu or --theta grid) of a census command; --workers is checked too.
 
     The command adds its own checks, then creates the out-dir with _out_dir.
     """
@@ -160,15 +159,9 @@ def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction], 
         raise ConfigError(grid_flag, f"every {grid_flag} must be >= 0")
     if args.max_records is not None and args.max_records < 0:
         raise ConfigError("max-records", f"need max-records >= 0, got {args.max_records}")
-    workers = args.workers
-    if workers is None:  # PADICSEP_WORKERS, else 1
-        try:
-            workers = int(os.environ.get("PADICSEP_WORKERS") or 1)
-        except ValueError as exc:
-            raise ConfigError("workers", f"PADICSEP_WORKERS: {exc}") from None
-    if workers < 1:
-        raise ConfigError("workers", f"need workers >= 1, got {workers}")
-    return q_grid, grid, workers
+    if args.workers < 1:
+        raise ConfigError("workers", f"need workers >= 1, got {args.workers}")
+    return q_grid, grid
 
 
 def _fit(points: list[tuple[int, int]], target: Fraction) -> dict:
@@ -199,7 +192,7 @@ def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
 
 
 def cmd_disc_census(args) -> int:
-    q_grid, nu_grid, workers = _census_front_end(args, "nu")
+    q_grid, nu_grid = _census_front_end(args, "nu")
     for nu in nu_grid:
         if not 0 <= nu <= args.n - 1:
             raise ConfigError("nu", f"nu = {nu} outside [0, n-1]")
@@ -210,11 +203,9 @@ def cmd_disc_census(args) -> int:
               "constants": c_exps, "max_records": args.max_records}
     started = time.perf_counter()
     result = census_mod.disc_census(args.n, args.p, q_grid, nu_grid, c_exps,
-                                    workers=workers, max_records=args.max_records)
-    rows = [
-        f"{r.n},{r.p},{r.height_bound},{r.nu},{r.c_exp},{r.count_all},{r.count_irr},{r.flagged}"
-        for r in result.rows
-    ]
+                                    workers=args.workers, max_records=args.max_records)
+    rows = [f"{r.n},{r.p},{r.height_bound},{r.nu},{r.c_exp},{r.count_all},{r.count_irr},0"
+            for r in result.rows]
     stat_rows = [
         f"{s.height_bound},{s.k},{s.count_all},{s.count_irr},{s.min_cofactor},{s.max_abs_disc}"
         for s in result.stats
@@ -232,7 +223,7 @@ def cmd_disc_census(args) -> int:
 
 
 def cmd_sep_census(args) -> int:
-    q_grid, theta_grid, workers = _census_front_end(args, "theta")
+    q_grid, theta_grid = _census_front_end(args, "theta")
     t_grid = [_power_exponent(q, args.p) for q in q_grid]
     for q, t in zip(q_grid, t_grid):
         if t is None:
@@ -248,11 +239,9 @@ def cmd_sep_census(args) -> int:
               "c0_exp": args.c0_exp, "max_records": args.max_records}
     started = time.perf_counter()
     result = census_mod.sep_census(args.n, args.p, t_grid, theta_grid, args.c0_exp,
-                                   workers=workers, max_records=args.max_records)
-    rows = [
-        f"{r.n},{r.p},{r.p**r.t},{r.theta},{r.c0_exp},{r.count_all},{r.count_irr},{r.flagged}"
-        for r in result.rows
-    ]
+                                   workers=args.workers, max_records=args.max_records)
+    rows = [f"{r.n},{r.p},{r.p**r.t},{r.theta},{r.c0_exp},{r.count_all},{r.count_irr},0"
+            for r in result.rows]
     fits = {f"theta={th}": _fit([(r.p**r.t, r.count_irr) for r in result.rows if r.theta == th],
                                 args.n + 1 - 2 * th)
             for th in theta_grid}
@@ -589,6 +578,8 @@ def cmd_report(args) -> int:
             raise ConfigError("inputs", f"{src}: {exc}") from None
         if not ok:
             raise ConfigError("inputs", "content hash mismatch", code=1, file=str(src))
+        if header != CENSUS_HEADER:
+            raise ConfigError("inputs", f"{src}: not a census table (header {header!r})")
         kind = config.get("subcommand", "unknown")
         for row in rows:
             out_rows.append(f"{Path(src).name},{kind},{row}")
@@ -615,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--q-grid", dest="q_grid")
     dc.add_argument("--nu")
     dc.add_argument("--constants", help="comma-separated exponents c for C = p^c (default 0,1,2)")
-    dc.add_argument("--workers", type=int, default=None)
+    dc.add_argument("--workers", type=int, default=1)
     dc.add_argument("--max-records", type=int, default=None)
     dc.add_argument("--out-dir", default=".")
     dc.set_defaults(func=cmd_disc_census)
@@ -626,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     scp.add_argument("--q-grid", dest="q_grid", help="powers of p")
     scp.add_argument("--theta")
     scp.add_argument("--c0-exp", dest="c0_exp", type=int, default=0)
-    scp.add_argument("--workers", type=int, default=None)
+    scp.add_argument("--workers", type=int, default=1)
     scp.add_argument("--max-records", type=int, default=None)
     scp.add_argument("--out-dir", default=".")
     scp.set_defaults(func=cmd_sep_census)

@@ -237,7 +237,6 @@ def test_sep_census_cubic_path():
     res = sep_census(3, 2, [2], [Fraction(1, 2)])
     row = res.rows[0]
     assert row.count_all >= row.count_irr >= 0
-    assert row.flagged == 0
 
 
 def test_disc_census_cubic_against_sympy():
@@ -266,7 +265,6 @@ def test_disc_census_cubic_against_sympy():
         assert row.threshold == disc_threshold(3, 3, row.nu, row.c_exp)
         assert row.count_all == sum(e[0] for v, e in by_v.items() if v >= row.threshold)
         assert row.count_irr == sum(e[1] for v, e in by_v.items() if v >= row.threshold)
-        assert row.flagged == 0
     assert [(s.k, s.count_all, s.count_irr, s.min_cofactor, s.max_abs_disc)
             for s in res.stats] == [(v, *by_v[v]) for v in sorted(by_v)]
 
@@ -293,7 +291,6 @@ def test_sep_census_cubic_against_recount():
         for row in rows:
             assert row.count_all == sum(1 for sep, _, _ in seps if sep >= row.theta * t)
             assert row.count_irr == sum(1 for sep, _, irr in seps if irr and sep >= row.theta * t)
-            assert row.flagged == 0
             assert math.isclose(row.max_exponent, best, rel_tol=1e-12)
 
 
@@ -367,8 +364,6 @@ def test_measure_estimate_monotone_and_deterministic():
     assert all(a >= b for a, b in zip(ests, ests[1:]))
     again = measure_estimate(params, 1, samples=800, seed=123)
     assert again.estimate == ests[1]
-    par = measure_estimate(params, 1, samples=800, seed=123, workers=4)
-    assert par.estimate == ests[1]
     other_seed = measure_estimate(params, 1, samples=800, seed=124)
     assert other_seed.seed == 124
 
@@ -421,7 +416,7 @@ def test_measure_estimate_rejects_samples(samples, monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block ran before samples was checked")
 
-    monkeypatch.setattr("padicsep.census._run_shards", no_blocks)
+    monkeypatch.setattr("padicsep.census._box_has_point", no_blocks)
     with pytest.raises(ValueError, match="samples"):
         measure_estimate(XiParams(3, 2, (4, 2, 0)), 1, samples=samples, seed=0)
 
@@ -440,11 +435,18 @@ def test_measure_estimate_rejects_samples(samples, monkeypatch):
     lambda: disc_census(2, 3, [4], [1], c_exps=(Fraction(1, 2),)),
     lambda: disc_census(2, 3, [4], [1], c_exps=(0, 1.0)),
     lambda: sep_census(2, 2, [2], [Fraction(1)], c0_exp=0.5),
-    lambda: _census_inputs(2, 3, [0], 1, [], []),
-    lambda: _census_inputs(1, 3, [2], 1, [], []),
+    lambda: _census_inputs(2, 3, [0], 1, [], [], 1, None),
+    lambda: _census_inputs(1, 3, [2], 1, [], [], 1, None),
+    lambda: disc_census(2, 3, [20], [Fraction(1, 2)], max_records=-1),
+    lambda: sep_census(2, 2, [2], [Fraction(1)], max_records=1.5),
+    lambda: disc_census(2, 3, [20], [Fraction(1, 2)], workers=2.5),
+    lambda: disc_census(2, 3, [20], [Fraction(1, 2)], workers="2"),
+    lambda: sep_census(2, 2, [4], [Fraction(1)], workers=0),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
         "disc-nu-negative", "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative",
-        "disc-c-exp-half", "disc-c-exp-float", "sep-c0-exp-float", "inputs-Q-0", "inputs-n-1"])
+        "disc-c-exp-half", "disc-c-exp-float", "sep-c0-exp-float", "inputs-Q-0", "inputs-n-1",
+        "disc-max-records-negative", "sep-max-records-float", "disc-workers-float",
+        "disc-workers-str", "sep-workers-0"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a shard ran before the inputs were checked")
@@ -553,7 +555,7 @@ def test_n2_sep_shard_against_per_record_recount():
                         irr = bool(is_irreducible(content_primitive(poly)[1]))
                         _sep_tally(counts, least, sep, irr, h)
                         fractional += type(sep) is Fraction
-            _assert_same_shard(_sep_shard((2, p, t, lo, hi)), (counts, least), (p, t, lo))
+            _assert_same_shard(_sep_shard((2, p, q, lo, hi)), (counts, least), (p, t, lo))
     assert zero_below_shell and fractional
     assert _shards(16) == [(1, 8), (9, 16)]
 
@@ -575,7 +577,7 @@ def test_n3_sep_shard_against_per_record_recount():
                 zero_u += 3 * a1 * a3 == a2 * a2
                 lead_div += a3 % p == 0
                 fractional += type(sep) is Fraction
-            _assert_same_shard(_sep_shard((3, p, t, lo, hi)), (counts, least), (p, t, lo))
+            _assert_same_shard(_sep_shard((3, p, q, lo, hi)), (counts, least), (p, t, lo))
     assert zero_u and lead_div and fractional
 
 
@@ -636,7 +638,7 @@ def test_quadratic_sep_blocks_seeded_against_brute_force():
     seen: dict = {}
     for p, t, a2, a1 in blocks:
         expect, cases = _brute_sep_block(p, t, a2, a1)
-        _assert_same_shard(_quadratic_sep_blocks(p, t, a2, a2, [a1]), expect, (p, t, a2, a1))
+        _assert_same_shard(_quadratic_sep_blocks(p, p**t, a2, a2, [a1]), expect, (p, t, a2, a1))
         for name, hit in cases.items():
             seen[name] = seen.get(name, 0) + hit
     assert all(seen.values()), seen

@@ -296,7 +296,7 @@ def test_sep_census_resource_cap_exit_code(tmp_path):
     assert summary["results"]["complete"] is False
 
 
-def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
+def test_census_configuration_errors_exit_2(tmp_path):
     disc = ["disc-census", "--n", "2", "--p", "3", "--nu", "1/2"]
     sep = ["sep-census", "--n", "2", "--p", "2", "--theta", "1"]
     cases = [
@@ -320,13 +320,6 @@ def test_census_configuration_errors_exit_2(tmp_path, monkeypatch):
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["field"] == field and payload["error"], argv
         assert "Traceback" not in err
-    for env in ("x", "0"):
-        monkeypatch.setenv("PADICSEP_WORKERS", env)
-        for argv in (disc + ["--q-grid", "4"], sep + ["--q-grid", "4"]):
-            code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
-            assert code == 2, (env, argv)
-            assert json.loads(err.strip().splitlines()[-1])["field"] == "workers"
-            assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 
@@ -335,7 +328,15 @@ def test_report_configuration_errors_exit_2(tmp_path):
     magic_only.write_text("# padicsep-artifact v1\n")
     list_config = tmp_path / "list_config.csv"
     list_config.write_text("# padicsep-artifact v1\n# config: []\n# content-sha256: 0\nh\n")
-    for src in (magic_only, list_config):
+    # whole, hash-checked artifacts that are not census tables
+    assert run_cli("generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--t", "2",
+                   "--theta", "1", "--samples", "2", "--seed", "1",
+                   "--out-dir", str(tmp_path / "g"))[0] == 0
+    assert run_cli("disc-census", "--n", "2", "--p", "3", "--q-grid", "4", "--nu", "1/2",
+                   "--out-dir", str(tmp_path / "d"))[0] == 0
+    generated = tmp_path / "g" / "generated_polys.csv"
+    stats = tmp_path / "d" / "disc_census_stats.csv"
+    for src in (magic_only, list_config, generated, stats):
         code, out, err = run_cli("report", str(src), "--out", str(tmp_path / "merged.csv"))
         assert code == 2, src.name
         payload = json.loads(err.strip().splitlines()[-1])
@@ -390,7 +391,6 @@ def test_sweep_covers_every_value_flag():
 @pytest.mark.parametrize("command,flag,value", SWEEP)
 def test_malformed_flag_values_exit_cleanly(command, flag, value, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("PADICSEP_WORKERS", raising=False)
     write_csv_artifact(tmp_path / "census.csv", {"subcommand": "disc-census"},
                        CENSUS_HEADER, ["2,3,4,1/2,0,0,0,0"])
     before = sorted(tmp_path.iterdir())
