@@ -19,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
 from .lattice import XiParams, _box_points, _pinch_c2_exponent
-from .padic import _as_p, _ceil_log, valuation
+from .padic import _as_int, _as_p, _as_rational, _ceil_log, valuation
 from .roots import _first_slope, min_conjugate_separation
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -122,23 +122,17 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence
 
     n >= 2, every bound (Q, or t of Q = p^t) >= least, workers >= 1, every
     constant exponent (c_exp or c0_exp) and max_records (unless None) >= 0
-    must be integers, and every rate (nu or theta) >= 0.
+    must be integers, and every rate (nu or theta) a rational >= 0.
     """
-    q = _as_p(p)
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"need an integer degree n >= 2, got {n!r}")
-    if not all(isinstance(b, int) and b >= least for b in bounds):
-        raise ValueError(f"every bound must be an integer >= {least}, got {list(bounds)}")
-    fracs = [Fraction(r) for r in rates]
-    if any(r < 0 for r in fracs):
-        raise ValueError(f"every nu or theta must be >= 0, got {[str(r) for r in fracs]}")
-    if not all(isinstance(c, int) for c in consts):
-        raise ValueError(f"every constant exponent must be an integer, got {list(consts)}")
-    if not isinstance(workers, int) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    if max_records is not None and (not isinstance(max_records, int) or max_records < 0):
-        raise ValueError(f"max_records must be None or an integer >= 0, got {max_records!r}")
-    return q, fracs
+    _as_int(n, "n", 2)
+    for b in bounds:
+        _as_int(b, "every bound", least)
+    for c in consts:
+        _as_int(c, "every constant exponent")
+    _as_int(workers, "workers", 1)
+    if max_records is not None:
+        _as_int(max_records, "max_records", 0)
+    return _as_p(p), [_as_rational(r, "every nu or theta", 0) for r in rates]
 
 
 def _census_grid(fn, n: int, q: int, heights: Sequence[int], workers: int,
@@ -171,11 +165,10 @@ def _census_grid(fn, n: int, q: int, heights: Sequence[int], workers: int,
 
 def disc_threshold(p: int, height_bound: int, nu: Fraction, c_exp: int) -> int:
     """Smallest k with p^(k + c_exp) >= Q^(2 nu), nu >= 0: membership is v_p(D) >= k."""
-    nu = Fraction(nu)
-    if nu < 0:
-        raise ValueError(f"nu must be >= 0, got {nu}")
+    nu = _as_rational(nu, "nu", 0)
+    power = _as_int(height_bound, "height_bound", 1) ** (2 * nu.numerator)
     # with nu = a/d: p^(k d) >= Q^(2a)  <=>  k d >= ceil(log_p Q^(2a))
-    return -(-_ceil_log(height_bound ** (2 * nu.numerator), p) // nu.denominator) - c_exp
+    return -(-_ceil_log(power, p) // nu.denominator) - _as_int(c_exp, "c_exp")
 
 
 @dataclass(frozen=True)
@@ -419,8 +412,7 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     unrestricted and the irreducible-only versions, plus the prime-power
     split statistic of the discriminant values.  Every row is read off the
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
-    A negative nu, a non-integer c_exp, workers < 1 or max_records < 0 is a
-    ValueError before any shard runs.
+    A bad argument (see _census_inputs) is a ValueError before any shard runs.
     """
     q, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps, workers, max_records)
     rows: list[DiscCensusRow] = []
@@ -680,8 +672,7 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     Membership: separation valuation >= theta t - log_p C0 with C0 = p^c0_exp,
     compared exactly as rationals.  Counts are doubled for the sign pair.
     Rows are read off the summed (sep, irreducible) counts of the shards.
-    A negative theta, a non-integer c0_exp, workers < 1 or max_records < 0 is
-    a ValueError before any shard runs.
+    A bad argument (see _census_inputs) is a ValueError before any shard runs.
 
     max_exponent is the largest sep / log_p H over irreducible shell records
     with H > 1, found exactly by _exp_less over the seps in ascending order
@@ -815,10 +806,8 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     threshold_exp must be an integer >= 0 (epsilon, delta <= 1) and samples an
     integer >= 1, or this is a ValueError, raised before any block runs.
     """
-    if not isinstance(threshold_exp, int) or threshold_exp < 0:
-        raise ValueError(f"threshold_exp must be an integer >= 0, got {threshold_exp!r}")
-    if not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _as_int(threshold_exp, "threshold_exp", 0)
+    _as_int(samples, "samples", 1)
     p = params.p
     bb = list(params.b)
     if mode == "short-vector":

@@ -32,7 +32,7 @@ from . import census as census_mod
 from . import lattice as lattice_mod
 from .intpoly import IntPoly, discriminant
 from .linalg import bareiss_det
-from .padic import INF, _power_exponent, is_prime, valuation
+from .padic import INF, _as_p, _power_exponent, valuation
 from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
@@ -114,11 +114,9 @@ def _parse_list(args, flag: str, convert=int) -> list:
 
 def _check_prime(p: int) -> None:
     try:
-        prime = is_prime(p)
-    except ValueError as exc:  # beyond the deterministic Miller-Rabin range
+        _as_p(p)
+    except ValueError as exc:  # not prime, or beyond the deterministic Miller-Rabin range
         raise ConfigError("p", str(exc)) from None
-    if not prime:
-        raise ConfigError("p", f"{p} is not prime")
 
 
 def _out_dir(args) -> Path:
@@ -271,8 +269,12 @@ def cmd_generate(args) -> int:
     descr = {"mode": args.preset, "n": args.n, "p": args.p, "t": args.t}
     for flag in ("theta", "nu"):
         if _flag(args, flag) is not None:
-            if len(_parse_list(args, flag, Fraction)) != 1:
+            values = _parse_list(args, flag, Fraction)
+            if len(values) != 1:
                 raise ConfigError(flag, "need a single value")
+            if values[0] < 0 or flag == "nu" and values[0] > args.n - 1:
+                span = "[0, n-1]" if flag == "nu" else "[0, oo)"
+                raise ConfigError(flag, f"{flag} = {values[0]} outside {span}")
             descr[flag] = _flag(args, flag)
     try:
         params = lattice_mod.expand_preset(descr)

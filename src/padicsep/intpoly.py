@@ -15,7 +15,7 @@ from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
 from .linalg import bareiss_det
-from .padic import InvariantError, is_prime
+from .padic import InvariantError, _as_int, _as_p, is_prime
 
 _SMALL_PRIMES = tuple(q for q in range(2, 101) if is_prime(q))
 _EISENSTEIN_SHIFTS = (0, 1, -1, 2, -2, 3, -3)
@@ -27,7 +27,10 @@ class IntPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
-        c = list(int(a) for a in coeffs)
+        c = list(coeffs)
+        for a in c:
+            if type(a) is not int:
+                _as_int(a, "every coefficient")  # raises, naming the argument
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -68,10 +71,7 @@ class IntPoly:
     def content(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no content")
-        g = 0
-        for a in self.coeffs:
-            g = gcd(g, a)
-        return g
+        return gcd(*self.coeffs)
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -81,9 +81,7 @@ class IntPoly:
 
     def hasse_derivative(self, i: int) -> "IntPoly":
         """The i-th derivative divided by i!, with integer coefficients C(j,i)*a_j."""
-        if i < 0:
-            raise ValueError("derivative order must be >= 0")
-        if i == 0:
+        if _as_int(i, "i", 0) == 0:
             return self
         return IntPoly(comb(j, i) * a for j, a in enumerate(self.coeffs[i:], start=i))
 
@@ -154,9 +152,7 @@ class IntPoly:
 
 def content_primitive(poly: IntPoly) -> tuple[int, IntPoly]:
     """Split P = content * primitive with content > 0 and primitive of content 1."""
-    if poly.is_zero:
-        raise ValueError("zero polynomial has no content/primitive split")
-    c = poly.content
+    c = poly.content  # ValueError for the zero polynomial
     return c, IntPoly(a // c for a in poly.coeffs)
 
 
@@ -226,13 +222,14 @@ def hadamard_bound(n: int, height: int) -> int:
     row-norm estimate for the Sylvester determinant, which keeps the exponent
     at 2n-2.
     """
-    if n < 1 or height < 1:
-        raise ValueError("hadamard_bound needs n >= 1 and height >= 1")
+    _as_int(n, "n", 1)
+    _as_int(height, "height", 1)
     return n**n * (n + 1) ** (n - 1) * height ** (2 * n - 2)
 
 
 def eisenstein_check(poly: IntPoly, q: int) -> bool:
     """Eisenstein criterion at q: q | a_i for i < n, q does not divide a_n, q^2 does not divide a_0."""
+    q = _as_p(q, "q")
     n = poly.degree
     if n < 1:
         raise ValueError("Eisenstein check needs degree >= 1")
@@ -337,6 +334,7 @@ def poly_irreducible_mod(poly: IntPoly, l: int) -> bool:
     squarefree f is irreducible iff rank(Q - I) = n - 1; gcd(f, f') rejects
     the others first.  Residues are lists of n coefficients mod f made monic.
     """
+    l = _as_p(l, "l")
     n = poly.degree
     f = _trim([a % l for a in poly.coeffs])
     if len(f) - 1 != n:

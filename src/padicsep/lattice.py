@@ -13,7 +13,8 @@ from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, eisenstein_check
 from .linalg import bareiss_det, lll_reduce, solve_mod_prime
-from .padic import INF, InvariantError, _as_p, _ceil_log, _power_exponent, is_prime, valuation
+from .padic import (INF, InvariantError, _as_int, _as_p, _as_rational, _ceil_log, _power_exponent,
+                    is_prime, valuation)
 
 DEFAULT_ENUM_LIMIT = 10**7
 
@@ -35,14 +36,12 @@ class XiParams:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-        if self.t < 0:
-            raise ValueError("t must be >= 0")
+        object.__setattr__(self, "p", _as_p(self.p))
+        _as_int(self.t, "t", 0)
         if len(self.b) < 2:
             raise ValueError("need n >= 1, i.e. at least two b entries")
-        if any(bi < 0 for bi in self.b):
-            raise ValueError("b entries must be >= 0")
+        for bi in self.b:
+            _as_int(bi, "every b entry", 0)
         if sum(self.b) != self.t * len(self.b):
             raise ValueError(
                 f"sum(b) = {sum(self.b)} must equal t(n+1) = {self.t * len(self.b)}"
@@ -71,7 +70,7 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
     n = len(xi) - 1
     if n < 1:
         raise ValueError("need at least two xi values")
-    xs = [Fraction(x) for x in xi]
+    xs = [_as_rational(x, "every xi") for x in xi]
     if any(x <= 0 for x in xs):
         raise ValueError("xi values must be positive")
     # p^-b <= xi  <=>  b >= ceil(log_p 1/xi);   xi <= p^(n-b)  <=>  b <= n - ceil(log_p xi)
@@ -84,7 +83,7 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
         prod = Fraction(1)
         for x in xs:
             prod *= x
-        ratio = Fraction(Q) ** (n + 1) * prod
+        ratio = _as_rational(Q, "Q") ** (n + 1) * prod
         tol = Fraction(q) ** ((n + 1) * (n + 1))
         if not (1 / tol <= ratio <= tol):
             raise RoundingInfeasible(
@@ -231,9 +230,9 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
     right-hand side p^b_i e_i.  Covolume and per-column membership are
     re-verified by direct computation rather than trusted by construction.
     """
-    b = tuple(int(bi) for bi in b)
-    if any(bi < 0 for bi in b) or len(b) < 2:
-        raise ValueError("b must be nonnegative with n >= 1")
+    b = tuple(_as_int(bi, "every b entry", 0) for bi in b)
+    if len(b) < 2:
+        raise ValueError("b must have n >= 1, i.e. at least two entries")
     n = len(b) - 1
     x_red = x % p ** max(b) if max(b) > 0 else 0
     t_inv = taylor_matrix(-x_red, n)
@@ -391,9 +390,7 @@ def short_vectors(lat: GammaLattice, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Sh
 def successive_minima(lat: GammaLattice, count: Optional[int] = None,
                       enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[Fraction]:
     """Exact successive minima of the sup-norm box of semi-axis Q on the lattice."""
-    want = count if count is not None else lat.n + 1
-    if want < 1:
-        raise ValueError("count must be >= 1")
+    want = _as_int(count, "count", 1) if count is not None else lat.n + 1
     chosen = _minima_search(lat, want, enum_limit)[1]
     if chosen is None:
         raise RuntimeError("successive minima enumeration exceeds limit")
@@ -451,13 +448,13 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
         raise ValueError("normalization needs Q = p^t > 1")
     if b[-1] != 0 or any(b[i] < b[i + 1] for i in range(n)):
         raise ValueError("normalization requires xi_0 <= ... <= xi_n = 1 (b non-increasing, b_n = 0)")
-    delta_e = _power_exponent(delta, p)
+    delta_e = _power_exponent(_as_rational(delta, "delta"), p)
     if delta_e is None or delta_e >= 0:
         raise ValueError("delta must be a power of p strictly below 1")
     dv = -delta_e  # delta = p^-dv with dv >= 1
     if v is None:
         v = min(Fraction(1), Fraction(b[0], t) - 1)
-    v = Fraction(v)
+    v = _as_rational(v, "v")
     if not 0 < v <= 1:
         raise ValueError(f"need 0 < v <= 1 (xi_0 <= Q^-(1+v)); got v = {v}")
     if Fraction(b[0], t) < 1 + v:
@@ -498,10 +495,10 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
 
 def _pinch_c2_exponent(params: XiParams, i_pinch: Optional[int], c2: Optional[int]) -> int:
     """The even exponent of C2 = p^e >= 1, once i_pinch is checked to lie in [0, n]."""
-    if not isinstance(i_pinch, int) or not 0 <= i_pinch <= params.n:
+    if _as_int(i_pinch, "i_pinch", 0) > params.n:
         raise ValueError(f"pinch mode needs i_pinch in [0, {params.n}], got {i_pinch!r}")
-    c2_exp = None if c2 is None else _power_exponent(c2, params.p)
-    if c2_exp is None or c2_exp < 0 or c2_exp % 2:
+    c2_exp = None if c2 is None else _power_exponent(_as_int(c2, "c2", 1), params.p)
+    if c2_exp is None or c2_exp % 2:
         raise ValueError(f"pinch mode needs C2 a power of p^2, at least 1, got {c2!r}")
     return c2_exp
 
@@ -511,10 +508,8 @@ def _pinch_c2_exponent(params: XiParams, i_pinch: Optional[int], c2: Optional[in
 
 def admissible_primes(m: int, p) -> Iterator[int]:
     """All primes q with m < q < 4m and q != p, ascending."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
     pp = _as_p(p)
-    for q in range(m + 1, 4 * m):
+    for q in range(_as_int(m, "m", 1) + 1, 4 * m):
         if q != pp and is_prime(q):
             yield q
 
@@ -542,6 +537,7 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
     eta_l = t + q gamma_l so that A eta_l = s + q r_l mod q^2, which forces
     a_i = 0 mod q (i < n), a_n = 1 mod q and a_0 != 0 mod q^2.
     """
+    q = _as_p(q, "q")
     dim = len(columns)
     n = dim - 1
     rows = [[columns[c][r] for c in range(dim)] for r in range(dim)]
@@ -752,12 +748,9 @@ def preset_theorem2(n: int, p: int, t: int, theta: Fraction) -> XiParams:
     b_1 is t*theta rounded to the nearest integer (ties down); b_0 absorbs the
     remainder so that sum b_i = t(n+1) holds exactly.
     """
-    theta = Fraction(theta)
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    target = t * theta
+    theta = _as_rational(theta, "theta", 0)
+    _as_int(n, "n", 2)
+    target = _as_int(t, "t", 0) * theta
     b1 = int(target) + (1 if target - int(target) > Fraction(1, 2) else 0)
     b0 = t * (n + 1) - b1
     if b1 < 0 or b0 < b1:
@@ -773,11 +766,10 @@ def preset_theorem3(n: int, p: int, t: int, nu: Fraction) -> XiParams:
     b minimizes the max deviation among non-increasing vectors with b_n = 0
     and sum b = t(n+1) (ties: lexicographically smallest).
     """
-    nu = Fraction(nu)
-    if not 0 <= nu <= n - 1:
-        raise ValueError(f"nu must lie in [0, {n-1}]")
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    nu = _as_rational(nu, "nu", 0)
+    if nu > _as_int(n, "n", 2) - 1:
+        raise ValueError(f"nu must lie in [0, {n-1}], got {nu}")
+    _as_int(t, "t", 0)
     d = [Fraction(0)] * (n + 1)
     d[1] = Fraction(n + 1) - Fraction((n + 2) * nu, n)
     for j in range(2, n + 1):

@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .padic import _as_p, _as_rational
+
 
 def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix, fraction-free.
@@ -52,6 +54,7 @@ def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int)
     Returns the unique solution with entries in [0, q).  Raises ValueError
     when the system is singular mod q.
     """
+    q = _as_p(q, "q")
     n = len(matrix)
     aug = [[matrix[i][j] % q for j in range(n)] + [rhs[i] % q] for i in range(n)]
     for col in range(n):
@@ -84,7 +87,7 @@ def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4))
     """
     b = [list(v) for v in basis]
     n = len(b)
-    num, den = Fraction(delta).as_integer_ratio()
+    num, den = _as_rational(delta, "delta").as_integer_ratio()
     d = [1] * (n + 1)
     lam = [[0] * n for _ in range(n)]
     for k in range(n):

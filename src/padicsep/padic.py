@@ -3,7 +3,10 @@
 Everything here is exact: a p-adic magnitude |x|_p = p^(-v) is stored as its
 valuation v (an integer, a rational for roots in ramified extensions, or +inf
 for zero).  No floating point is ever involved, so magnitude comparisons are
-exact rational comparisons on valuations.
+exact rational comparisons on valuations.  The package's one argument gate is
+here: every public entry point passes its primes, integers and rationals to
+_as_p, _as_int and _as_rational, which accept exactly int (plus Prime, or
+Fraction) and refuse bool, float and str with a ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -109,8 +112,7 @@ class Prime:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+        object.__setattr__(self, "p", _as_p(self.p))
 
     def __int__(self):
         return self.p
@@ -122,22 +124,40 @@ class Prime:
 _CHECKED_PRIMES: set[int] = set()
 
 
-def _as_p(p) -> int:
-    """The integer p; ValueError unless p is prime.
+def _as_p(p, name: str = "p") -> int:
+    """The int of a Prime or a prime int, else ValueError naming it; each prime is tested once."""
+    if type(p) is Prime:
+        return p.p
+    if type(p) is not int:  # before the set: 3.0 == 3 and both hash alike
+        raise ValueError(f"{name} must be a prime int, got {p!r}")
+    if p not in _CHECKED_PRIMES:
+        if not is_prime(p):
+            raise ValueError(f"{name} = {p} is not a prime")
+        _CHECKED_PRIMES.add(p)
+    return p
 
-    This runs on every valuation call, so each prime is tested only once.
-    """
-    q = p.p if isinstance(p, Prime) else int(p)
-    if q not in _CHECKED_PRIMES:
-        if not is_prime(q):
-            raise ValueError(f"p = {q} is not a prime")
-        _CHECKED_PRIMES.add(q)
-    return q
+
+def _as_int(value, name: str, least: Optional[int] = None) -> int:
+    """value, an int (not a bool) >= least; ValueError naming the argument otherwise."""
+    if type(value) is not int or least is not None and value < least:
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _as_rational(value, name: str, least: Optional[int] = None) -> Fraction:
+    """value as a Fraction, if an int or a Fraction >= least; else ValueError naming the argument."""
+    if type(value) not in (int, Fraction) or least is not None and value < least:
+        floor = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an int or a Fraction{floor}, got {value!r}")
+    return Fraction(value)
 
 
 def valuation(x: int, p) -> Valuation:
     """p-adic valuation of an integer; INF for x = 0."""
     q = _as_p(p)
+    if type(x) is not int:
+        raise ValueError(f"x must be an integer, got {x!r}")
     if x == 0:
         return INF
     v = 0
@@ -151,7 +171,6 @@ def valuation(x: int, p) -> Valuation:
 def _ceil_log(value, p) -> int:
     """The least integer e with p^e >= value, for a positive rational value; may be negative."""
     p = _as_p(p)
-    value = Fraction(value)
     if value <= 0:
         raise ValueError(f"log_p needs a positive value, got {value}")
     num, den, e = value.numerator, value.denominator, 0
@@ -167,7 +186,6 @@ def _ceil_log(value, p) -> int:
 def _power_exponent(value, p) -> Optional[int]:
     """The exponent e with value = p^e, or None if value is no power of p."""
     p = _as_p(p)
-    value = Fraction(value)
     if value <= 0:
         return None
     e = _ceil_log(value, p)

@@ -17,7 +17,7 @@ from math import comb
 from typing import Sequence
 
 from .intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
-from .padic import INF, InvariantError, PadicMag, Valuation, _as_p, valuation
+from .padic import INF, InvariantError, PadicMag, Valuation, _as_int, _as_p, valuation
 
 
 class HenselInapplicable(ValueError):
@@ -105,8 +105,7 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
     distance valuation v_p(x0 - alpha) = v_p(P(x0)) - v_p(P'(x0)).
     """
     q = _as_p(p)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _as_int(precision, "precision", 1)
     v0 = valuation(poly(x0), q)
     v1 = valuation(poly.derivative()(x0), q)
     if not v0 > 2 * v1:
@@ -169,8 +168,7 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
     q = _as_p(p)
     if poly.is_zero:
         raise ValueError("zero polynomial")
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
+    _as_int(precision, "precision", 1)
     if poly.degree == 0:
         return []
     modulus = q**precision

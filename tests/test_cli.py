@@ -184,7 +184,13 @@ def test_generate_configuration_errors_exit_2(tmp_path):
                         (gen[:-1] + ["1/0", "--t", "2"], "theta"),
                         (gen[:-1] + ["x", "--t", "2"], "theta"),
                         (["generate", "--preset", "theorem2", "--n", "1", "--p", "3",
-                          "--theta", "1", "--t", "2"], "n")):
+                          "--theta", "1", "--t", "2"], "n"),
+                        (gen[:-1] + ["-1", "--t", "2"], "theta"),
+                        (gen[:-2] + ["--theta=-1/2", "--t", "2"], "theta"),
+                        (["generate", "--preset", "theorem3", "--n", "2", "--p", "3",
+                          "--t", "2", "--nu", "2"], "nu"),
+                        (["generate", "--preset", "theorem3", "--n", "3", "--p", "3",
+                          "--t", "2", "--nu=-1/3"], "nu")):
         code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
         assert code == 2, argv
         payload = json.loads(err.strip().splitlines()[-1])
