@@ -6,9 +6,11 @@ n+1 short lattice vectors into n+1 independent irreducible polynomials.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, eisenstein_check
@@ -183,43 +185,65 @@ class GammaLattice:
 def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple[int, ...]]:
     """Nonzero a with sup-norm <= radius and v_p((1/i!)P^(i)(x)) >= b_i, one per +-a pair.
 
-    The representative has its highest-index nonzero coordinate positive.
-    Descends from a_n to a_0: at level i the congruence
-    a_i = -sum_(j>i) C(j,i) x^(j-i) a_j  mod p^b_i fixes a_i's residue, so
-    each level steps by p^b_i.  Every level runs from the top down, so the
-    first point yielded has the largest a_n of any point in the box.  Each
-    level computes its child's top value, the largest a <= radius in the
-    child's residue class, and makes no generator frame for a child whose
-    range is empty.  Level 1 emits level 0's residue-class range inline for
-    each a_1.
+    The representative's highest-index nonzero coordinate is positive.  Level i
+    holds the offsets o_k = sum_(j>i) C(j,k) x^(j-k) a_j of the levels k <= i and
+    runs a_i = -o_i mod m_i = p^b_i over [-radius, radius], or over [0, radius]
+    under a zero prefix (a_j = 0 for j > i; level 0 then stops before 0).
+    Window: level i-1's class, -(o_(i-1) + i x a_i) mod M = m_(i-1), has top
+    radius - s mod M, s = radius + o_(i-1) + i x a_i, so a_i passes iff
+    s mod M <= 2 radius; a_i = 0 under a zero prefix has s = radius and a child
+    stopping at 0 with top radius - radius mod M >= 0, and passes.  All a_i pass
+    if M <= 2 radius + 1.  Else the passing a_i have key i x a_i mod M in
+    lo..hi = lo + 2 radius, lo = -(radius + o_(i-1)) mod M: [lo, hi], or [lo, M)
+    and [0, hi - M] if hi >= M, each one run of the class sorted by key, so two
+    bisects keep what the direct filter (used on classes of <= 4 members and
+    windows of >= M/4 residues, where tables do not pay) keeps.  Order: each
+    level takes its passing members in descending order and a failing one has
+    no point below it, so points come in decreasing (a_n, ..., a_0) order, as
+    in a walk of every class; the first has the largest a_n.  Levels 1 and 0
+    run in level 2's consumer, with no generator frame per prefix.
     """
     n = len(b) - 1
     coef = taylor_matrix(x, n)
     mods = [p**bi for bi in b]
-    vec = [0] * (n + 1)
+    span = 2 * radius
+    tables: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in range(n + 1)]
 
-    def rec(i: int, top: int, all_zero_above: bool) -> Iterator[tuple[int, ...]]:
-        m = mods[i]
-        levels = range(top, -1 if all_zero_above else -radius - 1, -m)
-        row = coef[i - 1]  # level i-1's offset is base + row[i] a_i
-        base = sum(row[j] * vec[j] for j in range(i + 1, n + 1) if vec[j])
-        if i > 1:
-            m_child, r_i = mods[i - 1], row[i]
-            for a in levels:
-                child_top = radius - (radius + base + r_i * a) % m_child
-                zero = all_zero_above and a == 0
-                if child_top > (-1 if zero else -radius - 1):
-                    vec[i] = a
-                    yield from rec(i - 1, child_top, zero)
-            vec[i] = 0
-            return
-        rest = tuple(vec[2:])
-        for a in levels:
-            top0 = radius - (radius + base + x * a) % mods[0]
-            for a0 in range(top0, 0 if all_zero_above and a == 0 else -radius - 1, -mods[0]):
-                yield (a0, a) + rest
+    def live(i: int, offs: list[int], zero: bool) -> Sequence[int]:
+        m, big = mods[i], mods[i - 1]
+        top = radius - (radius + offs[i]) % m
+        members = range(top, -1 if zero else -radius - 1, -m)
+        if big <= span + 1:
+            return members
+        r, shift = coef[i - 1][i], radius + offs[i - 1]
+        if len(members) <= 4 or 4 * (span + 1) >= big:
+            return [a for a in members if (shift + r * a) % big <= span]
+        if top not in tables[i]:
+            pairs = sorted((r * a % big, a) for a in range(top, -radius - 1, -m))
+            tables[i][top] = ([k for k, _ in pairs], [a for _, a in pairs])
+        keys, vals = tables[i][top]
+        lo = -shift % big
+        picked = vals[bisect_left(keys, lo):bisect_right(keys, lo + span)]
+        if lo + span >= big:
+            picked += vals[:bisect_right(keys, lo + span - big)]
+        picked.sort(reverse=True)
+        return [a for a in picked if a >= 0] if zero else picked
 
-    return rec(n, radius - radius % mods[n], True)
+    def prefixes(i: int, offs: list[int], zero: bool, tail: tuple[int, ...]):
+        col = [row[i] for row in coef[:i]]
+        for a in live(i, offs, zero):
+            if i == 2:
+                yield (offs[0] + col[0] * a, offs[1] + col[1] * a), zero and a == 0, (a,) + tail
+            else:
+                yield from prefixes(i - 1, [o + c * a for o, c in zip(offs, col)], zero and a == 0,
+                                    (a,) + tail)
+
+    for offs, zero, tail in prefixes(n, [0] * (n + 1), True, ()) if n > 1 else [([0, 0], True, ())]:
+        for a1 in live(1, offs, zero):
+            top0 = radius - (radius + offs[0] + x * a1) % mods[0]
+            rest = (a1,) + tail
+            for a0 in range(top0, 0 if zero and a1 == 0 else -radius - 1, -mods[0]):
+                yield (a0,) + rest
 
 
 def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,
@@ -262,13 +286,26 @@ class _RankTracker:
     A new row is cross-multiplied against each stored row r at r's pivot,
     row <- r[piv] row - row[piv] r, which zeroes that entry without leaving
     the integers; a stored row is divided by its content to keep entries small.
+    At rank d - 1 in dimension d the rows span a hyperplane whose normal is
+    their d signed maximal minors (expand det(rows; vec) along vec), so vec is
+    independent iff it has a nonzero dot product with it; at rank d, with
+    the normal zeroed, nothing is.
     """
 
     def __init__(self):
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self.normal: Optional[list[int]] = None
 
     def try_add(self, vec: Sequence[int]) -> bool:
+        if len(self.rows) == len(vec) - 1:
+            if self.normal is None:
+                self.normal = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in self.rows])
+                               for j in range(len(vec))]
+            if not sum(map(mul, self.normal, vec)):
+                return False
+            self.normal = [0] * len(vec)
+            return True
         row = list(vec)
         for piv, r in zip(self.pivots, self.rows):
             f = row[piv]
@@ -322,7 +359,7 @@ def _greedy_minima(points: list[tuple[int, tuple[int, ...]]], want: int):
 
 
 def _max_abs(vec: tuple[int, ...]) -> int:
-    return max(abs(v) for v in vec)
+    return max(map(abs, vec))
 
 
 def _dual_certificate(basis: list[tuple[int, ...]], radius: int) -> bool:
@@ -805,20 +842,23 @@ def preset_theorem3(n: int, p: int, t: int, nu: Fraction) -> XiParams:
 
 
 def expand_preset(descr: dict) -> XiParams:
-    """Expand a JSON preset descriptor {mode, n, p, t, theta?, nu?} to XiParams."""
+    """Expand a JSON preset descriptor {mode, n, p, t, theta?, nu?} to XiParams.
+
+    theta or nu is an int, a Fraction or a string Fraction parses exactly.
+    """
     mode = descr.get("mode")
+    field, preset = {"theorem2": ("theta", preset_theorem2),
+                     "theorem3": ("nu", preset_theorem3)}.get(mode, (None, None))
+    if preset is None:
+        raise ValueError(f"unknown preset mode {mode!r}")
     try:
-        n = int(descr["n"])
-        p = int(descr["p"])
-        t = int(descr["t"])
+        n, p, t = _as_int(descr["n"], "n"), _as_p(descr["p"]), _as_int(descr["t"], "t")
+        value = descr[field]
     except KeyError as exc:
-        raise ValueError(f"preset descriptor missing field {exc}") from exc
-    if mode == "theorem2":
-        if "theta" not in descr:
-            raise ValueError("theorem2 preset needs theta")
-        return preset_theorem2(n, p, t, Fraction(str(descr["theta"])))
-    if mode == "theorem3":
-        if "nu" not in descr:
-            raise ValueError("theorem3 preset needs nu")
-        return preset_theorem3(n, p, t, Fraction(str(descr["nu"])))
-    raise ValueError(f"unknown preset mode {mode!r}")
+        raise ValueError(f"{mode} preset descriptor missing field {exc}") from exc
+    if type(value) is str:
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{field} must be a rational string, got {value!r}") from None
+    return preset(n, p, t, _as_rational(value, field))

@@ -78,7 +78,7 @@ _MR_LIMIT = 3317044064679887385961981
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below ~3.3e24."""
-    if n < 2:
+    if _as_int(n, "n") < 2:
         return False
     for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n == small:

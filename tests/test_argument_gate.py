@@ -15,13 +15,15 @@ from padicsep import (IntPoly, Prime, XiParams, build_gamma, disc_census, disc_t
                       preset_theorem2, preset_theorem3, round_params, sep_census,
                       successive_minima, valuation, zp_roots)
 from padicsep.intpoly import poly_irreducible_mod
-from padicsep.lattice import admissible_primes, congruence_lattice
+from padicsep.lattice import admissible_primes, congruence_lattice, expand_preset
 from padicsep.linalg import lll_reduce, solve_mod_prime
-from padicsep.padic import _as_int, _as_p, _as_rational
+from padicsep.padic import _as_int, _as_p, _as_rational, is_prime
 
 HALF = Fraction(1, 2)
 SQRT2 = IntPoly([-2, 0, 1])
 PINCH = XiParams(3, 2, (4, 2, 0))
+TH2 = {"mode": "theorem2", "n": 2, "p": 3, "t": 2, "theta": "1"}
+TH3 = {"mode": "theorem3", "n": 2, "p": 3, "t": 2, "nu": "1/2"}
 
 
 @pytest.mark.parametrize("call, name", [
@@ -73,6 +75,24 @@ def test_library_rejects_inexact_arguments(call, name):
         call()
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: is_prime(3.0), "n"),
+    (lambda: is_prime(True), "n"),
+    (lambda: is_prime(2.5), "n"),
+    (lambda: expand_preset({**TH2, "n": 2.7, "p": 3.9}), "n"),
+    (lambda: expand_preset({**TH2, "p": 3.9}), "p"),
+    (lambda: expand_preset({**TH2, "t": 2.0}), "t"),
+    (lambda: expand_preset({**TH2, "theta": 1.0}), "theta"),
+    (lambda: expand_preset({**TH2, "theta": True}), "theta"),
+    (lambda: expand_preset({**TH2, "theta": "1/0"}), "theta"),
+    (lambda: expand_preset({**TH3, "nu": 0.5}), "nu"),
+    (lambda: expand_preset({**TH3, "nu": "half"}), "nu"),
+])
+def test_is_prime_and_presets_reject_inexact_arguments(call, name):
+    with pytest.raises(ValueError, match=rf"^{name} (must be|= )"):
+        call()
+
+
 def test_gate_accepts_exactly_int_fraction_and_prime():
     assert _as_p(3) == _as_p(Prime(3)) == 3 and type(_as_p(Prime(3))) is int
     assert _as_int(0, "k", 0) == 0 and _as_rational(2, "r") == Fraction(2)
@@ -100,6 +120,10 @@ def test_ints_fractions_and_primes_still_accepted():
     assert eisenstein_check(IntPoly([2, 0, 1]), Prime(2))
     assert [r.residue for r in zp_roots(SQRT2, Prime(7), 2)] == [10, 39]
     assert lll_reduce([[1, 0], [0, 1]], Fraction(3, 4)) == lll_reduce([[1, 0], [0, 1]])
+    assert expand_preset(TH2) == expand_preset({**TH2, "theta": 1}) == preset_theorem2(2, 3, 2, 1)
+    assert expand_preset(TH3) == expand_preset({**TH3, "nu": "0.5"}) == \
+        expand_preset({**TH3, "nu": HALF}) == preset_theorem3(2, 3, 2, HALF)
+    assert [q for q in range(-3, 12) if is_prime(q)] == [2, 3, 5, 7, 11]
 
 
 def test_readme_five_line_example_runs():

@@ -4,7 +4,8 @@ int(2.7) truncates and Fraction(0.1) keeps the binary float, so a coercion
 lets inexact values into exact arithmetic.  Entry points check their
 arguments through padic's gate (_as_p, _as_int, _as_rational) instead.  The
 guard flags a one-argument int(...) or Fraction(...) call on a parameter of
-an enclosing function, or on a comprehension variable drawn directly from one.
+an enclosing function, on a subscript of one (int(descr["n"])), or on a
+comprehension variable drawn directly from one.
 """
 
 import ast
@@ -27,9 +28,11 @@ def _coercions(node, params: frozenset, found: list, where: str) -> None:
                            if isinstance(gen.target, ast.Name) and isinstance(gen.iter, ast.Name)
                            and gen.iter.id in params}
     elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-            and node.func.id in COERCIONS and len(node.args) == 1 and not node.keywords \
-            and isinstance(node.args[0], ast.Name) and node.args[0].id in params:
-        found.append(f"{where}:{node.lineno} {node.func.id}({node.args[0].id})")
+            and node.func.id in COERCIONS and len(node.args) == 1 and not node.keywords:
+        arg = node.args[0]
+        name = arg.value if isinstance(arg, ast.Subscript) else arg
+        if isinstance(name, ast.Name) and name.id in params:
+            found.append(f"{where}:{node.lineno} {node.func.id}({ast.unparse(arg)})")
     for child in ast.iter_child_nodes(node):
         _coercions(child, params, found, where)
 
@@ -58,6 +61,7 @@ def f(b, coeffs, x, nu):
     return Fraction(nu), int(len(b)), Fraction(1, 2), [int(y) for y in range(3)]
 
 g = lambda q: int(q)
+h = lambda descr: int(descr["n"])
 '''
     assert coercion_sites(source, "m") == ["m:3 int(bi)", "m:4 int(a)", "m:5 Fraction(v)",
-                                           "m:6 Fraction(nu)", "m:8 int(q)"]
+                                           "m:6 Fraction(nu)", "m:8 int(q)", "m:9 int(descr['n'])"]

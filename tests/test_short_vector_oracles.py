@@ -1,6 +1,7 @@
-"""The integral LLL, the one-box short-vector search and its dual certificate
-against the routes they replaced: the rational LLL of `lll_oracle`, the
-radius-doubling search of `short_vector_oracle`, and brute-force minima."""
+"""The integral LLL, the one-box short-vector search, its dual certificate and
+its rank tracker against the routes they replaced: the rational LLL of
+`lll_oracle`, the radius-doubling search and pure elimination of
+`short_vector_oracle`, and brute-force minima."""
 
 import itertools
 import random
@@ -14,6 +15,7 @@ from lll_oracle import lll_reduce_rational
 from padicsep.lattice import (
     XiParams,
     _dual_certificate,
+    _greedy_minima,
     _RankTracker,
     build_gamma,
     congruence_lattice,
@@ -21,7 +23,7 @@ from padicsep.lattice import (
     successive_minima,
 )
 from padicsep.linalg import bareiss_det, lll_reduce
-from short_vector_oracle import short_vectors_oracle, successive_minima_oracle
+from short_vector_oracle import EliminationTracker, short_vectors_oracle, successive_minima_oracle
 
 PROPERTY = settings(max_examples=300, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.filter_too_much])
@@ -96,6 +98,39 @@ def test_short_vectors_and_minima_equal_the_doubling_search():
     assert routes == {"enumeration", "lll_after_box", "lll_dual_certificate"}
     with pytest.raises(ValueError):
         successive_minima(lat, 0)
+
+
+def test_rank_tracker_equals_pure_elimination(monkeypatch):
+    # streams that reach rank d - 1 and then offer vectors of that hyperplane
+    # (dependent) mixed with random ones, small and huge; every decision, and
+    # the greedy at every want <= d on the sorted stream, as elimination gives
+    rng = random.Random(4242)
+    dependent_at_hyperplane = 0
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        scale = rng.choice([3, 9, 10**9])
+        base = [[rng.randint(-scale, scale) for _ in range(dim)] for _ in range(dim - 1)]
+        stream = base[:]
+        for _ in range(rng.randint(0, 10)):
+            if base and rng.random() < 0.6:
+                mix = [rng.randint(-3, 3) for _ in base]
+                stream.append([sum(c * row[j] for c, row in zip(mix, base)) for j in range(dim)])
+            else:
+                stream.append([rng.randint(-scale, scale) for _ in range(dim)])
+        rng.shuffle(stream)
+        fast, slow = _RankTracker(), EliminationTracker()
+        for vec in stream:
+            rank = len(slow.rows)
+            took = slow.try_add(vec)
+            assert fast.try_add(vec) == took, (stream, vec)
+            dependent_at_hyperplane += rank == dim - 1 and not took
+        points = sorted((max(map(abs, v)), tuple(v)) for v in stream)
+        for want in range(1, dim + 1):
+            got = _greedy_minima(points, want)
+            with monkeypatch.context() as patch:
+                patch.setattr("padicsep.lattice._RankTracker", EliminationTracker)
+                assert got == _greedy_minima(points, want)
+    assert dependent_at_hyperplane > 200
 
 
 def _brute_last_minimum(lat, radius):
