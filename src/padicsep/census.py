@@ -46,42 +46,41 @@ def iter_coeffs(n: int, height_bound: int, an_lo: int = 1,
 
 
 def _records(n: int, p: int, height_bound: int, an_lo: int,
-             an_hi: int) -> Iterator[tuple[tuple[int, ...], int, Optional[int], bool]]:
-    """The census kernel: (coeffs, D, v_p(D), irreducible) in canonical order.
+             an_hi: int) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+    """The census kernel: per block, (head, rows) in canonical order.
 
-    Both censuses read D, v_p(D) and the irreducibility verdict here from
-    n = 3 on.  D = 0 yields v_p(D) = None and irreducible = False: a repeated
-    root makes P reducible over Q.
+    head = (a_1, ..., a_n) fixes a block and rows = [(a_0, D, v_p(D),
+    irreducible)] for a_0 = -Q..Q.  Both censuses read D, v_p(D) and the
+    verdict here from n = 3 on.  D = 0 yields v_p(D) = None and irreducible =
+    False: a repeated root makes P reducible over Q.
 
-    At n = 3 the verdict is a rational-root sieve, exact by three facts.
-    (1) A cubic with D != 0 is irreducible over Q iff it has no rational
-    root: a factorization over Q has degrees summing to 3, so one factor is
-    linear and its root is rational; a rational root r gives the factor x - r.
-    (2) Content does not change the roots: P = c P' with c a nonzero integer
-    has the roots of P', so the verdict on P is the verdict on its primitive
-    part that is_irreducible gives.  (3) Every rational root r/s in lowest
-    terms, s > 0, has s | a_3 and r | a_0: s^3 P(r/s) = 0 reads
-    a_3 r^3 = -s (a_2 r^2 + a_1 r s + a_0 s^2) and
-    a_0 s^3 = -r (a_3 r^2 + a_2 r s + a_1 s^2), and gcd(r, s) = 1.
-    So with a_0 != 0 (a_0 = 0 gives the root 0) a root has 0 < |r| <= |a_0|
-    <= Q, and by Cauchy's bound |r/s| <= 1 + Q/a_3, i.e.
-    |r| <= s + floor(s Q / a_3).  Each such candidate r/s is a root for
-    exactly one a_0, the one with a_0 s^3 = -(a_3 r^3 + a_2 r^2 s + a_1 r s^2),
-    so the a_0 in the box that make P reducible are the integral ones among
-    these; every other a_0 != 0 gives an irreducible P.  D is the closed
-    cubic form, written as A + a_0 (B + C a_0) for each (a_3, a_2, a_1).
+    At n = 3, D is the closed cubic form A + a_0 (B + C a_0) of each block,
+    and a_0 = 0 gives the factor x.  A cubic is reducible over Q iff it has a
+    linear factor, so by Gauss's lemma iff P = (s x - r)(b x^2 + c x + d) over
+    Z, with s > 0 after negating both factors: s | a_3, b = a_3 / s and
+        a_2 = s c - r b,   a_1 = s d - r c,   a_0 = -r d.
+    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|; |a_2| <= Q reads
+    (r b - Q)/s <= c <= (r b + Q)/s.  So the products on these ranges with
+    |a_1| <= Q are every reducible cubic of the box with a_0 != 0 and no
+    other, one table reducible[(a_2, a_1)] = {a_0} per a_3; a cubic met twice
+    (content, a repeated root) lands in the same set.
     """
+    q = height_bound
     if n == 3:
-        rng = range(-height_bound, height_bound + 1)
+        rng = range(-q, q + 1)
+        nonzero = [*range(-q, 0), *range(1, q + 1)]
         for a3 in range(an_lo, an_hi + 1):
-            # per root candidate r/s: (a_3 r^3, r^2 s, r s^2, s^3)
-            cands = []
+            reducible: dict[tuple[int, int], set[int]] = {}
             for s in range(1, a3 + 1):
                 if a3 % s == 0:
-                    r_max = min(height_bound, s + s * height_bound // a3)
-                    cands.extend((a3 * r**3, r * r * s, r * s * s, s**3)
-                                 for r in range(-r_max, r_max + 1)
-                                 if r and math.gcd(r, s) == 1)
+                    b = a3 // s
+                    for r in nonzero:
+                        k = q // abs(r)
+                        for d in nonzero[q - k:q + k]:  # 0 < |d| <= Q/|r|
+                            for c in range(-((q - r * b) // s), (r * b + q) // s + 1):
+                                a1 = s * d - r * c
+                                if -q <= a1 <= q:
+                                    reducible.setdefault((s * c - r * b, a1), set()).add(-r * d)
             big_c = -27 * a3 * a3
             for a2 in rng:
                 a2sq = a2 * a2
@@ -89,30 +88,31 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
                 for a1 in rng:
                     big_a = a1 * a1 * (a2sq - 4 * a3 * a1)
                     big_b = 18 * a3 * a2 * a1 + b2
-                    reducible = set()
-                    for t3, t2, t1, s3 in cands:
-                        num = t3 + a2 * t2 + a1 * t1  # = -a_0 s^3 for the a_0 with root r/s
-                        if num % s3 == 0 and -height_bound * s3 <= num <= height_bound * s3:
-                            reducible.add(-num // s3)
+                    red = reducible.get((a2, a1), ())
+                    rows = []
                     for a0 in rng:
                         disc = big_a + a0 * (big_b + big_c * a0)
                         if disc == 0:
-                            yield (a0, a1, a2, a3), 0, None, False
+                            rows.append((a0, 0, None, False))
                             continue
                         v = 0
                         d = disc
                         while d % p == 0:
                             d //= p
                             v += 1
-                        yield (a0, a1, a2, a3), disc, v, a0 != 0 and a0 not in reducible
+                        rows.append((a0, disc, v, a0 != 0 and a0 not in red))
+                    yield (a1, a2, a3), rows
         return
-    for coeffs in iter_coeffs(n, height_bound, an_lo, an_hi):
-        disc = discriminant_coeffs(coeffs)
-        if disc == 0:
-            yield coeffs, 0, None, False
-        else:
-            prim = content_primitive(IntPoly(coeffs))[1]
-            yield coeffs, disc, valuation(disc, p), bool(is_irreducible(prim))
+    for head, block in itertools.groupby(iter_coeffs(n, q, an_lo, an_hi), key=lambda c: c[1:]):
+        rows = []
+        for coeffs in block:
+            disc = discriminant_coeffs(coeffs)
+            if disc == 0:
+                rows.append((coeffs[0], 0, None, False))
+            else:
+                prim = content_primitive(IntPoly(coeffs))[1]
+                rows.append((coeffs[0], disc, valuation(disc, p), bool(is_irreducible(prim))))
+        yield head, rows
 
 
 def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence,
@@ -379,21 +379,22 @@ def _disc_shard(args) -> dict[int, list[int]]:
         return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi,
                                       range(-height_bound, height_bound + 1))
     hist: dict[int, list[int]] = {}
-    for _, disc, v, irr in _records(n, p, height_bound, an_lo, an_hi):
-        if v is None:
-            continue
-        ad = abs(disc)
-        entry = hist.get(v)
-        if entry is None:
-            hist[v] = [1, 1 if irr else 0, ad, ad]
-            continue
-        entry[0] += 1
-        if irr:
-            entry[1] += 1
-        if ad < entry[2]:
-            entry[2] = ad
-        elif ad > entry[3]:
-            entry[3] = ad
+    for _, rows in _records(n, p, height_bound, an_lo, an_hi):
+        for _, disc, v, irr in rows:
+            if v is None:
+                continue
+            ad = abs(disc)
+            entry = hist.get(v)
+            if entry is None:
+                hist[v] = [1, 1 if irr else 0, ad, ad]
+                continue
+            entry[0] += 1
+            if irr:
+                entry[1] += 1
+            if ad < entry[2]:
+                entry[2] = ad
+            elif ad > entry[3]:
+                entry[3] = ad
     return hist
 
 
@@ -586,11 +587,14 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
     At n = 2 every (a_2, a_1) block is counted in closed form by
     _quadratic_sep_blocks, a_1 by |a_1| ascending for its walk skip.
 
-    At n = 3 the separation is read off v_p(D), v_p(a_3) and v_p(u),
-    u = 3 a_1 a_3 - a_2^2, by the slope rule of min_conjugate_separation
-    (roots._first_slope).  It depends on nothing else, so the records are
-    counted by (v_p(a_3), v_p(u), v_p(D), irreducible) and each key is mapped
-    to its sep once, at the end.
+    From n = 3 one loop reads the blocks of _records.  Per block it takes
+    m = max |head|, so a record has H = max(m, |a_0|); each shell record is
+    counted under (key, irreducible), and each key is mapped to its sep once,
+    at the end.  From n = 4 the key is the sep of min_conjugate_separation.
+    At n = 3 the key is (v_p(a_3), v_p(u), v_p(D)), u = 3 a_1 a_3 - a_2^2
+    fixed by the block: the separation is read off these three by the slope
+    rule of min_conjugate_separation (roots._first_slope) and depends on
+    nothing else.
     That rule reads R(y) = prod_(i != j) (y - beta_i + beta_j), beta_i = a_3 alpha_i,
     and for a cubic R(y) = y^6 + E_2 y^4 + E_4 y^2 + E_6 with
         E_2 = 2u,   E_4 = u^2,   E_6 = -a_3^2 D.
@@ -615,43 +619,32 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
     if n == 2:
         return _quadratic_sep_blocks(p, q, an_lo, an_hi, sorted(range(-q, q + 1), key=abs))
     shell_lo = q // p
-    counts: dict[tuple, int] = {}
-    least: dict = {}
-    records = _records(n, p, q, an_lo, an_hi)
-    if n == 3:
-        v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)}
-        raw: dict[tuple, int] = {}  # (v_p(a_3), v_p(u), v_p(D), irreducible) -> count
-        raw_least: dict[tuple, int] = {}  # (v_p(a_3), v_p(u), v_p(D)) -> least H > 1, irreducible
-        last_a1 = None
-        for (a0, a1, a2, a3), _, v, irr in records:
-            if a1 != last_a1:  # in canonical order a_1 changes with every (a_3, a_2, a_1)
-                last_a1 = a1
-                m = max(a3, abs(a2), abs(a1))
-                u = 3 * a1 * a3 - a2 * a2
-                va3, vu = v_lead[a3], valuation(u, p) if u else None
+    v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)} if n == 3 else {}
+    raw: dict[tuple, int] = {}  # (key, irreducible) -> count
+    raw_least: dict = {}  # key -> least H > 1 of an irreducible record
+    for head, rows in _records(n, p, q, an_lo, an_hi):
+        m = max(map(abs, head))
+        if n == 3:
+            a1, a2, a3 = head
+            u = 3 * a1 * a3 - a2 * a2
+            va3, vu = v_lead[a3], valuation(u, p) if u else None
+        for a0, _, v, irr in rows:
             if v is None:
                 continue
             h = a0 if a0 > m else -a0 if -a0 > m else m
             if h >= shell_lo:
-                key = (va3, vu, v, irr)
-                raw[key] = raw.get(key, 0) + 1
-                if irr and h > 1:
-                    key = (va3, vu, v)
-                    if h < raw_least.get(key, h + 1):
-                        raw_least[key] = h
-        for (va3, vu, v, irr), cnt in raw.items():
-            key = (_cubic_sep(va3, vu, v), irr)
-            counts[key] = counts.get(key, 0) + cnt
-        for (va3, vu, v), h in raw_least.items():
-            sep = _cubic_sep(va3, vu, v)
-            least[sep] = min(least.get(sep, h), h)
-        return counts, least
-    for coeffs, _, v, irr in records:
-        if v is not None and (h := max(map(abs, coeffs))) >= shell_lo:
-            key = (min_conjugate_separation(IntPoly(coeffs), p).val, irr)
-            counts[key] = counts.get(key, 0) + 1
-            if irr and h > 1:
-                least[key[0]] = min(least.get(key[0], h), h)
+                key = ((va3, vu, v) if n == 3
+                       else min_conjugate_separation(IntPoly((a0,) + head), p).val)
+                raw[key, irr] = raw.get((key, irr), 0) + 1
+                if irr and h > 1 and h < raw_least.get(key, h + 1):
+                    raw_least[key] = h
+    sep = {key: _cubic_sep(*key) if n == 3 else key for key, _ in raw}
+    counts: dict[tuple, int] = {}
+    for (key, irr), cnt in raw.items():
+        counts[sep[key], irr] = counts.get((sep[key], irr), 0) + cnt
+    least: dict = {}
+    for key, h in raw_least.items():
+        least[sep[key]] = min(least.get(sep[key], h), h)
     return counts, least
 
 

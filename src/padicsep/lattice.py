@@ -204,7 +204,9 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
     run in level 2's consumer, with no generator frame per prefix.
     """
     n = len(b) - 1
-    coef = taylor_matrix(x, n)
+    powers = [x**e for e in range(n + 1)]
+    # column i of taylor_matrix above the diagonal: C(i, k) x^(i-k), k < i
+    cols = [[comb(i, k) * powers[i - k] for k in range(i)] for i in range(n + 1)]
     mods = [p**bi for bi in b]
     span = 2 * radius
     tables: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in range(n + 1)]
@@ -215,7 +217,7 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
         members = range(top, -1 if zero else -radius - 1, -m)
         if big <= span + 1:
             return members
-        r, shift = coef[i - 1][i], radius + offs[i - 1]
+        r, shift = cols[i][i - 1], radius + offs[i - 1]
         if len(members) <= 4 or 4 * (span + 1) >= big:
             return [a for a in members if (shift + r * a) % big <= span]
         if top not in tables[i]:
@@ -230,7 +232,7 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
         return [a for a in picked if a >= 0] if zero else picked
 
     def prefixes(i: int, offs: list[int], zero: bool, tail: tuple[int, ...]):
-        col = [row[i] for row in coef[:i]]
+        col = cols[i]
         for a in live(i, offs, zero):
             if i == 2:
                 yield (offs[0] + col[0] * a, offs[1] + col[1] * a), zero and a == 0, (a,) + tail

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from cubic_sieve_oracle import cubic_sieve_records
 from padicsep.census import (
     _census_inputs,
     _disc_shard,
@@ -28,12 +29,19 @@ from padicsep.intpoly import (
     discriminant,
     discriminant_coeffs,
     is_irreducible,
+    rational_roots,
 )
 from padicsep.lattice import XiParams
 from padicsep.padic import valuation
 from padicsep.roots import min_conjugate_separation
 
 X = sympy.Symbol("x")
+
+
+def _flat_records(n, p, q, lo, hi):
+    """The blocks of _records as flat records ((a_0,) + head, D, v_p(D), irreducible)."""
+    return [((a0,) + head, disc, v, irr)
+            for head, rows in _records(n, p, q, lo, hi) for a0, disc, v, irr in rows]
 
 
 def _sympy_irreducible(coeffs) -> bool:
@@ -59,7 +67,7 @@ def test_iter_coeffs_deterministic_and_sharded():
 
 
 def test_record_invariants():
-    for coeffs, disc, vpd, _ in _records(3, 5, 3, 1, 3):
+    for coeffs, disc, vpd, _ in _flat_records(3, 5, 3, 1, 3):
         assert disc == discriminant(IntPoly(coeffs))
         if disc != 0:
             assert vpd == valuation(disc, 5)
@@ -568,7 +576,7 @@ def test_n3_sep_shard_against_per_record_recount():
         q = p**t
         for lo, hi in _shards(q):
             counts, least = {}, {}
-            for (a0, a1, a2, a3), _, v, irr in _records(3, p, q, lo, hi):
+            for (a0, a1, a2, a3), _, v, irr in _flat_records(3, p, q, lo, hi):
                 h = max(abs(a0), abs(a1), abs(a2), a3)
                 if v is None or h < q // p:
                     continue
@@ -579,6 +587,26 @@ def test_n3_sep_shard_against_per_record_recount():
                 fractional += type(sep) is Fraction
             _assert_same_shard(_sep_shard((3, p, q, lo, hi)), (counts, least), (p, t, lo))
     assert zero_u and lead_div and fractional
+
+
+def test_n4_sep_shard_against_per_record_recount():
+    # the merged record loop at n = 4 against discriminant_coeffs, is_irreducible and
+    # min_conjugate_separation record by record, reduced to (sep, irr) counts and least H
+    fractional = reducible = 0
+    for p, q, shards in ((2, 1, _shards(1)), (2, 2, _shards(2)), (3, 3, [(1, 1)])):
+        for lo, hi in shards:
+            counts, least = {}, {}
+            for coeffs in iter_coeffs(4, q, lo, hi):
+                h = max(map(abs, coeffs))
+                if discriminant_coeffs(coeffs) == 0 or h < q // p:
+                    continue
+                sep = min_conjugate_separation(IntPoly(coeffs), p).val
+                irr = bool(is_irreducible(content_primitive(IntPoly(coeffs))[1]))
+                _sep_tally(counts, least, sep, irr, h)
+                fractional += type(sep) is Fraction
+                reducible += not irr
+            _assert_same_shard(_sep_shard((4, p, q, lo, hi)), (counts, least), (p, q, lo))
+    assert fractional and reducible
 
 
 def _brute_sep_block(p, t, a2, a1):
@@ -646,11 +674,11 @@ def test_quadratic_sep_blocks_seeded_against_brute_force():
 
 @pytest.mark.parametrize("p, q", [(2, 4), (3, 5), (5, 3), (2, 9)])
 def test_cubic_kernel_against_per_record_oracle(p, q):
-    # the rational-root sieve against discriminant_coeffs, valuation and
+    # the product-table kernel against discriminant_coeffs, valuation and
     # is_irreducible on the primitive part, record by record on every shard
     zero_a0 = zero_disc = 0
     for lo, hi in _shards(q):
-        got = list(_records(3, p, q, lo, hi))
+        got = _flat_records(3, p, q, lo, hi)
         expect = []
         for coeffs in iter_coeffs(3, q, lo, hi):
             disc = discriminant_coeffs(coeffs)
@@ -666,6 +694,37 @@ def test_cubic_kernel_against_per_record_oracle(p, q):
     assert zero_a0 and zero_disc
     if q == 9:
         assert _shards(q) == [(1, 8), (9, 9)]
+
+
+@pytest.mark.parametrize("p, q, shards", [(2, 16, [(1, 8)]), (3, 9, _shards(9)),
+                                           (5, 10, [(1, 8), (9, 10)])])
+def test_cubic_kernel_against_sieve_oracle(p, q, shards):
+    # the product table against the rational-root sieve it replaced, record by record
+    seen = {"s > 1": 0, "r < 0": 0, "a0 = 0": 0, "D = 0": 0, "a3 with >= 4 divisors": 0}
+    for lo, hi in shards:
+        got = _flat_records(3, p, q, lo, hi)
+        assert got == list(cubic_sieve_records(p, q, lo, hi)), (p, q, lo)
+        for coeffs, disc, _, irr in got:
+            seen["D = 0"] += disc == 0
+            seen["a0 = 0"] += coeffs[0] == 0 and disc != 0
+            if not (seen["s > 1"] and seen["r < 0"]) and disc and coeffs[0] and not irr:
+                # a reducible product (s x - r)(b x^2 + c x + d): its root r/s is rational
+                roots = rational_roots(IntPoly(coeffs))
+                seen["s > 1"] += any(x.denominator > 1 for x in roots)
+                seen["r < 0"] += any(x < 0 for x in roots)
+        seen["a3 with >= 4 divisors"] += any(
+            sum(a3 % s == 0 for s in range(1, a3 + 1)) >= 4 for a3 in range(lo, hi + 1))
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 9), (4, 2)])
+def test_records_blocks_in_canonical_order(n, q):
+    # each block holds a_0 = -Q..Q under one head, and the blocks run in iter_coeffs order
+    for lo, hi in _shards(q):
+        blocks = list(_records(n, 3, q, lo, hi))
+        assert all(len(rows) == 2 * q + 1 for _, rows in blocks)
+        assert len({head for head, _ in blocks}) == len(blocks)
+        assert [r[0] for r in _flat_records(n, 3, q, lo, hi)] == list(iter_coeffs(n, q, lo, hi))
 
 
 def _brute_disc_hist(p, q, a2_values, a1_values):
@@ -722,11 +781,14 @@ def test_quadratic_disc_blocks_seeded_against_brute_force():
 @pytest.mark.parametrize("patched, reached", [
     ("_records", {"disc n=3", "sep n=3", "disc n=4", "sep n=4"}),
     ("min_conjugate_separation", {"sep n=4"}),
-], ids=["records-patched", "separation-patched"])
+    ("is_irreducible", {"disc n=4", "sep n=4"}),
+    ("discriminant_coeffs", {"disc n=4", "sep n=4"}),
+], ids=["records-patched", "separation-patched", "irreducible-patched", "discriminant-patched"])
 def test_census_routes(patched, reached, monkeypatch):
     # at n = 2 neither census reads the record kernel or the per-record
-    # separation; at n = 3 both read the kernel only; from n = 4 the sep
-    # census reads both
+    # separation; at n = 3 both read the kernel only, which calls neither
+    # is_irreducible nor discriminant_coeffs; from n = 4 the kernel calls
+    # both, and the sep census reads the per-record separation too
     def refuse(*_):
         raise RuntimeError(f"{patched} called")
 
