@@ -45,6 +45,37 @@ def iter_coeffs(n: int, height_bound: int, an_lo: int = 1,
             yield rest[::-1] + (an,)
 
 
+def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
+    """{(a_2, a_1): {a_0}} of every reducible cubic with leading a_3, a_0 != 0 and height <= q.
+
+    A cubic is reducible over Q iff it has a linear factor, so by Gauss's
+    lemma iff P = (s x - r)(b x^2 + c x + d) over Z, with s > 0 after negating
+    both factors: s | a_3, b = a_3 / s and
+        a_2 = s c - r b,   a_1 = s d - r c,   a_0 = -r d.
+    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|.  |a_2| <= Q reads
+    ceil((r b - Q)/s) <= c <= floor((r b + Q)/s).  |a_1| <= Q reads
+    s d - Q <= r c <= s d + Q, i.e. ceil((s d - u)/r) <= c <= floor((s d + u)/r)
+    with u = Q for r > 0 and u = -Q for r < 0, since dividing by r < 0 turns
+    the inequalities round.  c runs over the intersection of the two, so
+    every step is a product of the box with a_0 != 0, and every such
+    reducible cubic is one; a cubic met twice (content, a repeated root)
+    lands in the same set.
+    """
+    nonzero = [*range(-q, 0), *range(1, q + 1)]
+    reducible: dict[tuple[int, int], set[int]] = {}
+    for s in range(1, a3 + 1):
+        if a3 % s == 0:
+            b = a3 // s
+            for r in nonzero:
+                k, u = q // abs(r), q if r > 0 else -q
+                c_lo, c_hi = -((q - r * b) // s), (r * b + q) // s
+                for d in nonzero[q - k:q + k]:  # 0 < |d| <= Q/|r|
+                    sd = s * d
+                    for c in range(max(c_lo, -((u - sd) // r)), min(c_hi, (sd + u) // r) + 1):
+                        reducible.setdefault((s * c - r * b, sd - r * c), set()).add(-r * d)
+    return reducible
+
+
 def _records(n: int, p: int, height_bound: int, an_lo: int,
              an_hi: int) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
     """The census kernel: per block, (head, rows) in canonical order.
@@ -55,32 +86,14 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
     False: a repeated root makes P reducible over Q.
 
     At n = 3, D is the closed cubic form A + a_0 (B + C a_0) of each block,
-    and a_0 = 0 gives the factor x.  A cubic is reducible over Q iff it has a
-    linear factor, so by Gauss's lemma iff P = (s x - r)(b x^2 + c x + d) over
-    Z, with s > 0 after negating both factors: s | a_3, b = a_3 / s and
-        a_2 = s c - r b,   a_1 = s d - r c,   a_0 = -r d.
-    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|; |a_2| <= Q reads
-    (r b - Q)/s <= c <= (r b + Q)/s.  So the products on these ranges with
-    |a_1| <= Q are every reducible cubic of the box with a_0 != 0 and no
-    other, one table reducible[(a_2, a_1)] = {a_0} per a_3; a cubic met twice
-    (content, a repeated root) lands in the same set.
+    and a_0 = 0 gives the factor x; the other reducible cubics come from one
+    _cubic_products table per a_3.
     """
     q = height_bound
     if n == 3:
         rng = range(-q, q + 1)
-        nonzero = [*range(-q, 0), *range(1, q + 1)]
         for a3 in range(an_lo, an_hi + 1):
-            reducible: dict[tuple[int, int], set[int]] = {}
-            for s in range(1, a3 + 1):
-                if a3 % s == 0:
-                    b = a3 // s
-                    for r in nonzero:
-                        k = q // abs(r)
-                        for d in nonzero[q - k:q + k]:  # 0 < |d| <= Q/|r|
-                            for c in range(-((q - r * b) // s), (r * b + q) // s + 1):
-                                a1 = s * d - r * c
-                                if -q <= a1 <= q:
-                                    reducible.setdefault((s * c - r * b, a1), set()).add(-r * d)
+            reducible = _cubic_products(a3, q)
             big_c = -27 * a3 * a3
             for a2 in rng:
                 a2sq = a2 * a2

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
@@ -161,9 +162,14 @@ class GammaLattice:
             out *= self.p**bi
         return out
 
+    @cached_property
+    def taylor(self) -> list[list[int]]:
+        """taylor_matrix(x, n), built once per lattice."""
+        return taylor_matrix(self.x, self.n)
+
     def hasse_values(self, vec: Sequence[int]) -> list[int]:
         """(1/i!)P^(i)(x) for i = 0..n, P having coefficient vector vec."""
-        return [sum(c * a for c, a in zip(row, vec)) for row in taylor_matrix(self.x, self.n)]
+        return [sum(c * a for c, a in zip(row, vec)) for row in self.taylor]
 
     def contains(self, vec: Sequence[int]) -> bool:
         return all(
@@ -364,17 +370,28 @@ def _max_abs(vec: tuple[int, ...]) -> int:
     return max(map(abs, vec))
 
 
-def _dual_certificate(basis: list[tuple[int, ...]], radius: int) -> bool:
-    """True when some det > radius ||cofactor row i||_1 proves lambda_(n+1) > radius.
+def _dual_certificate(lat: GammaLattice, basis: list[tuple[int, ...]], radius: int) -> bool:
+    """True when a signed cofactor row w of basis proves lambda_(n+1) > radius.
 
-    The dual basis w_i = cofactor row i / det has <b_j, w_i> = delta_ij, so
-    <v, w_i> is an integer on the lattice, nonzero for one of any n+1
-    independent v, and |<v, w_i>| <= ||v||_inf ||cofactor row i||_1 / |det|.
+    Rows b_j of basis span lat, D = |det|, and w_j = (-1)^j minor(i, j) is row i
+    of the cofactor matrix up to one sign, so <b_j, w> = +-D delta_ij and
+    <v, w> lies in D Z for every lattice vector v.  For v in the box,
+    |<v, w>| <= radius ||w||_1.  Strict: D > radius ||w||_1 forces <v, w> = 0.
+    Equality: D = radius ||w||_1 with every w_j != 0 allows |<v, w>| = D only
+    where every |v_j| = radius with sign(v_j) = +-sign(w_j), i.e. at the corners
+    +-radius sign(w); when lat does not hold them (it holds both or neither),
+    <v, w> = 0 again.  Either way every box point lies in the hyperplane
+    w^perp, so no n+1 of them are independent.
     """
     det, dim = abs(bareiss_det(basis)), range(len(basis))
-    without_row = [[r for k, r in enumerate(basis) if k != i] for i in dim]
-    return any(det > radius * sum(abs(bareiss_det([r[:j] + r[j + 1:] for r in rows])) for j in dim)
-               for rows in without_row)
+    for i in dim:
+        rows = [r for k, r in enumerate(basis) if k != i]
+        w = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in rows]) for j in dim]
+        bound = radius * sum(map(abs, w))
+        if det > bound or (det == bound and all(w)
+                           and not lat.contains([radius if c > 0 else -radius for c in w])):
+            return True
+    return False
 
 
 def _minima_search(lat: GammaLattice, want: int, enum_limit: int):
@@ -400,7 +417,7 @@ def _minima_search(lat: GammaLattice, want: int, enum_limit: int):
     while 0 < radius < big and lat.box_count_estimate(2 * radius) <= enum_limit:
         radius *= 2
     radius = min(radius, big)
-    if radius == 0 or (radius < big and want > lat.n and _dual_certificate(reduced, radius)):
+    if radius == 0 or (radius < big and want > lat.n and _dual_certificate(lat, reduced, radius)):
         return reduced, None, "lll_dual_certificate"
     chosen = _greedy_minima(sorted((_max_abs(v), v) for v in lat.half_box_points(radius)), want)
     if len(chosen) == want:

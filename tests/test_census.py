@@ -9,6 +9,7 @@ import sympy
 from cubic_sieve_oracle import cubic_sieve_records
 from padicsep.census import (
     _census_inputs,
+    _cubic_products,
     _disc_shard,
     _quadratic_disc_blocks,
     _quadratic_sep_blocks,
@@ -694,6 +695,31 @@ def test_cubic_kernel_against_per_record_oracle(p, q):
     assert zero_a0 and zero_disc
     if q == 9:
         assert _shards(q) == [(1, 8), (9, 9)]
+
+
+def _cubic_products_full_c_range(a3, q):
+    """The product table with c over the whole |a_2| <= Q range, kept where |a_1| <= Q."""
+    nonzero = [*range(-q, 0), *range(1, q + 1)]
+    reducible = {}
+    for s in range(1, a3 + 1):
+        if a3 % s == 0:
+            b = a3 // s
+            for r in nonzero:
+                k = q // abs(r)
+                for d in nonzero[q - k:q + k]:
+                    for c in range(-((q - r * b) // s), (r * b + q) // s + 1):
+                        a1 = s * d - r * c
+                        if -q <= a1 <= q:
+                            reducible.setdefault((s * c - r * b, a1), set()).add(-r * d)
+    return reducible
+
+
+def test_cubic_products_follow_the_entries_of_the_full_c_range():
+    # the c range cut to |a_1| <= Q gives the table of the filtered full
+    # range, for every a_3 at every Q <= 16; the table does not depend on p
+    for q in range(1, 17):
+        for a3 in range(1, q + 1):
+            assert _cubic_products(a3, q) == _cubic_products_full_c_range(a3, q), (a3, q)
 
 
 @pytest.mark.parametrize("p, q, shards", [(2, 16, [(1, 8)]), (3, 9, _shards(9)),

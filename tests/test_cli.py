@@ -5,6 +5,8 @@ import signal
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -139,7 +141,9 @@ def test_generate_telemetry_counts_every_sample(tmp_path, monkeypatch):
     assert telemetry["short_vector_routes"] == {"enumeration": 8, "lll_after_box": 0,
                                                 "lll_dual_certificate": 0, "degenerate": 0}
 
-    # every route, and degenerate samples (every fourth call made to raise)
+    # every route, and degenerate samples (every fourth call made to raise);
+    # at theorem2 n=3 p=2 t=3 the dual certificate leaves no lll_after_box
+    # sample, at n=2 p=5 t=4 seed 3 one box still comes up short
     real_generate = cli_mod.lattice_mod.generate
     calls = []
 
@@ -150,14 +154,24 @@ def test_generate_telemetry_counts_every_sample(tmp_path, monkeypatch):
         return real_generate(x, params)
 
     monkeypatch.setattr(cli_mod.lattice_mod, "generate", sometimes_degenerate)
-    out = tmp_path / "n3"
-    assert run_cli("generate", "--preset", "theorem2", "--n", "3", "--p", "2", "--t", "3",
-                   "--theta", "1", "--samples", "12", "--seed", "1",
+    out = tmp_path / "every-route"
+    assert run_cli("generate", "--preset", "theorem2", "--n", "2", "--p", "5", "--t", "4",
+                   "--theta", "1", "--samples", "12", "--seed", "3",
                    "--out-dir", str(out))[0] == 0
     routes = json.loads((out / "generate_telemetry.json").read_text())["short_vector_routes"]
     summary = json.loads((out / "generate_summary.json").read_text())["results"]
     assert sum(routes.values()) == 12 and routes["degenerate"] == len(summary["failures"]) == 3
     assert routes["enumeration"] and routes["lll_after_box"] and routes["lll_dual_certificate"]
+
+
+def test_no_theorem2_n3_class_mod_64_falls_back_after_the_box():
+    # the boxes of radius 32 at x = 15, 17, 47 and 49 hold fewer than 4
+    # independent points; the equality dual certificate proves it unenumerated
+    lat_mod = cli_mod.lattice_mod
+    params = lat_mod.preset_theorem2(3, 2, 3, Fraction(1))
+    routes = Counter(lat_mod.short_vectors(lat_mod.build_gamma(x, params), lat_mod.GENERATE_ENUM_LIMIT).route
+                     for x in range(64))
+    assert routes == {"enumeration": 46, "lll_dual_certificate": 18}
 
 
 def test_generate_theorem3(tmp_path):

@@ -13,12 +13,16 @@ from hypothesis import strategies as st
 
 from lll_oracle import lll_reduce_rational
 from padicsep.lattice import (
+    GENERATE_ENUM_LIMIT,
     XiParams,
     _dual_certificate,
     _greedy_minima,
+    _max_abs,
     _RankTracker,
     build_gamma,
     congruence_lattice,
+    preset_theorem2,
+    preset_theorem3,
     short_vectors,
     successive_minima,
 )
@@ -167,8 +171,66 @@ def test_dual_certificate_never_fires_within_the_last_minimum():
         for basis in bases:
             for radius in range(0, top + 3):
                 if radius >= last:
-                    assert not _dual_certificate(basis, radius), (lat, basis, radius)
+                    assert not _dual_certificate(lat, basis, radius), (lat, basis, radius)
                 else:
-                    fired += _dual_certificate(basis, radius)
+                    fired += _dual_certificate(lat, basis, radius)
         checked += 1
     assert fired
+
+
+class _HoldsEveryCorner:
+    """A stand-in lattice that holds every vector, so only the strict branch can fire."""
+
+    @staticmethod
+    def contains(vec):
+        return True
+
+
+def _check_certified_box(lat, basis, radius):
+    """Check a firing certificate on the box; True when only the equality branch fired."""
+    points = sorted((_max_abs(v), v) for v in lat.half_box_points(radius))
+    assert len(_greedy_minima(points, lat.n + 1)) <= lat.n, (lat, basis, radius)
+    return not _dual_certificate(_HoldsEveryCorner, basis, radius)
+
+
+def _seeded_lattices(rng):
+    """Lattices of _random_lattice (dimension 2-5) and of the theorem presets at n = 2-4."""
+    lattices = [_random_lattice(rng, 4) for _ in range(60)]
+    for n in (2, 3, 4):
+        for params in (preset_theorem2(n, 2, 2, Fraction(1)), preset_theorem2(n, 3, 3, Fraction(1)),
+                       preset_theorem3(n, 2, 3, Fraction(1))):
+            lattices += [build_gamma(rng.randrange(params.p ** (max(params.b) + 2)), params)
+                         for _ in range(8)]
+    return lattices
+
+
+def test_dual_certificate_leaves_fewer_than_n_plus_1_independent_box_points():
+    # wherever the certificate fires, strictly or at equality with the corners
+    # +-R sign(w) outside the lattice, the greedy over the box finds at most n
+    # independent vectors.  Every theorem2 n=3 p=2 t=3 class mod 64 and
+    # theorem3 n=3 p=2 t=4 class mod 32 at each power-of-two radius the search
+    # may pick, with short_vectors as the doubling search gives it; seeded
+    # lattices of dimension 2-5 at every radius with a small box
+    equality = 0
+    presets = ((preset_theorem2(3, 2, 3, Fraction(1)), 64), (preset_theorem3(3, 2, 4, Fraction(1)), 32))
+    for params, classes in presets:
+        for x in range(classes):
+            lat = build_gamma(x, params)
+            sv = short_vectors(lat, GENERATE_ENUM_LIMIT)
+            assert (sv.vectors, sv.c0, sv.method) == short_vectors_oracle(lat, GENERATE_ENUM_LIMIT)
+            reduced = [tuple(v) for v in lll_reduce([list(c) for c in lat.basis])]
+            radius, big = 1, max(map(_max_abs, reduced))
+            while radius < big and lat.box_count_estimate(radius) <= GENERATE_ENUM_LIMIT:
+                if _dual_certificate(lat, reduced, radius):
+                    equality += _check_certified_box(lat, reduced, radius)
+                radius *= 2
+    assert equality
+    dims = set()
+    for lat in _seeded_lattices(random.Random(6262)):
+        reduced = [tuple(v) for v in lll_reduce([list(c) for c in lat.basis])]
+        radius, big = 1, max(map(_max_abs, reduced))
+        while radius < big and lat.box_count_estimate(radius) <= 2000:
+            if _dual_certificate(lat, reduced, radius) and _check_certified_box(lat, reduced, radius):
+                dims.add(lat.n + 1)
+            radius += 1
+    assert len(dims) >= 2, dims
