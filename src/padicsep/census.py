@@ -148,7 +148,7 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence
     return _as_p(p), [_as_rational(r, "every nu or theta", 0) for r in rates]
 
 
-def _census_grid(fn, n: int, q: int, heights: Sequence[int], workers: int,
+def _census_grid(fn, n: int, p: int, heights: Sequence[int], workers: int,
                  max_records: Optional[int]) -> tuple[list[list], int, bool, int]:
     """(Per level shard results in shard order, records seen, complete, processes started).
 
@@ -162,7 +162,7 @@ def _census_grid(fn, n: int, q: int, heights: Sequence[int], workers: int,
         if max_records is not None and seen + poly_count(n, hb) > max_records:
             break
         seen += poly_count(n, hb)
-        levels.append([(n, q, hb, lo, hi) for lo, hi in _shards(hb)])
+        levels.append([(n, p, hb, lo, hi) for lo, hi in _shards(hb)])
     args = [a for level in levels for a in level]
     # one pool per call, none unless some level has two shards to spread, and at
     # most one process per shard: under fork the pool starts all its workers at once
@@ -428,10 +428,10 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     merged v_p(D) histogram: the count at threshold k sums the levels v >= k.
     A bad argument (see _census_inputs) is a ValueError before any shard runs.
     """
-    q, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps, workers, max_records)
+    p, nus = _census_inputs(n, p, height_grid, 1, nu_grid, c_exps, workers, max_records)
     rows: list[DiscCensusRow] = []
     stats: list[PrimePowerStat] = []
-    levels, seen, complete, used = _census_grid(_disc_shard, n, q, height_grid, workers,
+    levels, seen, complete, used = _census_grid(_disc_shard, n, p, height_grid, workers,
                                                 max_records)
     for hb, shards in zip(height_grid, levels):
         hist: dict[int, list[int]] = {}
@@ -440,14 +440,14 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
                 _hist_add(hist, k, *entry)
         for nu in nus:
             for ce in c_exps:
-                thr = disc_threshold(q, hb, nu, ce)
+                thr = disc_threshold(p, hb, nu, ce)
                 ca = sum(e[0] for v, e in hist.items() if v >= thr)
                 ci = sum(e[1] for v, e in hist.items() if v >= thr)
                 # doubled: canonical enumeration covers each {P, -P} pair once
-                rows.append(DiscCensusRow(n, q, hb, nu, ce, thr, 2 * ca, 2 * ci))
+                rows.append(DiscCensusRow(n, p, hb, nu, ce, thr, 2 * ca, 2 * ci))
         for k in sorted(hist):
             cnt, cnt_irr, min_ad, max_ad = hist[k]
-            stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // q**k, max_ad))
+            stats.append(PrimePowerStat(hb, k, 2 * cnt, 2 * cnt_irr, min_ad // p**k, max_ad))
     return DiscCensus(rows, stats, complete, seen, used)
 
 
@@ -689,9 +689,9 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
     with H = Q, whose roots all have valuation 1/n, so sep >= 1/n > 0; and
     t = 0 has no H > 1.
     """
-    q, thetas = _census_inputs(n, p, t_grid, 0, theta_grid, [c0_exp], workers, max_records)
+    p, thetas = _census_inputs(n, p, t_grid, 0, theta_grid, [c0_exp], workers, max_records)
     rows: list[SepCensusRow] = []
-    levels, seen, complete, used = _census_grid(_sep_shard, n, q, [q**t for t in t_grid],
+    levels, seen, complete, used = _census_grid(_sep_shard, n, p, [p**t for t in t_grid],
                                                 workers, max_records)
     for t, shards in zip(t_grid, levels):
         counts: dict[tuple, int] = {}
@@ -709,12 +709,12 @@ def sep_census(n: int, p, t_grid: Sequence[int], theta_grid: Sequence[Fraction],
         max_exp = None
         if best is not None:
             sn, sd, h = best
-            max_exp = (sn / sd) / math.log(h, q)
+            max_exp = (sn / sd) / math.log(h, p)
         for theta in thetas:
             floor = theta * t - c0_exp
             ca = sum(cnt for (sep, _), cnt in counts.items() if sep >= floor)
             ci = sum(cnt for (sep, irr), cnt in counts.items() if irr and sep >= floor)
-            rows.append(SepCensusRow(n, q, t, theta, c0_exp, 2 * ca, 2 * ci, max_exp))
+            rows.append(SepCensusRow(n, p, t, theta, c0_exp, 2 * ca, 2 * ci, max_exp))
     return SepCensus(rows, complete, seen, used)
 
 

@@ -274,8 +274,7 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
         cols.append(tuple(t_inv[r][i] * scale for r in range(n + 1)))
     lat = GammaLattice(tuple(cols), x_red, p, b,
                        box_q if box_q is not None else p ** max(b), params)
-    det = bareiss_det([[cols[c][r] for c in range(n + 1)] for r in range(n + 1)])
-    if abs(det) != lat.covolume:
+    if abs(bareiss_det(cols)) != lat.covolume:
         raise InvariantError("basis determinant does not match covolume")
     for col in cols:
         if not lat.contains(col):
@@ -286,6 +285,12 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
 def build_gamma(x: int, params: XiParams) -> GammaLattice:
     """The generator's lattice: covolume p^(t(n+1)) = Q^(n+1), box semi-axis Q."""
     return congruence_lattice(x, params.p, params.b, params.Q, params)
+
+
+def _signed_minors(rows: Sequence[Sequence[int]]) -> list[int]:
+    """(-1)^j det(rows less column j) for d-1 rows of length d: <w, v> = +-det(rows; v)."""
+    return [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in rows])
+            for j in range(len(rows) + 1)]
 
 
 class _RankTracker:
@@ -308,8 +313,7 @@ class _RankTracker:
     def try_add(self, vec: Sequence[int]) -> bool:
         if len(self.rows) == len(vec) - 1:
             if self.normal is None:
-                self.normal = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in self.rows])
-                               for j in range(len(vec))]
+                self.normal = _signed_minors(self.rows)
             if not sum(map(mul, self.normal, vec)):
                 return False
             self.normal = [0] * len(vec)
@@ -385,8 +389,7 @@ def _dual_certificate(lat: GammaLattice, basis: list[tuple[int, ...]], radius: i
     """
     det, dim = abs(bareiss_det(basis)), range(len(basis))
     for i in dim:
-        rows = [r for k, r in enumerate(basis) if k != i]
-        w = [(-1) ** j * bareiss_det([r[:j] + r[j + 1:] for r in rows]) for j in dim]
+        w = _signed_minors([r for k, r in enumerate(basis) if k != i])
         bound = radius * sum(map(abs, w))
         if det > bound or (det == bound and all(w)
                            and not lat.contains([radius if c > 0 else -radius for c in w])):
@@ -591,33 +594,28 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
 
     Solves A t = (0,...,0,1) mod q, then for each l builds
     eta_l = t + q gamma_l so that A eta_l = s + q r_l mod q^2, which forces
-    a_i = 0 mod q (i < n), a_n = 1 mod q and a_0 != 0 mod q^2.
+    a_i = 0 mod q (i < n), a_n = 1 mod q and a_0 != 0 mod q^2.  Every output
+    thus has a_n = s_n = 1 mod q and degree n.  solve_mod_prime raises
+    ValueError when q | det A; generate never asks for that q, since there
+    det A = m p^(t(n+1)) with m < q and q != p.
     """
     q = _as_p(q, "q")
     dim = len(columns)
     n = dim - 1
     rows = [[columns[c][r] for c in range(dim)] for r in range(dim)]
-    det = bareiss_det(rows)
-    if det % q == 0:
-        raise ValueError(f"q = {q} divides det A; re-choose q")
     s = [0] * n + [1]
     t_vec = solve_mod_prime(rows, s, q)
-    a_t = [sum(rows[r][c] * t_vec[c] for c in range(dim)) for r in range(dim)]
-    u = [(a_t[r] - s[r]) // q for r in range(dim)]
-    if any((a_t[r] - s[r]) % q for r in range(dim)):
+    u, rem = zip(*(divmod(sum(map(mul, row, t_vec)) - s_r, q) for row, s_r in zip(rows, s)))
+    if any(rem):
         raise InvariantError("A t != s mod q")
-    etas = []
-    polys = []
+    etas, polys = [], []
     for l in range(dim):
         r_l = [1] * (dim - l) + [0] * l
         rhs = [(-u[r] + r_l[r]) % q for r in range(dim)]
         gamma = solve_mod_prime(rows, rhs, q)
         eta = tuple(t_vec[c] + q * gamma[c] for c in range(dim))
-        coeffs = [sum(rows[r][c] * eta[c] for c in range(dim)) for r in range(dim)]
-        poly = IntPoly(coeffs)
-        if poly.degree != n:
-            raise DegenerateSample(f"twist output degenerated to degree {poly.degree}")
-        if not eisenstein_check(poly, q):
+        poly = IntPoly(sum(map(mul, row, eta)) for row in rows)
+        if poly.degree != n or not eisenstein_check(poly, q):
             raise InvariantError("twist output violates the Eisenstein pattern")
         etas.append(eta)
         polys.append(poly)
@@ -689,24 +687,18 @@ def generate(x: int, params: XiParams) -> GeneratorOutput:
     computation; degenerate samples raise DegenerateSample.
     """
     p = params.p
-    n = params.n
-    Q = params.Q
     lat = build_gamma(x, params)
     sv = short_vectors(lat, GENERATE_ENUM_LIMIT)
-    rows = [[sv.vectors[c][r] for c in range(n + 1)] for r in range(n + 1)]
-    det = abs(bareiss_det(rows))
-    if det == 0:
-        raise DegenerateSample("short vectors not independent")
-    m, rem = divmod(det, lat.covolume)
-    if rem:
-        raise InvariantError("sublattice determinant is not a multiple of cov(Gamma)")
+    m, rem = divmod(abs(bareiss_det(sv.vectors)), lat.covolume)
+    if rem or not m:
+        raise InvariantError("sublattice index det / cov(Gamma) is not a nonzero integer")
     c2 = smallest_c2(p, sv.c0 * ((4 * m) ** 2 - 1))
 
     last_error: Optional[DegenerateSample] = None
     for q in admissible_primes(m, p):
         try:
             twist = eisenstein_twist(sv.vectors, q)
-            prim_polys, certs = _verify_twist(lat, twist, params, q, c2)
+            prim_polys, certs = _verify_twist(lat, twist, c2)
         except DegenerateSample as exc:
             last_error = exc  # p divided a content, or outputs became dependent
             continue
@@ -717,16 +709,11 @@ def generate(x: int, params: XiParams) -> GeneratorOutput:
     raise last_error if last_error is not None else DegenerateSample("no admissible q")
 
 
-def _pad(coeffs: tuple[int, ...], dim: int) -> tuple[int, ...]:
-    return coeffs + (0,) * (dim - len(coeffs))
-
-
 def _certify(lat: GammaLattice, prim: IntPoly, content: int, q: int, c2: int) -> PolyCertificate:
     params = lat.params
-    p = params.p
     margins = []
-    for value, bi in zip(lat.hasse_values(_pad(prim.coeffs, params.n + 1)), params.b):
-        vv = valuation(value, p)
+    for value, bi in zip(lat.hasse_values(prim.coeffs), params.b):
+        vv = valuation(value, lat.p)
         margins.append(vv if vv is INF else vv - bi)
     return PolyCertificate(
         coeffs=prim.coeffs,
@@ -740,8 +727,8 @@ def _certify(lat: GammaLattice, prim: IntPoly, content: int, q: int, c2: int) ->
     )
 
 
-def _verify_twist(lat: GammaLattice, twist: TwistResult, params: XiParams,
-                  q: int, c2: int) -> tuple[list[IntPoly], list[PolyCertificate]]:
+def _verify_twist(lat: GammaLattice, twist: TwistResult,
+                  c2: int) -> tuple[list[IntPoly], list[PolyCertificate]]:
     """Primitivize and certify the twist outputs, repairing degenerate ones.
 
     Adding q^2 times a lattice column to an output preserves both defining
@@ -749,48 +736,32 @@ def _verify_twist(lat: GammaLattice, twist: TwistResult, params: XiParams,
     it is used to steer the content away from multiples of p (which would
     break the valuation upper bounds after dividing through) and to restore
     linear independence.  A content coprime to p leaves all p-valuations
-    unchanged, so membership of the primitive part is then automatic.
+    unchanged, so membership of the primitive part is then automatic.  Each
+    candidate keeps a_n = 1 mod q, so it and its primitive part have degree n
+    (and q = twist.q is prime to det A, or the twist could not be solved).
+    A candidate is certified once, and taken if a member that adds rank.
     """
-    p = params.p
-    n = params.n
-    dim = n + 1
+    q = twist.q
     prim_polys: list[IntPoly] = []
     certs: list[PolyCertificate] = []
     tracker = _RankTracker()
     for poly in twist.polys_raw:
-        if not lat.contains(_pad(poly.coeffs, dim)):
+        if not lat.contains(poly.coeffs):
             raise InvariantError("raw twist output is not a lattice member")
-        candidates = [tuple(poly.coeffs)]
-        for col in twist.columns:
-            for sign in (1, -1):
-                candidates.append(tuple(
-                    a + sign * q * q * b for a, b in zip(_pad(poly.coeffs, dim), col)
-                ))
-        accepted = None
-        for cand_coeffs in candidates:
-            cand = IntPoly(cand_coeffs)
-            if cand.degree != n:
-                continue
-            content, prim = content_primitive(cand)
-            if content % p == 0:
-                # dividing by the content shifts valuations; accept only if the
-                # bounds survive with slack
-                if not _certify(lat, prim, content, q, c2).membership_ok:
-                    continue
-            if not tracker.try_add(_pad(prim.coeffs, dim)):
-                continue
-            accepted = (content, prim)
-            break
-        if accepted is None:
-            raise DegenerateSample(
-                "no q^2-shift yields a primitive independent output with valid bounds"
-            )
-        content, prim = accepted
+        candidates = [poly.coeffs] + [tuple(a + sign * q * q * b for a, b in zip(poly.coeffs, col))
+                                      for col in twist.columns for sign in (1, -1)]
+        for cand in candidates:
+            content, prim = content_primitive(IntPoly(cand))
+            cert = _certify(lat, prim, content, q, c2)
+            if cert.membership_ok and tracker.try_add(prim.coeffs):
+                break
+        else:
+            raise DegenerateSample("no q^2-shift yields a primitive independent output"
+                                   " with valid bounds")
         prim_polys.append(prim)
-        certs.append(_certify(lat, prim, content, q, c2))
+        certs.append(cert)
 
-    final_rows = [[_pad(prim_polys[c].coeffs, dim)[r] for c in range(dim)] for r in range(dim)]
-    if bareiss_det(final_rows) == 0:
+    if bareiss_det([prim.coeffs for prim in prim_polys]) == 0:
         raise InvariantError("rank tracker accepted a dependent set")
     return prim_polys, certs
 

@@ -88,12 +88,12 @@ def _newton_refine(poly: IntPoly, x0: int, p: int, target: int, v1: int) -> int:
     """
     modulus = p ** (target + v1 + 2)
     x = x0 % modulus
+    deriv = poly.derivative()
     while True:
         fx = poly(x)
         if fx == 0 or valuation(fx, p) >= target:
             return x
-        dfx = poly.derivative()(x)
-        unit = dfx // p**v1
+        unit = deriv(x) // p**v1
         step = (fx // p**v1) * pow(unit % modulus, -1, modulus)
         x = (x - step) % modulus
 

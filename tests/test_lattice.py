@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -318,10 +319,10 @@ def test_eisenstein_twist_pattern_random():
         if d % q == 0:
             continue
         tw = eisenstein_twist(cols, q)
-        assert det_of([tuple(e) for e in tw.etas]) != 0 or True  # raw polys checked below
         n = dim - 1
-        for poly in tw.polys_raw:
+        for poly, eta in zip(tw.polys_raw, tw.etas, strict=True):
             coeffs = poly.coeffs
+            assert coeffs == tuple(sum(e * col[r] for e, col in zip(eta, cols)) for r in range(dim))
             assert len(coeffs) == dim
             assert all(coeffs[i] % q == 0 for i in range(n))
             assert coeffs[n] % q == 1
@@ -443,6 +444,37 @@ def test_generate_outputs_member_of_gamma_before_primitivization():
             vec = cert.coeffs + (0,) * (3 - len(cert.coeffs))
             raw = tuple(v * cert.content for v in vec)
             assert lat.contains(raw)
+
+
+def _generator_record(tag, x, params):
+    """(one line fixing everything generate reports for x, the output or None)."""
+    try:
+        out = generate(x, params)
+    except DegenerateSample as exc:
+        return f"{tag} {x} degenerate {exc}", None
+    certs = ";".join(
+        f"{c.coeffs} {c.content} {c.degree_ok} {c.eisenstein_ok} {c.membership_margins!r} "
+        f"{c.membership_ok} {c.height} {c.height_ok}" for c in out.certificates)
+    polys = ";".join(poly.to_string() for poly in out.polys)
+    return f"{tag} {out.x} {out.q} {out.m} {out.c0} {out.c2} {out.route} {polys} {certs}", out
+
+
+def test_n3_generator_outputs_are_frozen():
+    # theorem2 n=3 p=2 t=3 and theorem3 n=3 p=2 t=4 draws reach the branches
+    # the golden n=2 generate does not: certificates whose content p divides,
+    # both short-vector routes, and a draw with no usable q^2-shift
+    th2 = preset_theorem2(3, 2, 3, Fraction(1))
+    th3 = preset_theorem3(3, 2, 4, Fraction(1))
+    draws = [("th2", x, th2) for x in range(64)] + [("th3", x, th3) for x in [*range(32), 154]]
+    records, outputs = zip(*(_generator_record(*draw) for draw in draws))
+    even = {(out.params, out.x) for out in outputs
+            if out is not None and any(c.content % 2 == 0 for c in out.certificates)}
+    assert {(th2, 1), (th2, 4), (th2, 5), (th3, 6), (th3, 13)} <= even
+    assert {out.route for out in outputs if out is not None} == {"enumeration", "lll_dual_certificate"}
+    assert records[-1] == ("th3 154 degenerate no q^2-shift yields a primitive independent"
+                           " output with valid bounds")
+    digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+    assert digest == "aea95f8fd93a927888c95bcc511d053ac282dc5d28265232b487c31790108947"
 
 
 def test_admissible_primes():
