@@ -31,20 +31,6 @@ def poly_count(n: int, height_bound: int) -> int:
     return 2 * height_bound * (2 * height_bound + 1) ** n
 
 
-def iter_coeffs(n: int, height_bound: int, an_lo: int = 1,
-                an_hi: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Canonical coefficient tuples (a_0..a_n) with a_n in [an_lo, an_hi].
-
-    Sign normalization a_n > 0: each polynomial stands for the pair {P, -P}.
-    Deterministic order: a_n ascending, then a_(n-1), ..., then a_0.
-    """
-    hi = an_hi if an_hi is not None else height_bound
-    box = range(-height_bound, height_bound + 1)
-    for an in range(an_lo, hi + 1):
-        for rest in itertools.product(box, repeat=n):  # (a_(n-1), ..., a_0)
-            yield rest[::-1] + (an,)
-
-
 def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
     """{(a_2, a_1): {a_0}} of every reducible cubic with leading a_3, a_0 != 0 and height <= q.
 
@@ -80,52 +66,45 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
              an_hi: int) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
     """The census kernel: per block, (head, rows) in canonical order.
 
-    head = (a_1, ..., a_n) fixes a block and rows = [(a_0, D, v_p(D),
-    irreducible)] for a_0 = -Q..Q.  Both censuses read D, v_p(D) and the
-    verdict here from n = 3 on.  D = 0 yields v_p(D) = None and irreducible =
-    False: a repeated root makes P reducible over Q.
+    head = (a_1, ..., a_n) fixes a block, the blocks run a_n ascending, then
+    a_(n-1), ..., a_1, and rows = [(a_0, D, v_p(D), irreducible)] for the
+    a_0 = -Q..Q with D != 0, the only records either census counts.  Both
+    censuses read D, v_p(D) and the verdict here from n = 3 on.
 
     At n = 3, D is the closed cubic form A + a_0 (B + C a_0) of each block,
     and a_0 = 0 gives the factor x; the other reducible cubics come from one
     _cubic_products table per a_3.
     """
-    q = height_bound
-    if n == 3:
-        rng = range(-q, q + 1)
-        for a3 in range(an_lo, an_hi + 1):
-            reducible = _cubic_products(a3, q)
-            big_c = -27 * a3 * a3
-            for a2 in rng:
-                a2sq = a2 * a2
-                b2 = -4 * a2 * a2sq
-                for a1 in rng:
-                    big_a = a1 * a1 * (a2sq - 4 * a3 * a1)
-                    big_b = 18 * a3 * a2 * a1 + b2
-                    red = reducible.get((a2, a1), ())
-                    rows = []
-                    for a0 in rng:
-                        disc = big_a + a0 * (big_b + big_c * a0)
-                        if disc == 0:
-                            rows.append((a0, 0, None, False))
-                            continue
+    box = range(-height_bound, height_bound + 1)
+    for an in range(an_lo, an_hi + 1):
+        if n == 3:
+            reducible = _cubic_products(an, height_bound)
+            big_c = -27 * an * an
+        for rest in itertools.product(box, repeat=n - 1):  # (a_(n-1), ..., a_1)
+            head = rest[::-1] + (an,)
+            rows = []
+            if n == 3:
+                a2, a1 = rest
+                big_a = a1 * a1 * (a2 * a2 - 4 * an * a1)
+                big_b = a2 * (18 * an * a1 - 4 * a2 * a2)
+                red = reducible.get(rest, ())
+                for a0 in box:
+                    disc = big_a + a0 * (big_b + big_c * a0)
+                    if disc:
                         v = 0
                         d = disc
                         while d % p == 0:
                             d //= p
                             v += 1
                         rows.append((a0, disc, v, a0 != 0 and a0 not in red))
-                    yield (a1, a2, a3), rows
-        return
-    for head, block in itertools.groupby(iter_coeffs(n, q, an_lo, an_hi), key=lambda c: c[1:]):
-        rows = []
-        for coeffs in block:
-            disc = discriminant_coeffs(coeffs)
-            if disc == 0:
-                rows.append((coeffs[0], 0, None, False))
             else:
-                prim = content_primitive(IntPoly(coeffs))[1]
-                rows.append((coeffs[0], disc, valuation(disc, p), bool(is_irreducible(prim))))
-        yield head, rows
+                for a0 in box:
+                    coeffs = (a0,) + head
+                    disc = discriminant_coeffs(coeffs)
+                    if disc:
+                        prim = content_primitive(IntPoly(coeffs))[1]
+                        rows.append((a0, disc, valuation(disc, p), bool(is_irreducible(prim))))
+            yield head, rows
 
 
 def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence,
@@ -394,8 +373,6 @@ def _disc_shard(args) -> dict[int, list[int]]:
     hist: dict[int, list[int]] = {}
     for _, rows in _records(n, p, height_bound, an_lo, an_hi):
         for _, disc, v, irr in rows:
-            if v is None:
-                continue
             ad = abs(disc)
             entry = hist.get(v)
             if entry is None:
@@ -642,8 +619,6 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
             u = 3 * a1 * a3 - a2 * a2
             va3, vu = v_lead[a3], valuation(u, p) if u else None
         for a0, _, v, irr in rows:
-            if v is None:
-                continue
             h = a0 if a0 > m else -a0 if -a0 > m else m
             if h >= shell_lo:
                 key = ((va3, vu, v) if n == 3

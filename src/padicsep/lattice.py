@@ -592,11 +592,13 @@ class TwistResult:
 def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
     """Combine lattice vectors into polynomials with Eisenstein pattern at q.
 
-    Solves A t = (0,...,0,1) mod q, then for each l builds
-    eta_l = t + q gamma_l so that A eta_l = s + q r_l mod q^2, which forces
-    a_i = 0 mod q (i < n), a_n = 1 mod q and a_0 != 0 mod q^2.  Every output
-    thus has a_n = s_n = 1 mod q and degree n.  solve_mod_prime raises
-    ValueError when q | det A; generate never asks for that q, since there
+    Inverts A mod q in one elimination, takes t = A^(-1) e_n, so that
+    A t = s = (0,...,0,1) mod q, and u = (A t - s)/q.  Then for each l it
+    builds eta_l = t + q gamma_l with gamma_l = A^(-1) (r_l - u) mod q, so
+    that A eta_l = s + q r_l mod q^2, which forces a_i = 0 mod q (i < n),
+    a_n = 1 mod q and a_0 != 0 mod q^2.  Every output thus has
+    a_n = s_n = 1 mod q and degree n.  solve_mod_prime raises ValueError
+    when q | det A; generate never asks for that q, since there
     det A = m p^(t(n+1)) with m < q and q != p.
     """
     q = _as_p(q, "q")
@@ -604,15 +606,18 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
     n = dim - 1
     rows = [[columns[c][r] for c in range(dim)] for r in range(dim)]
     s = [0] * n + [1]
-    t_vec = solve_mod_prime(rows, s, q)
+    inv_cols = solve_mod_prime(rows, [[1 if i == j else 0 for i in range(dim)]
+                                      for j in range(dim)], q)
+    t_vec = inv_cols[n]
+    inv = list(zip(*inv_cols))  # the rows of A^(-1) mod q
     u, rem = zip(*(divmod(sum(map(mul, row, t_vec)) - s_r, q) for row, s_r in zip(rows, s)))
     if any(rem):
         raise InvariantError("A t != s mod q")
     etas, polys = [], []
     for l in range(dim):
         r_l = [1] * (dim - l) + [0] * l
-        rhs = [(-u[r] + r_l[r]) % q for r in range(dim)]
-        gamma = solve_mod_prime(rows, rhs, q)
+        rhs = [r_l[r] - u[r] for r in range(dim)]
+        gamma = [sum(map(mul, row, rhs)) % q for row in inv]
         eta = tuple(t_vec[c] + q * gamma[c] for c in range(dim))
         poly = IntPoly(sum(map(mul, row, eta)) for row in rows)
         if poly.degree != n or not eisenstein_check(poly, q):

@@ -48,15 +48,17 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int) -> list[int]:
-    """Solve M z = rhs (mod q) for prime q with q not dividing det M.
+def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]],
+                    q: int) -> list[list[int]]:
+    """Solve M z = b (mod q) for each b in rhs, prime q not dividing det M.
 
-    Returns the unique solution with entries in [0, q).  Raises ValueError
-    when the system is singular mod q.
+    One Gauss-Jordan elimination of M augmented by every b.  Returns the
+    unique solutions in the order of rhs, entries in [0, q).  Raises
+    ValueError when the system is singular mod q.
     """
     q = _as_p(q, "q")
     n = len(matrix)
-    aug = [[matrix[i][j] % q for j in range(n)] + [rhs[i] % q] for i in range(n)]
+    aug = [[matrix[i][j] % q for j in range(n)] + [b[i] % q for b in rhs] for i in range(n)]
     for col in range(n):
         pivot = None
         for r in range(col, n):
@@ -72,7 +74,7 @@ def solve_mod_prime(matrix: Sequence[Sequence[int]], rhs: Sequence[int], q: int)
             if r != col and aug[r][col]:
                 f = aug[r][col]
                 aug[r] = [(a - f * b) % q for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    return [[aug[i][n + k] for i in range(n)] for k in range(len(rhs))]
 
 
 def lll_reduce(basis: Sequence[Sequence[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:

@@ -122,7 +122,8 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
     """The roots of a squarefree P in Z_p, each Hensel-lifted to at least p^precision.
 
     Branches on residue classes and lifts as soon as a class provably
-    contains exactly one root; classes provably empty are dropped.  The branch
+    contains exactly one root, by _newton_refine from the v_p(P'(r)) the
+    test already holds; classes provably empty are dropped.  The branch
     depth is capped at 2 v_p(D(P)) + 4, beyond which the simple-root closure
     must have triggered for well-formed inputs.
     """
@@ -139,8 +140,8 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
         v1 = valuation(deriv(r), p)
         if v1 < k and vs > 2 * v1:
             if vs - v1 >= k:
-                root, _ = hensel_lift(poly, r, p, max(precision, 2 * v1 + 2))
-                lifted.append(root.residue)
+                prec = max(precision, 2 * v1 + 2)
+                lifted.append(_newton_refine(poly, r, p, prec + v1, v1) % p**prec)
             # else: the unique nearby root lies outside this class; class empty
             continue
         if k >= cap:

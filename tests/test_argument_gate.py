@@ -54,7 +54,7 @@ TH3 = {"mode": "theorem3", "n": 2, "p": 3, "t": 2, "nu": "1/2"}
     (lambda: disc_threshold(3, 10.5, HALF, 0), "height_bound"),
     (lambda: eisenstein_check(IntPoly([4, 4, 1]), 4), "q"),
     (lambda: poly_irreducible_mod(IntPoly([1, 0, 1]), 4), "l"),
-    (lambda: solve_mod_prime([[1]], [1], 4), "q"),
+    (lambda: solve_mod_prime([[1]], [[1]], 4), "q"),
     (lambda: eisenstein_twist([(1, 0), (0, 1)], 4), "q"),
     (lambda: zp_roots(SQRT2, 7, 2.5), "precision"),
     (lambda: hensel_lift(SQRT2, 3, 7, 2.5), "precision"),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from canonical_order_oracle import iter_coeffs
 from cubic_sieve_oracle import cubic_sieve_records
 from padicsep.census import (
     _census_inputs,
@@ -19,7 +20,6 @@ from padicsep.census import (
     disc_census,
     disc_threshold,
     fit_exponent,
-    iter_coeffs,
     measure_estimate,
     poly_count,
     sep_census,
@@ -43,6 +43,15 @@ def _flat_records(n, p, q, lo, hi):
     """The blocks of _records as flat records ((a_0,) + head, D, v_p(D), irreducible)."""
     return [((a0,) + head, disc, v, irr)
             for head, rows in _records(n, p, q, lo, hi) for a0, disc, v, irr in rows]
+
+
+def _assert_oracle_less_zero_disc(got, oracle, where) -> int:
+    """got is the oracle's records with D != 0, in order: the records absent are
+    exactly the oracle's D = 0 records.  Returns how many of those it lists."""
+    assert got == [r for r in oracle if r[1] != 0], where
+    zero = {r[0] for r in oracle if r[1] == 0}
+    assert {r[0] for r in oracle} - {r[0] for r in got} == zero, where
+    return len(zero)
 
 
 def _sympy_irreducible(coeffs) -> bool:
@@ -69,14 +78,11 @@ def test_iter_coeffs_deterministic_and_sharded():
 
 def test_record_invariants():
     for coeffs, disc, vpd, _ in _flat_records(3, 5, 3, 1, 3):
-        assert disc == discriminant(IntPoly(coeffs))
-        if disc != 0:
-            assert vpd == valuation(disc, 5)
-            # exact prime power split
-            cof = abs(disc) // 5**vpd
-            assert cof * 5**vpd == abs(disc) and cof % 5 != 0
-        else:
-            assert vpd is None
+        assert disc == discriminant(IntPoly(coeffs)) != 0
+        assert vpd == valuation(disc, 5)
+        # exact prime power split
+        cof = abs(disc) // 5**vpd
+        assert cof * 5**vpd == abs(disc) and cof % 5 != 0
 
 
 def test_disc_threshold_exactness():
@@ -579,7 +585,7 @@ def test_n3_sep_shard_against_per_record_recount():
             counts, least = {}, {}
             for (a0, a1, a2, a3), _, v, irr in _flat_records(3, p, q, lo, hi):
                 h = max(abs(a0), abs(a1), abs(a2), a3)
-                if v is None or h < q // p:
+                if h < q // p:
                     continue
                 sep = min_conjugate_separation(IntPoly([a0, a1, a2, a3]), p).val
                 _sep_tally(counts, least, sep, irr, h)
@@ -688,10 +694,9 @@ def test_cubic_kernel_against_per_record_oracle(p, q):
                 continue
             irr = bool(is_irreducible(content_primitive(IntPoly(coeffs))[1]))
             expect.append((coeffs, disc, valuation(disc, p), irr))
-        assert got == expect, (p, q, lo)
+        zero_disc += _assert_oracle_less_zero_disc(got, expect, (p, q, lo))
         assert all(type(r[3]) is bool for r in got)
-        zero_a0 += sum(1 for r in got if r[0][0] == 0 and r[1] != 0)
-        zero_disc += sum(1 for r in got if r[1] == 0)
+        zero_a0 += sum(1 for r in got if r[0][0] == 0)
     assert zero_a0 and zero_disc
     if q == 9:
         assert _shards(q) == [(1, 8), (9, 9)]
@@ -729,11 +734,11 @@ def test_cubic_kernel_against_sieve_oracle(p, q, shards):
     seen = {"s > 1": 0, "r < 0": 0, "a0 = 0": 0, "D = 0": 0, "a3 with >= 4 divisors": 0}
     for lo, hi in shards:
         got = _flat_records(3, p, q, lo, hi)
-        assert got == list(cubic_sieve_records(p, q, lo, hi)), (p, q, lo)
-        for coeffs, disc, _, irr in got:
-            seen["D = 0"] += disc == 0
-            seen["a0 = 0"] += coeffs[0] == 0 and disc != 0
-            if not (seen["s > 1"] and seen["r < 0"]) and disc and coeffs[0] and not irr:
+        seen["D = 0"] += _assert_oracle_less_zero_disc(
+            got, list(cubic_sieve_records(p, q, lo, hi)), (p, q, lo))
+        for coeffs, _, _, irr in got:
+            seen["a0 = 0"] += coeffs[0] == 0
+            if not (seen["s > 1"] and seen["r < 0"]) and coeffs[0] and not irr:
                 # a reducible product (s x - r)(b x^2 + c x + d): its root r/s is rational
                 roots = rational_roots(IntPoly(coeffs))
                 seen["s > 1"] += any(x.denominator > 1 for x in roots)
@@ -743,14 +748,15 @@ def test_cubic_kernel_against_sieve_oracle(p, q, shards):
     assert all(seen.values()), seen
 
 
-@pytest.mark.parametrize("n, q", [(3, 2), (3, 9), (4, 2)])
+@pytest.mark.parametrize("n, q", [(3, 2), (3, 9), (4, 2), (5, 1)])
 def test_records_blocks_in_canonical_order(n, q):
-    # each block holds a_0 = -Q..Q under one head, and the blocks run in iter_coeffs order
+    # one block per head in iter_coeffs order, each holding the a_0 = -Q..Q with D != 0
     for lo, hi in _shards(q):
-        blocks = list(_records(n, 3, q, lo, hi))
-        assert all(len(rows) == 2 * q + 1 for _, rows in blocks)
-        assert len({head for head, _ in blocks}) == len(blocks)
-        assert [r[0] for r in _flat_records(n, 3, q, lo, hi)] == list(iter_coeffs(n, q, lo, hi))
+        oracle = [(c, discriminant_coeffs(c)) for c in iter_coeffs(n, q, lo, hi)]
+        heads = [c[1:] for c, _ in oracle[::2 * q + 1]]
+        assert [head for head, _ in _records(n, 3, q, lo, hi)] == heads
+        got = [(r[0], r[1]) for r in _flat_records(n, 3, q, lo, hi)]
+        assert _assert_oracle_less_zero_disc(got, oracle, (n, q, lo))
 
 
 def _brute_disc_hist(p, q, a2_values, a1_values):

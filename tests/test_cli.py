@@ -255,6 +255,20 @@ def test_verify_suites_exit_codes(tmp_path):
     assert code == 0
 
 
+def test_verify_lattice_catches_a_non_unimodular_lll(monkeypatch):
+    code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
+    assert code == 0 and "[lattice] PASS: LLL keeps the covolume" in out
+    real_lll = cli_mod.lll_reduce
+
+    def doubling_lll(basis):
+        reduced = real_lll(basis)
+        return [[2 * x for x in reduced[0]]] + reduced[1:]
+
+    monkeypatch.setattr(cli_mod, "lll_reduce", doubling_lll)
+    code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
+    assert code == 1 and "[lattice] FAIL: LLL keeps the covolume" in out
+
+
 def test_verify_golden_corruption(tmp_path):
     code, _, _ = run_cli("disc-census", "--n", "2", "--p", "3", "--q-grid", "6",
                          "--nu", "1/2", "--constants", "0", "--out-dir", str(tmp_path))

@@ -31,7 +31,7 @@ from padicsep.lattice import (
     successive_minima,
     taylor_matrix,
 )
-from padicsep.linalg import bareiss_det
+from padicsep.linalg import bareiss_det, solve_mod_prime
 from padicsep.padic import INF, valuation
 
 
@@ -328,6 +328,49 @@ def test_eisenstein_twist_pattern_random():
             assert coeffs[n] % q == 1
             assert coeffs[0] % (q * q) != 0
         done += 1
+
+
+def test_solve_mod_prime_many_right_hand_sides():
+    # one elimination solves every b: M z = b mod q, entries in [0, q), and each
+    # z is the solve of b alone
+    rng = random.Random(41)
+    done = 0
+    while done < 60:
+        dim = rng.randint(1, 5)
+        q = rng.choice([2, 3, 5, 7, 11])
+        matrix = [[rng.randint(-20, 20) for _ in range(dim)] for _ in range(dim)]
+        if bareiss_det(matrix) % q == 0:
+            with pytest.raises(ValueError):
+                solve_mod_prime(matrix, [[1] * dim, [0] * dim], q)
+            continue
+        rhs = [[rng.randint(-50, 50) for _ in range(dim)] for _ in range(rng.randint(1, 6))]
+        sols = solve_mod_prime(matrix, rhs, q)
+        assert len(sols) == len(rhs)
+        for z, b in zip(sols, rhs):
+            assert all(0 <= zi < q for zi in z)
+            assert all((sum(m * zi for m, zi in zip(row, z)) - bi) % q == 0
+                       for row, bi in zip(matrix, b))
+            assert [z] == solve_mod_prime(matrix, [b], q)
+        done += 1
+    with pytest.raises(ValueError):
+        solve_mod_prime([[1, 2], [2, 4]], [[1, 0], [0, 1], [3, 3]], 7)
+
+
+def test_eisenstein_twist_eliminates_once(monkeypatch):
+    import padicsep.lattice as lattice_mod
+
+    calls = []
+
+    def counted(matrix, rhs, q):
+        calls.append(len(rhs))
+        return solve_mod_prime(matrix, rhs, q)
+
+    monkeypatch.setattr(lattice_mod, "solve_mod_prime", counted)
+    for dim in (2, 3, 5):
+        calls.clear()
+        cols = [tuple(1 if r == c else max(r - c, 0) for r in range(dim)) for c in range(dim)]
+        tw = eisenstein_twist(cols, 7)
+        assert calls == [dim] and len(tw.polys_raw) == dim
 
 
 def test_eisenstein_twist_rejects_bad_q():

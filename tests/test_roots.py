@@ -331,6 +331,18 @@ def test_profile_at_zp_root_matches_precision_doubling_seeded():
     assert compared >= 100 and non_simple >= 20
 
 
+def test_zp_roots_lift_without_hensel_lift(monkeypatch):
+    # the root search refines each isolated root itself, not through the gated
+    # public lift that would recompute P(r), P'(r) and their valuations
+    def no_lift(*_):
+        raise AssertionError("zp_roots called hensel_lift")
+
+    monkeypatch.setattr("padicsep.roots.hensel_lift", no_lift)
+    assert [r.residue for r in zp_roots(IntPoly([-2, 0, 1]), 7, 2)] == [10, 39]
+    quintic = IntPoly([-6, 11, -6, 1]) * IntPoly([-5, 0, 1])  # roots 1, 2, 3 and +-sqrt 5
+    assert [r.residue for r in zp_roots(quintic, 11, 3)] == [1, 2, 3, 73, 1258]  # 73^2 = 5 mod 11^3
+
+
 def test_profile_at_zp_root_needs_no_squarefree_decomposition(monkeypatch):
     def no_decomposition(poly):
         raise AssertionError("profile_at_zp_root ran a squarefree decomposition")
