@@ -32,14 +32,14 @@ def poly_count(n: int, height_bound: int) -> int:
 
 
 def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
-    """{(a_2, a_1): {a_0}} of every reducible cubic with leading a_3, a_0 != 0 and height <= q.
+    """{(a_2, a_1): {a_0}} of the reducible cubics of height <= q, leading a_3, a_2 >= 0, a_0 != 0.
 
     A cubic is reducible over Q iff it has a linear factor, so by Gauss's
     lemma iff P = (s x - r)(b x^2 + c x + d) over Z, with s > 0 after negating
     both factors: s | a_3, b = a_3 / s and
         a_2 = s c - r b,   a_1 = s d - r c,   a_0 = -r d.
-    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|.  |a_2| <= Q reads
-    ceil((r b - Q)/s) <= c <= floor((r b + Q)/s).  |a_1| <= Q reads
+    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|.  0 <= a_2 <= Q reads
+    ceil(r b/s) <= c <= floor((r b + Q)/s).  |a_1| <= Q reads
     s d - Q <= r c <= s d + Q, i.e. ceil((s d - u)/r) <= c <= floor((s d + u)/r)
     with u = Q for r > 0 and u = -Q for r < 0, since dividing by r < 0 turns
     the inequalities round.  c runs over the intersection of the two, so
@@ -54,7 +54,7 @@ def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
             b = a3 // s
             for r in nonzero:
                 k, u = q // abs(r), q if r > 0 else -q
-                c_lo, c_hi = -((q - r * b) // s), (r * b + q) // s
+                c_lo, c_hi = -((-r * b) // s), (r * b + q) // s
                 for d in nonzero[q - k:q + k]:  # 0 < |d| <= Q/|r|
                     sd = s * d
                     for c in range(max(c_lo, -((u - sd) // r)), min(c_hi, (sd + u) // r) + 1):
@@ -64,12 +64,21 @@ def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
 
 def _records(n: int, p: int, height_bound: int, an_lo: int,
              an_hi: int) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
-    """The census kernel: per block, (head, rows) in canonical order.
+    """The census kernel: per block with a_(n-1) >= 0, (head, rows) in canonical order.
 
     head = (a_1, ..., a_n) fixes a block, the blocks run a_n ascending, then
-    a_(n-1), ..., a_1, and rows = [(a_0, D, v_p(D), irreducible)] for the
-    a_0 = -Q..Q with D != 0, the only records either census counts.  Both
-    censuses read D, v_p(D) and the verdict here from n = 3 on.
+    a_(n-1) = 0..Q, a_(n-2), ..., a_1, and rows = [(a_0, D, v_p(D), irreducible)]
+    for the a_0 = -Q..Q with D != 0, the only records either census counts.
+    Both censuses read D, v_p(D) and the verdict here from n = 3 on.
+
+    Mirror.  mu(P)(x) = (-1)^n P(-x), a_i -> (-1)^(n-i) a_i, is an involution
+    fixing a_n and every |a_i|, hence H and the box; it maps a_0 to (-1)^n a_0
+    and a block to the one with every a_(n-k), k odd, negated, so it swaps the
+    sign of a_(n-1).  Its roots are the -alpha_i, so D(mu P) = a_n^(2n-2)
+    prod (alpha_i - alpha_j)^2 = D(P) and every v_p(alpha_i - alpha_j) is kept;
+    P(x) -> P(-x) is a ring automorphism of Q[x], so irreducibility is kept.
+    Paired blocks thus hold equal multisets of (|D|, v_p(D), irreducible, H,
+    sep): the censuses count a block with a_(n-1) > 0 twice, one with 0 once.
 
     At n = 3, D is the closed cubic form A + a_0 (B + C a_0) of each block,
     and a_0 = 0 gives the factor x; the other reducible cubics come from one
@@ -80,7 +89,7 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
         if n == 3:
             reducible = _cubic_products(an, height_bound)
             big_c = -27 * an * an
-        for rest in itertools.product(box, repeat=n - 1):  # (a_(n-1), ..., a_1)
+        for rest in itertools.product(range(height_bound + 1), *[box] * (n - 2)):  # a_(n-1)..a_1
             head = rest[::-1] + (an,)
             rows = []
             if n == 3:
@@ -282,10 +291,11 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                            a1_values) -> dict[int, list[int]]:
     """The n = 2 disc histogram of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi].
 
-    a1_values is a subset of [-Q, Q].  Each block is counted over a_0 in
-    [-Q, Q] in closed form, with no record per a_0.  Write A = a_1^2,
-    B = -4 a_2 and F = -B > 0, so D = A + B a_0 = A - F a_0, and b = v_p(B).
-    The box holds N = 2Q + 1 values of a_0.
+    a1_values is a subset of [0, Q]; each a_1 > 0 stands for the blocks +-a_1,
+    whose records agree (D reads a_1^2), so every count it adds is weighted by
+    w = 2 if a_1 else 1.  Each block is counted over a_0 in [-Q, Q] in closed
+    form, with no record per a_0.  Write A = a_1^2, B = -4 a_2 and F = -B > 0,
+    so D = A + B a_0 = A - F a_0, and b = v_p(B).  The box holds N = 2Q + 1 values of a_0.
 
     Valuation.  If v_p(A) < b, then v_p(B a_0) >= b > v_p(A) for every a_0,
     so v_p(D) = v_p(A) and D != 0.  Otherwise D = p^b (A' + B' a_0) with
@@ -328,12 +338,12 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     hist: dict[int, list[int]] = {}
     for a2, f, b, pb, inv, square_roots in per_a2:
         for a1 in a1_values:
-            a = a1 * a1
-            if a1 and twice_v[abs(a1)] < b:
+            a, w = a1 * a1, 2 if a1 else 1
+            if a1 and twice_v[a1] < b:
                 # one level: |D| is least at the integer nearest A/F >= 0, greatest at a_0 = -Q
                 x = a // f
                 lo = a - f * q if x >= q else min(a - f * x, f * (x + 1) - a)
-                _hist_add(hist, twice_v[abs(a1)], size, size, lo, a + f * q)
+                _hist_add(hist, twice_v[a1], w * size, w * size, lo, a + f * q)
             else:
                 r_top = (a // pb) * inv % top
                 m, cnt, level = 1, size, b
@@ -342,19 +352,19 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                     r_next = r_top % m_next
                     cnt_next = _class_count(r_next, m_next, q)
                     lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
-                    _hist_add(hist, level, cnt - cnt_next, cnt - cnt_next, lo, hi)
+                    _hist_add(hist, level, w * (cnt - cnt_next), w * (cnt - cnt_next), lo, hi)
                     m, cnt, level = m_next, cnt_next, level + 1
                 if cnt:
                     x = -q + (r_top % m + q) % m
                     d = a - f * x
                     if d:
-                        _hist_add(hist, valuation(d, p), 1, 1, abs(d), abs(d))
+                        _hist_add(hist, valuation(d, p), w, w, abs(d), abs(d))
             low = a - f * q
             m_lo = math.isqrt(low - 1) + 1 if low > 1 else 1
             m_hi = math.isqrt(a + f * q)
             for res in square_roots[a % f]:
                 for m in range(m_lo + (res - m_lo) % f, m_hi + 1, f):
-                    hist[twice_v[m]][1] -= 1
+                    hist[twice_v[m]][1] -= w
     return hist
 
 
@@ -362,25 +372,27 @@ def _disc_shard(args) -> dict[int, list[int]]:
     """v_p(D) -> [count, count_irr, min |D|, max |D|] over one a_n range, D != 0.
 
     Within one v_p(D) the cofactor |D| / p^v is monotone in |D|, so the
-    minimal cofactor follows from the minimal |D|.  At n = 2 each (a_2, a_1)
-    block is counted in closed form by _quadratic_disc_blocks; from n = 3
-    the histogram is read off the census kernel record by record.
+    minimal cofactor follows from the minimal |D|.  Only blocks with a_(n-1) >= 0
+    are walked, those with a_(n-1) > 0 weighted w = 2 for their mirrors (see
+    _records).  At n = 2 each (a_2, a_1) block is counted in closed form by
+    _quadratic_disc_blocks; from n = 3 the histogram is read off the census
+    kernel record by record.
     """
     n, p, height_bound, an_lo, an_hi = args
     if n == 2:
-        return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi,
-                                      range(-height_bound, height_bound + 1))
+        return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi, range(height_bound + 1))
     hist: dict[int, list[int]] = {}
-    for _, rows in _records(n, p, height_bound, an_lo, an_hi):
+    for head, rows in _records(n, p, height_bound, an_lo, an_hi):
+        w = 2 if head[-2] else 1
         for _, disc, v, irr in rows:
             ad = abs(disc)
             entry = hist.get(v)
             if entry is None:
-                hist[v] = [1, 1 if irr else 0, ad, ad]
+                hist[v] = [w, w if irr else 0, ad, ad]
                 continue
-            entry[0] += 1
+            entry[0] += w
             if irr:
-                entry[1] += 1
+                entry[1] += w
             if ad < entry[2]:
                 entry[2] = ad
             elif ad > entry[3]:
@@ -484,11 +496,12 @@ def _quadratic_sep_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                           a1_values) -> tuple[dict[tuple, int], dict]:
     """The n = 2 _sep_shard of the blocks (a_2, a_1), a_2 in [a2_lo, a2_hi], Q a power of p.
 
-    a1_values is a subset of [-Q, Q].  Each block is counted over a_0 by the
-    descent of _quadratic_disc_blocks (its A, F, b, classes r_j mod p^j, z
-    and tail), with no record per a_0.  Write h_0 = max(a_2, |a_1|) and
-    s = floor(Q/p).  D = a_2^2 (alpha_1 - alpha_2)^2 gives
-    2 sep = v_p(D) - 2 v_p(a_2), so within a block each level is one sep.
+    a1_values is a subset of [0, Q], each a_1 > 0 counted w = 2 times for +-a_1
+    as in _quadratic_disc_blocks; the least H does not change.  Each block is
+    counted over a_0 by the descent of _quadratic_disc_blocks (its A, F, b,
+    classes r_j mod p^j, z and tail), with no record per a_0.  Write
+    h_0 = max(a_2, a_1) and s = floor(Q/p).  D = a_2^2 (alpha_1 - alpha_2)^2
+    gives 2 sep = v_p(D) - 2 v_p(a_2), so within a block each level is one sep.
 
     Shell.  H = max(h_0, |a_0|), so H >= s iff h_0 >= s or |a_0| >= s.  The
     block's a_0 set is the box [-Q, Q] when h_0 >= s, and otherwise the box
@@ -499,16 +512,16 @@ def _quadratic_sep_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     The reducible a_0 of the set are those of the box less those of the
     inner box.
 
-    Least H.  A record of the set has H > 1 iff |a_0| >= w, where w = 0 when
-    h_0 >= max(s, 2) and w = max(s, 2) otherwise: then H >= s and H > 1 ask
-    max(h_0, |a_0|) >= max(s, 2) > h_0.  H does not fall as |a_0| grows, so
-    at one level the least H > 1 of an irreducible record comes from the
-    member of class j nearest 0 with |a_0| >= w that is not in class j + 1
-    (those lie at higher levels), not z and not reducible:
-    _nearest_irreducible walks out to it from w on both sides.  Every H > 1
-    in the block is >= max(h_0, w), so a level whose running least H is
-    already that small skips the walk.  Fed a_1 by |a_1| ascending, h_0
-    never falls within an a_2, and most blocks skip every walk.
+    Least H.  A record of the set has H > 1 iff |a_0| >= x_min, where x_min = 0
+    when h_0 >= max(s, 2) and x_min = max(s, 2) otherwise: then H >= s and
+    H > 1 ask max(h_0, |a_0|) >= max(s, 2) > h_0.  H does not fall as |a_0|
+    grows, so at one level the least H > 1 of an irreducible record comes from
+    the member of class j nearest 0 with |a_0| >= x_min that is not in class
+    j + 1 (those lie at higher levels), not z and not reducible:
+    _nearest_irreducible walks out to it from x_min on both sides.  Every H > 1
+    in the block is >= max(h_0, x_min), so a level whose running least H is
+    already that small skips the walk.  Fed a_1 ascending, h_0 never falls
+    within an a_2, and most blocks skip every walk.
     """
     q = height_bound
     s = q // p
@@ -519,21 +532,21 @@ def _quadratic_sep_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     least: dict[int, int] = {}  # 2 sep -> least H > 1 of an irreducible record
 
     def add_level(tw, k, r, m, r_next, m_next):  # k records: r mod m, not r_next mod m_next
-        counts[tw] = counts.get(tw, 0) + k
-        if least.get(tw, q + 1) > max(h0, w):
-            x = _nearest_irreducible(a, f, q, w, r, m, r_next, m_next)
+        counts[tw] = counts.get(tw, 0) + w * k
+        if least.get(tw, q + 1) > max(h0, x_min):
+            x = _nearest_irreducible(a, f, q, x_min, r, m, r_next, m_next)
             if x is not None:
                 least[tw] = min(least.get(tw, q + 1), max(h0, x))
 
     for a2, f, b, pb, inv, roots in per_a2:
         lead = 2 * valuation(a2, p)
         for a1 in a1_values:
-            a = a1 * a1
-            h0 = max(a2, abs(a1))
+            a, w = a1 * a1, 2 if a1 else 1
+            h0 = max(a2, a1)
             inner = s - 1 if h0 < s else -1  # the set is the box less |a_0| <= inner
-            w = 0 if h0 >= max(s, 2) else max(s, 2)
-            if a1 and twice_v[abs(a1)] < b:
-                add_level(twice_v[abs(a1)] - lead, size - max(2 * inner + 1, 0), 0, 1, 0, 0)
+            x_min = 0 if h0 >= max(s, 2) else max(s, 2)
+            if a1 and twice_v[a1] < b:
+                add_level(twice_v[a1] - lead, size - max(2 * inner + 1, 0), 0, 1, 0, 0)
             else:
                 r_top = (a // pb) * inv % top
                 m, cnt, cnt_in, level = 1, size, max(2 * inner + 1, 0), b
@@ -551,10 +564,10 @@ def _quadratic_sep_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                     if a != f * x and abs(x) > inner:
                         add_level(valuation(a - f * x, p) - lead, 1, x, m, 0, 0)
             for m in _square_roots_in(a, f, q, roots):
-                reducible[twice_v[m] - lead] = reducible.get(twice_v[m] - lead, 0) + 1
+                reducible[twice_v[m] - lead] = reducible.get(twice_v[m] - lead, 0) + w
             if inner > 0:
                 for m in _square_roots_in(a, f, inner, roots):
-                    reducible[twice_v[m] - lead] -= 1
+                    reducible[twice_v[m] - lead] -= w
     half = {tw: tw // 2 if tw % 2 == 0 else Fraction(tw, 2) for tw in counts}
     shard = {(half[tw], True): c - reducible.get(tw, 0)
              for tw, c in counts.items() if c > reducible.get(tw, 0)}
@@ -574,13 +587,14 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
     polynomials in the shell H in [Q/p, Q] are counted.  sep_census reads H
     only through max_exponent, which needs no more than the least H per sep.
 
-    At n = 2 every (a_2, a_1) block is counted in closed form by
-    _quadratic_sep_blocks, a_1 by |a_1| ascending for its walk skip.
+    Only blocks with a_(n-1) >= 0 are walked, those with a_(n-1) > 0 weighted
+    w = 2 for their mirrors (see _records).  At n = 2 every (a_2, a_1) block,
+    a_1 = 0..Q ascending for its walk skip, is counted by _quadratic_sep_blocks.
 
     From n = 3 one loop reads the blocks of _records.  Per block it takes
     m = max |head|, so a record has H = max(m, |a_0|); each shell record is
-    counted under (key, irreducible), and each key is mapped to its sep once,
-    at the end.  From n = 4 the key is the sep of min_conjugate_separation.
+    counted w times under (key, irreducible), and each key is mapped to its
+    sep once, at the end.  From n = 4 the key is the sep of min_conjugate_separation.
     At n = 3 the key is (v_p(a_3), v_p(u), v_p(D)), u = 3 a_1 a_3 - a_2^2
     fixed by the block: the separation is read off these three by the slope
     rule of min_conjugate_separation (roots._first_slope) and depends on
@@ -607,13 +621,13 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
     """
     n, p, q, an_lo, an_hi = args
     if n == 2:
-        return _quadratic_sep_blocks(p, q, an_lo, an_hi, sorted(range(-q, q + 1), key=abs))
+        return _quadratic_sep_blocks(p, q, an_lo, an_hi, range(q + 1))
     shell_lo = q // p
     v_lead = {a3: valuation(a3, p) for a3 in range(an_lo, an_hi + 1)} if n == 3 else {}
     raw: dict[tuple, int] = {}  # (key, irreducible) -> count
     raw_least: dict = {}  # key -> least H > 1 of an irreducible record
     for head, rows in _records(n, p, q, an_lo, an_hi):
-        m = max(map(abs, head))
+        m, w = max(map(abs, head)), 2 if head[-2] else 1
         if n == 3:
             a1, a2, a3 = head
             u = 3 * a1 * a3 - a2 * a2
@@ -623,7 +637,7 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
             if h >= shell_lo:
                 key = ((va3, vu, v) if n == 3
                        else min_conjugate_separation(IntPoly((a0,) + head), p).val)
-                raw[key, irr] = raw.get((key, irr), 0) + 1
+                raw[key, irr] = raw.get((key, irr), 0) + w
                 if irr and h > 1 and h < raw_least.get(key, h + 1):
                     raw_least[key] = h
     sep = {key: _cubic_sep(*key) if n == 3 else key for key, _ in raw}

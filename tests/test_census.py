@@ -45,12 +45,27 @@ def _flat_records(n, p, q, lo, hi):
             for head, rows in _records(n, p, q, lo, hi) for a0, disc, v, irr in rows]
 
 
+def _mirror(coeffs):
+    """mu(P)(x) = (-1)^n P(-x): a_i -> (-1)^(n - i) a_i."""
+    n = len(coeffs) - 1
+    return tuple(a if (n - i) % 2 == 0 else -a for i, a in enumerate(coeffs))
+
+
 def _assert_oracle_less_zero_disc(got, oracle, where) -> int:
-    """got is the oracle's records with D != 0, in order: the records absent are
-    exactly the oracle's D = 0 records.  Returns how many of those it lists."""
-    assert got == [r for r in oracle if r[1] != 0], where
-    zero = {r[0] for r in oracle if r[1] == 0}
-    assert {r[0] for r in oracle} - {r[0] for r in got} == zero, where
+    """got is the oracle's records with D != 0 and a_(n-1) >= 0, in order: of
+    those with a_(n-1) >= 0, the records absent are exactly the oracle's D = 0
+    records.  On the oracle's own records, every record with a_(n-1) < 0 equals
+    that of its mirror, which has a_(n-1) > 0.  Returns how many D = 0 records
+    the oracle lists with a_(n-1) >= 0."""
+    half = [r for r in oracle if r[0][-2] >= 0]
+    assert got == [r for r in half if r[1] != 0], where
+    zero = {r[0] for r in half if r[1] == 0}
+    assert {r[0] for r in half} - {r[0] for r in got} == zero, where
+    by_coeffs = {r[0]: r[1:] for r in oracle}
+    skipped = [r for r in oracle if r[0][-2] < 0]
+    assert len(skipped) == sum(1 for r in oracle if r[0][-2] > 0), where
+    for r in skipped:
+        assert _mirror(r[0])[-2] > 0 and by_coeffs[_mirror(r[0])] == r[1:], (where, r)
     return len(zero)
 
 
@@ -77,12 +92,50 @@ def test_iter_coeffs_deterministic_and_sharded():
 
 
 def test_record_invariants():
+    # the kernel's records and their mirrors are the D != 0 records of the full box
+    got = {}
     for coeffs, disc, vpd, _ in _flat_records(3, 5, 3, 1, 3):
         assert disc == discriminant(IntPoly(coeffs)) != 0
         assert vpd == valuation(disc, 5)
         # exact prime power split
         cof = abs(disc) // 5**vpd
         assert cof * 5**vpd == abs(disc) and cof % 5 != 0
+        got[coeffs] = got[_mirror(coeffs)] = disc
+    full = {c: discriminant(IntPoly(c)) for c in iter_coeffs(3, 3, 1, 3)}
+    assert got == {c: disc for c, disc in full.items() if disc}
+
+
+def test_mirror_keeps_disc_irreducibility_separation_and_height():
+    # the census walks only the blocks with a_(n-1) >= 0 and counts the others
+    # through mu(P)(x) = (-1)^n P(-x); sympy and the per-record routines check
+    # on the full box that P and mu(P) agree on all the censuses read
+    cases = {"a_(n-1) = 0": 0, "p | a_n": 0, "reducible": 0, "D = 0": 0}
+    for n, q in ((2, 3), (3, 3), (4, 2)):
+        seen = {}
+
+        def facts(coeffs):
+            if coeffs not in seen:
+                poly = sympy.Poly(list(reversed(coeffs)), X)
+                disc = int(sympy.discriminant(poly))
+                prim = content_primitive(IntPoly(coeffs))[1].coeffs
+                seps = tuple(min_conjugate_separation(IntPoly(coeffs), p).val if disc else None
+                             for p in (2, 3))
+                seen[coeffs] = (disc, tuple(valuation(disc, p) if disc else None for p in (2, 3)),
+                                _sympy_irreducible(prim), seps, max(map(abs, coeffs)))
+            return seen[coeffs]
+
+        box = list(iter_coeffs(n, q))
+        for coeffs in box:
+            image = _mirror(coeffs)
+            assert _mirror(image) == coeffs and image[-1] == coeffs[-1]
+            assert image[-2] == -coeffs[-2]
+            assert facts(image) == facts(coeffs), (coeffs, image)
+            cases["a_(n-1) = 0"] += coeffs[-2] == 0
+            cases["p | a_n"] += coeffs[-1] % 2 == 0 or coeffs[-1] % 3 == 0
+            cases["reducible"] += not facts(coeffs)[2]
+            cases["D = 0"] += facts(coeffs)[0] == 0
+        assert set(seen) == set(box)
+    assert all(cases.values()), cases
 
 
 def test_disc_threshold_exactness():
@@ -583,11 +636,13 @@ def test_n3_sep_shard_against_per_record_recount():
         q = p**t
         for lo, hi in _shards(q):
             counts, least = {}, {}
-            for (a0, a1, a2, a3), _, v, irr in _flat_records(3, p, q, lo, hi):
+            for a0, a1, a2, a3 in iter_coeffs(3, q, lo, hi):
                 h = max(abs(a0), abs(a1), abs(a2), a3)
-                if h < q // p:
+                if h < q // p or discriminant_coeffs((a0, a1, a2, a3)) == 0:
                     continue
                 sep = min_conjugate_separation(IntPoly([a0, a1, a2, a3]), p).val
+                # a cubic with D != 0 is reducible iff it has a rational root
+                irr = not rational_roots(IntPoly([a0, a1, a2, a3]))
                 _sep_tally(counts, least, sep, irr, h)
                 zero_u += 3 * a1 * a3 == a2 * a2
                 lead_div += a3 % p == 0
@@ -617,13 +672,14 @@ def test_n4_sep_shard_against_per_record_recount():
 
 
 def _brute_sep_block(p, t, a2, a1):
-    """The n = 2 sep counts and least H of one block (a_2, a_1), over a_0 in
-    [-Q, Q] record by record, with the cases the closed form must handle."""
+    """The n = 2 sep counts and least H of the blocks (a_2, a_1) and (a_2, -a_1),
+    over a_0 in [-Q, Q] record by record, with the cases the closed form must
+    handle."""
     q, s = p**t, p**t // p
     counts, least, levels = {}, {}, {}
-    for a0 in range(-q, q + 1):
-        d = a1 * a1 - 4 * a2 * a0
-        h = max(a2, abs(a1), abs(a0))
+    for b1, a0 in itertools.product(sorted({a1, -a1}), range(-q, q + 1)):
+        d = b1 * b1 - 4 * a2 * a0
+        h = max(a2, abs(b1), abs(a0))
         if d and h >= s:
             sep = Fraction(valuation(d, p) - 2 * valuation(a2, p), 2)
             sep = int(sep) if sep.denominator == 1 else sep
@@ -659,7 +715,8 @@ def _brute_sep_block(p, t, a2, a1):
 
 
 def test_quadratic_sep_blocks_seeded_against_brute_force():
-    # single (a_2, a_1) blocks at Q = 2^8, 3^5 and 1 against a direct count over a_0
+    # single blocks a_1 = |a_1| at Q = 2^8, 3^5 and 1 against a direct count
+    # over a_0 in the blocks (a_2, a_1) and (a_2, -a_1)
     rng = random.Random(29)
     blocks = [(2, 0, 1, 0), (3, 0, 1, 1), (2, 8, 1, 0), (2, 8, 3, 5), (3, 5, 9, 0), (2, 8, 16, 8)]
     while len(blocks) < 160:
@@ -673,7 +730,8 @@ def test_quadratic_sep_blocks_seeded_against_brute_force():
     seen: dict = {}
     for p, t, a2, a1 in blocks:
         expect, cases = _brute_sep_block(p, t, a2, a1)
-        _assert_same_shard(_quadratic_sep_blocks(p, p**t, a2, a2, [a1]), expect, (p, t, a2, a1))
+        _assert_same_shard(_quadratic_sep_blocks(p, p**t, a2, a2, [abs(a1)]), expect,
+                           (p, t, a2, a1))
         for name, hit in cases.items():
             seen[name] = seen.get(name, 0) + hit
     assert all(seen.values()), seen
@@ -720,11 +778,13 @@ def _cubic_products_full_c_range(a3, q):
 
 
 def test_cubic_products_follow_the_entries_of_the_full_c_range():
-    # the c range cut to |a_1| <= Q gives the table of the filtered full
-    # range, for every a_3 at every Q <= 16; the table does not depend on p
+    # the c range cut to 0 <= a_2 and |a_1| <= Q gives the table of the filtered
+    # full range at a_2 >= 0, for every a_3 at every Q <= 16; the table does not depend on p
     for q in range(1, 17):
         for a3 in range(1, q + 1):
-            assert _cubic_products(a3, q) == _cubic_products_full_c_range(a3, q), (a3, q)
+            full = _cubic_products_full_c_range(a3, q)
+            assert any(a2 < 0 for a2, _ in full), (a3, q)
+            assert _cubic_products(a3, q) == {k: v for k, v in full.items() if k[0] >= 0}, (a3, q)
 
 
 @pytest.mark.parametrize("p, q, shards", [(2, 16, [(1, 8)]), (3, 9, _shards(9)),
@@ -750,10 +810,11 @@ def test_cubic_kernel_against_sieve_oracle(p, q, shards):
 
 @pytest.mark.parametrize("n, q", [(3, 2), (3, 9), (4, 2), (5, 1)])
 def test_records_blocks_in_canonical_order(n, q):
-    # one block per head in iter_coeffs order, each holding the a_0 = -Q..Q with D != 0
+    # one block per head with a_(n-1) >= 0 in iter_coeffs order, each holding
+    # the a_0 = -Q..Q with D != 0
     for lo, hi in _shards(q):
         oracle = [(c, discriminant_coeffs(c)) for c in iter_coeffs(n, q, lo, hi)]
-        heads = [c[1:] for c, _ in oracle[::2 * q + 1]]
+        heads = [c[1:] for c, _ in oracle[::2 * q + 1] if c[-2] >= 0]
         assert [head for head, _ in _records(n, 3, q, lo, hi)] == heads
         got = [(r[0], r[1]) for r in _flat_records(n, 3, q, lo, hi)]
         assert _assert_oracle_less_zero_disc(got, oracle, (n, q, lo))
@@ -786,7 +847,8 @@ def test_quadratic_disc_shard_against_record_oracle(p):
 
 
 def test_quadratic_disc_blocks_seeded_against_brute_force():
-    # single (a_2, a_1) blocks at Q = 300 against a direct count over a_0
+    # single blocks a_1 = |a_1| at Q = 300 against a direct count over a_0 in
+    # the blocks (a_2, a_1) and (a_2, -a_1)
     q = 300
     rng = random.Random(13)
     blocks = [(2, 1, 0), (3, 1, 0), (2, 8, 5), (2, 16, 32), (3, 9, 18), (5, 25, 0), (7, 1, 2)]
@@ -798,15 +860,15 @@ def test_quadratic_disc_blocks_seeded_against_brute_force():
             blocks.append((p, a2, a1))
     seen = {"a1 = 0": 0, "p | a2": 0, "v_2(4 a2) >= 3": 0, "D = 0 in box": 0, "tail": 0}
     for p, a2, a1 in blocks:
-        expect = _brute_disc_hist(p, q, [a2], [a1])
-        assert _quadratic_disc_blocks(p, q, a2, a2, [a1]) == expect, (p, a2, a1)
+        expect = _brute_disc_hist(p, q, [a2], sorted({a1, -a1}))
+        assert _quadratic_disc_blocks(p, q, a2, a2, [abs(a1)]) == expect, (p, a2, a1)
         has_zero = a1 * a1 % (4 * a2) == 0 and a1 * a1 // (4 * a2) <= q
         seen["a1 = 0"] += a1 == 0
         seen["p | a2"] += a2 % p == 0
         seen["v_2(4 a2) >= 3"] += p == 2 and a2 % 2 == 0
         seen["D = 0 in box"] += has_zero
-        # without the D = 0 point, a top level of one record is the descent's tail
-        seen["tail"] += not has_zero and expect[max(expect)][0] == 1
+        # without the D = 0 point, a top level of one record per block is the descent's tail
+        seen["tail"] += not has_zero and expect[max(expect)][0] == (2 if a1 else 1)
     assert all(seen.values()), seen
 
 

@@ -269,6 +269,40 @@ def test_verify_lattice_catches_a_non_unimodular_lll(monkeypatch):
     assert code == 1 and "[lattice] FAIL: LLL keeps the covolume" in out
 
 
+def test_verify_lattice_full_mode_exits_cleanly():
+    # one full-mode draw proves lambda_(n+1) beyond the enumeration cap; the
+    # check decides it from the exact lambda_1 and the LLL bound, no traceback
+    code, out, err = run_cli("verify", "--suite", "lattice")
+    assert code == 0 and "Traceback" not in out + err
+    assert "[lattice] PASS: Minkowski" in out
+    assert "decided by the LLL bound on lambda_(n+1): 1)" in out
+
+
+def test_verify_lattice_decides_minkowski_by_the_lll_bound(monkeypatch):
+    real = cli_mod.lattice_mod.successive_minima
+    calls = {"full": 0, "first": 0}
+
+    def no_full_minima(lat, count=None):
+        if count is None:
+            calls["full"] += 1
+            raise RuntimeError("successive minima enumeration exceeds limit")
+        calls["first"] += 1
+        return real(lat, count)
+
+    monkeypatch.setattr(cli_mod.lattice_mod, "successive_minima", no_full_minima)
+    code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
+    assert calls == {"full": 20, "first": 20}
+    assert code == 0 and "decided by the LLL bound on lambda_(n+1): 20)" in out
+
+    def no_minima(lat, count=None):
+        raise RuntimeError("successive minima enumeration exceeds limit")
+
+    # an instance decided neither way fails the check
+    monkeypatch.setattr(cli_mod.lattice_mod, "successive_minima", no_minima)
+    code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
+    assert code == 1 and "[lattice] FAIL: Minkowski" in out
+
+
 def test_verify_golden_corruption(tmp_path):
     code, _, _ = run_cli("disc-census", "--n", "2", "--p", "3", "--q-grid", "6",
                          "--nu", "1/2", "--constants", "0", "--out-dir", str(tmp_path))

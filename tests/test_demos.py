@@ -1,7 +1,7 @@
 """The demos stay in step with the package: their imports resolve and the fast ones run.
 
-demo_measure_decay.py and demo_separation_census.py take several seconds each,
-so only their imports are checked here.
+demo_max_disc.py, demo_measure_decay.py and demo_separation_census.py take
+several seconds each, so only their imports are checked here.
 """
 
 import ast
