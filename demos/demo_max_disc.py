@@ -14,7 +14,7 @@ from fractions import Fraction
 from padicsep import disc_census, fit_exponent
 
 C_EXPS = (0, 2, 4)
-RUNS = [(2, 2, [2**k for k in range(3, 10)]), (3, 2, [2**k for k in range(3, 6)])]
+RUNS = [(2, 2, [2**k for k in range(3, 10)]), (3, 2, [2**k for k in range(3, 7)])]
 
 for n, p, grid in RUNS:
     nu = Fraction(n - 1)

@@ -31,20 +31,21 @@ def poly_count(n: int, height_bound: int) -> int:
     return 2 * height_bound * (2 * height_bound + 1) ** n
 
 
-def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
-    """{(a_2, a_1): {a_0}} of the reducible cubics of height <= q, leading a_3, a_2 >= 0, a_0 != 0.
+def _cubic_products(a3: int, q: int, a0_max: int) -> dict[tuple[int, int], set[int]]:
+    """{(a_2, a_1): {a_0}} of the reducible cubics of height <= q, leading a_3, a_2 >= 0,
+    0 < |a_0| <= a0_max <= q.
 
     A cubic is reducible over Q iff it has a linear factor, so by Gauss's
     lemma iff P = (s x - r)(b x^2 + c x + d) over Z, with s > 0 after negating
     both factors: s | a_3, b = a_3 / s and
         a_2 = s c - r b,   a_1 = s d - r c,   a_0 = -r d.
-    For a_0 != 0 in the box, r, d != 0 and |d| <= Q/|r|.  0 <= a_2 <= Q reads
+    For 0 < |a_0| <= a0_max, r, d != 0 and |d| <= a0_max/|r|.  0 <= a_2 <= Q reads
     ceil(r b/s) <= c <= floor((r b + Q)/s).  |a_1| <= Q reads
     s d - Q <= r c <= s d + Q, i.e. ceil((s d - u)/r) <= c <= floor((s d + u)/r)
     with u = Q for r > 0 and u = -Q for r < 0, since dividing by r < 0 turns
     the inequalities round.  c runs over the intersection of the two, so
-    every step is a product of the box with a_0 != 0, and every such
-    reducible cubic is one; a cubic met twice (content, a repeated root)
+    every step is a product of the box with 0 < |a_0| <= a0_max, and every
+    such reducible cubic is one; a cubic met twice (content, a repeated root)
     lands in the same set.
     """
     nonzero = [*range(-q, 0), *range(1, q + 1)]
@@ -52,24 +53,25 @@ def _cubic_products(a3: int, q: int) -> dict[tuple[int, int], set[int]]:
     for s in range(1, a3 + 1):
         if a3 % s == 0:
             b = a3 // s
-            for r in nonzero:
-                k, u = q // abs(r), q if r > 0 else -q
+            for r in nonzero[q - a0_max:q + a0_max]:  # 0 < |r| <= a0_max
+                k, u = a0_max // abs(r), q if r > 0 else -q
                 c_lo, c_hi = -((-r * b) // s), (r * b + q) // s
-                for d in nonzero[q - k:q + k]:  # 0 < |d| <= Q/|r|
+                for d in nonzero[q - k:q + k]:  # 0 < |d| <= a0_max/|r|
                     sd = s * d
                     for c in range(max(c_lo, -((u - sd) // r)), min(c_hi, (sd + u) // r) + 1):
                         reducible.setdefault((s * c - r * b, sd - r * c), set()).add(-r * d)
     return reducible
 
 
-def _records(n: int, p: int, height_bound: int, an_lo: int,
-             an_hi: int) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
+def _records(n: int, p: int, height_bound: int, an_lo: int, an_hi: int,
+             reversal_fold: bool = False) -> Iterator[tuple[tuple[int, ...], list[tuple]]]:
     """The census kernel: per block with a_(n-1) >= 0, (head, rows) in canonical order.
 
     head = (a_1, ..., a_n) fixes a block, the blocks run a_n ascending, then
     a_(n-1) = 0..Q, a_(n-2), ..., a_1, and rows = [(a_0, D, v_p(D), irreducible)]
-    for the a_0 = -Q..Q with D != 0, the only records either census counts.
-    Both censuses read D, v_p(D) and the verdict here from n = 3 on.
+    for the a_0 = -Q..Q with D != 0, the only records either census counts;
+    with reversal_fold only for the a_0 = -a_n..a_n.  Both censuses read D,
+    v_p(D) and the verdict here from n = 3 on.
 
     Mirror.  mu(P)(x) = (-1)^n P(-x), a_i -> (-1)^(n-i) a_i, is an involution
     fixing a_n and every |a_i|, hence H and the box; it maps a_0 to (-1)^n a_0
@@ -80,14 +82,33 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
     Paired blocks thus hold equal multisets of (|D|, v_p(D), irreducible, H,
     sep): the censuses count a block with a_(n-1) > 0 twice, one with 0 once.
 
+    Reversal.  For a_0 != 0, rho(P) = sign(a_0) x^n P(1/x), a_i -> sign(a_0) a_(n-i),
+    fixes H; its constant sign(a_0) a_n has the sign of a_0, so rho is an
+    involution of the records with a_0 != 0.  It swaps leading a_n and |a_0|,
+    so it maps the records with 0 < |a_0| < a_n one-to-one onto those with
+    |a_0| > a_n, and those with |a_0| = a_n among themselves.  Its roots are
+    the 1/alpha_i, and prod alpha_i = (-1)^n a_0 / a_n, so D(rho P)
+    = a_0^(2n-2) prod_(i<j) (1/alpha_i - 1/alpha_j)^2
+    = a_0^(2n-2) prod_(i<j) (alpha_i - alpha_j)^2 / (prod alpha_i)^(2n-2) = D(P).
+    P = F G gives rho(P) = +-rho(F) rho(G) with the degrees kept, as
+    F(0) G(0) = a_0 != 0, and rho keeps the content, so the primitive parts
+    are irreducible together.  So the multiset of (D, v_p(D), irreducible)
+    over the box is that over |a_0| <= a_n with 0 < |a_0| < a_n counted
+    twice.  That range and weight read only a_n and |a_0|, which mu fixes,
+    so the mirror fold holds inside it: the disc census walks a_(n-1) >= 0
+    and |a_0| <= a_n.  The sep census cannot, since
+    v_p(1/alpha_i - 1/alpha_j) = v_p(alpha_i - alpha_j) - v_p(alpha_i) - v_p(alpha_j).
+
     At n = 3, D is the closed cubic form A + a_0 (B + C a_0) of each block,
     and a_0 = 0 gives the factor x; the other reducible cubics come from one
-    _cubic_products table per a_3.
+    _cubic_products table per a_3, over the walked |a_0|.
     """
     box = range(-height_bound, height_bound + 1)
     for an in range(an_lo, an_hi + 1):
+        a0_max = an if reversal_fold else height_bound
+        a0s = range(-a0_max, a0_max + 1)
         if n == 3:
-            reducible = _cubic_products(an, height_bound)
+            reducible = _cubic_products(an, height_bound, a0_max)
             big_c = -27 * an * an
         for rest in itertools.product(range(height_bound + 1), *[box] * (n - 2)):  # a_(n-1)..a_1
             head = rest[::-1] + (an,)
@@ -97,7 +118,7 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
                 big_a = a1 * a1 * (a2 * a2 - 4 * an * a1)
                 big_b = a2 * (18 * an * a1 - 4 * a2 * a2)
                 red = reducible.get(rest, ())
-                for a0 in box:
+                for a0 in a0s:
                     disc = big_a + a0 * (big_b + big_c * a0)
                     if disc:
                         v = 0
@@ -107,7 +128,7 @@ def _records(n: int, p: int, height_bound: int, an_lo: int,
                             v += 1
                         rows.append((a0, disc, v, a0 != 0 and a0 not in red))
             else:
-                for a0 in box:
+                for a0 in a0s:
                     coeffs = (a0,) + head
                     disc = discriminant_coeffs(coeffs)
                     if disc:
@@ -376,23 +397,29 @@ def _disc_shard(args) -> dict[int, list[int]]:
     are walked, those with a_(n-1) > 0 weighted w = 2 for their mirrors (see
     _records).  At n = 2 each (a_2, a_1) block is counted in closed form by
     _quadratic_disc_blocks; from n = 3 the histogram is read off the census
-    kernel record by record.
+    kernel record by record, over |a_0| <= a_n only, each record with
+    0 < |a_0| < a_n weighted 2 w for its reversal.  That partner has leading
+    coefficient |a_0|, which may lie in another shard's a_n range, so a shard's
+    histogram is not that of its own records: only the levels merged over all
+    shards of a height are.
     """
     n, p, height_bound, an_lo, an_hi = args
     if n == 2:
         return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi, range(height_bound + 1))
     hist: dict[int, list[int]] = {}
-    for head, rows in _records(n, p, height_bound, an_lo, an_hi):
+    for head, rows in _records(n, p, height_bound, an_lo, an_hi, True):
+        edge = (0, head[-1], -head[-1])  # the a_0 that have no reversal partner
         w = 2 if head[-2] else 1
-        for _, disc, v, irr in rows:
+        for a0, disc, v, irr in rows:
             ad = abs(disc)
+            wt = w if a0 in edge else 2 * w
             entry = hist.get(v)
             if entry is None:
-                hist[v] = [w, w if irr else 0, ad, ad]
+                hist[v] = [wt, wt if irr else 0, ad, ad]
                 continue
-            entry[0] += w
+            entry[0] += wt
             if irr:
-                entry[1] += w
+                entry[1] += wt
             if ad < entry[2]:
                 entry[2] = ad
             elif ad > entry[3]:
@@ -640,7 +667,7 @@ def _sep_shard(args) -> tuple[dict[tuple, int], dict]:
                 raw[key, irr] = raw.get((key, irr), 0) + w
                 if irr and h > 1 and h < raw_least.get(key, h + 1):
                     raw_least[key] = h
-    sep = {key: _cubic_sep(*key) if n == 3 else key for key, _ in raw}
+    sep = {key: _cubic_sep(*key) if n == 3 else key for key in {key for key, _ in raw}}
     counts: dict[tuple, int] = {}
     for (key, irr), cnt in raw.items():
         counts[sep[key], irr] = counts.get((sep[key], irr), 0) + cnt

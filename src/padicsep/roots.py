@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
+from .intpoly import (IntPoly, content_primitive, discriminant, squarefree_decomposition,
+                      squarefree_part)
 from .padic import INF, InvariantError, PadicMag, Valuation, _as_int, _as_p, valuation
 
 
@@ -118,8 +119,8 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
     return ZpRoot(x % q**precision, precision, True), v0 - v1
 
 
-def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
-    """The roots of a squarefree P in Z_p, each Hensel-lifted to at least p^precision.
+def _lifted_roots(poly: IntPoly, p: int, precision: int, disc: int) -> list[int]:
+    """The roots in Z_p of a squarefree P with D(P) = disc, each lifted to at least p^precision.
 
     Branches on residue classes and lifts as soon as a class provably
     contains exactly one root, by _newton_refine from the v_p(P'(r)) the
@@ -128,7 +129,7 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int) -> list[int]:
     must have triggered for well-formed inputs.
     """
     if poly.degree >= 2:
-        cap = 2 * valuation(discriminant(poly), p) + 4
+        cap = 2 * valuation(disc, p) + 4
     else:
         cap = valuation(poly.leading, p) + precision + 4
     deriv = poly.derivative()
@@ -162,7 +163,9 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
     The roots are searched factor by factor of the squarefree decomposition
     P = c prod S_m^m (Yun).  The S_m are squarefree and pairwise coprime, so
     each root of P is a root of exactly one S_m, with multiplicity m: it is
-    simple exactly when m = 1.  Distinct roots congruent mod p^precision share
+    simple exactly when m = 1.  When the primitive part S of P has D(S) != 0,
+    S is squarefree and the decomposition is [(S, 1)], so Yun's gcd pass
+    runs only when D(S) = 0.  Distinct roots congruent mod p^precision share
     a residue; they are ordered by their lifts to the higher precision the
     search reached, then non-simple before simple.
     """
@@ -173,8 +176,12 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
     if poly.degree == 0:
         return []
     modulus = q**precision
-    found = sorted((r % modulus, r, m == 1) for s, m in squarefree_decomposition(poly)
-                   for r in _lifted_roots(s, q, precision))
+    prim = content_primitive(poly)[1]
+    disc = discriminant(prim)
+    parts = ([(prim, 1, disc)] if disc else
+             [(s, m, discriminant(s)) for s, m in squarefree_decomposition(poly)])
+    found = sorted((r % modulus, r, m == 1) for s, m, d in parts
+                   for r in _lifted_roots(s, q, precision, d))
     return [ZpRoot(residue, precision, simple) for residue, _, simple in found]
 
 
@@ -215,7 +222,8 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     One Hensel lift of S = squarefree_part(P) to precision N, then one exact
     distance_profile of P at the lifted center a, whose entries >= N - 1 are
     the copies of alpha and become +inf.  Raises HenselInapplicable when the
-    residue does not isolate a simple root of S.
+    residue does not isolate a simple root of S.  S is the primitive part of
+    P when that has D != 0; only otherwise does Yun's gcd run.
 
     Proof.  Let S have degree s, leading coefficient c, gamma = v_p(c) and
     roots alpha_1, ..., alpha_s, the distinct roots of P.  The c alpha_i are
@@ -228,9 +236,13 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     v_p(a - alpha_j) = v_p(alpha - alpha_j) < N - 1.
     """
     q = _as_p(p)
-    sqfree = squarefree_part(poly)
+    sqfree = content_primitive(poly)[1]
+    disc = discriminant(sqfree)
+    if not disc:
+        sqfree = squarefree_part(poly)
+        disc = discriminant(sqfree)
     s, gamma = sqfree.degree, valuation(sqfree.leading, q)
-    bound = ((s - 1) * (s - 2) * gamma + valuation(discriminant(sqfree), q)) // 2 - gamma
+    bound = ((s - 1) * (s - 2) * gamma + valuation(disc, q)) // 2 - gamma
     n = max(bound + 2, 1)
     root, _ = hensel_lift(sqfree, residue, q, n)
     prof = distance_profile(poly, root.residue, q)
@@ -315,10 +327,16 @@ def _first_slope(big_n: int, v_last: int, terms: Sequence[tuple[int, int]],
     """max over (k, v_p(E_k)) in terms of (v_last - v_p(E_k)) / (big_n - k), less v_lead.
 
     The slope rule of min_conjugate_separation, shared with the cubic census:
-    an int when the value is integral, else a Fraction.
+    an int when the value is integral, else a Fraction.  Every k < big_n, so
+    the slopes num/den compare as num den' > num' den, and one Fraction is
+    built at the end.
     """
-    best = max(Fraction(v_last - vk, big_n - k) for k, vk in terms) - v_lead
-    return int(best) if best.denominator == 1 else best
+    num, den = v_last - terms[0][1], big_n - terms[0][0]
+    for k, vk in terms:
+        if (v_last - vk) * den > num * (big_n - k):
+            num, den = v_last - vk, big_n - k
+    num -= v_lead * den
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 @dataclass(frozen=True)

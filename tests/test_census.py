@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import random
@@ -69,9 +71,24 @@ def _assert_oracle_less_zero_disc(got, oracle, where) -> int:
     return len(zero)
 
 
+def _reversal(coeffs):
+    """rho(P) = sign(a_0) x^n P(1/x), a_0 != 0: a_i -> sign(a_0) a_(n - i)."""
+    sign = 1 if coeffs[0] > 0 else -1
+    return tuple(sign * a for a in reversed(coeffs))
+
+
 def _sympy_irreducible(coeffs) -> bool:
     _, factors = sympy.factor_list(sympy.Poly(list(reversed(coeffs)), X))
     return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].degree() == len(coeffs) - 1
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_facts(coeffs):
+    """(D, (v_2(D), v_3(D)), primitive part irreducible, H), D from sympy."""
+    disc = int(sympy.discriminant(sympy.Poly(list(reversed(coeffs)), X)))
+    prim = content_primitive(IntPoly(coeffs))[1].coeffs
+    return (disc, tuple(valuation(disc, p) if disc else None for p in (2, 3)),
+            _sympy_irreducible(prim), max(map(abs, coeffs)))
 
 
 def test_poly_count_examples():
@@ -115,13 +132,10 @@ def test_mirror_keeps_disc_irreducibility_separation_and_height():
 
         def facts(coeffs):
             if coeffs not in seen:
-                poly = sympy.Poly(list(reversed(coeffs)), X)
-                disc = int(sympy.discriminant(poly))
-                prim = content_primitive(IntPoly(coeffs))[1].coeffs
-                seps = tuple(min_conjugate_separation(IntPoly(coeffs), p).val if disc else None
-                             for p in (2, 3))
-                seen[coeffs] = (disc, tuple(valuation(disc, p) if disc else None for p in (2, 3)),
-                                _sympy_irreducible(prim), seps, max(map(abs, coeffs)))
+                base = _sympy_facts(coeffs)
+                seen[coeffs] = base + tuple(
+                    min_conjugate_separation(IntPoly(coeffs), p).val if base[0] else None
+                    for p in (2, 3))
             return seen[coeffs]
 
         box = list(iter_coeffs(n, q))
@@ -135,6 +149,87 @@ def test_mirror_keeps_disc_irreducibility_separation_and_height():
             cases["reducible"] += not facts(coeffs)[2]
             cases["D = 0"] += facts(coeffs)[0] == 0
         assert set(seen) == set(box)
+    assert all(cases.values()), cases
+
+
+def test_reversal_keeps_disc_irreducibility_and_height():
+    # the disc census walks only |a_0| <= a_n and counts the records with
+    # 0 < |a_0| < a_n twice, for their reversals rho(P) = sign(a_0) x^n P(1/x);
+    # on the full box, rho is an involution of the a_0 != 0 records that pairs
+    # 0 < |a_0| < a_n with |a_0| > a_n and commutes with the mirror, and sympy
+    # checks that P and rho(P) agree on D, v_2(D), v_3(D), irreducibility and H
+    cases = {"0 < |a_0| < a_n": 0, "|a_0| = a_n": 0, "reducible": 0, "D = 0": 0}
+    for n, q in ((3, 3), (4, 2)):
+        box = list(iter_coeffs(n, q))
+        for coeffs in box:
+            if not coeffs[0]:
+                continue
+            image = _reversal(coeffs)
+            assert image[-1] > 0 and max(map(abs, image)) <= q and _reversal(image) == coeffs
+            assert _reversal(_mirror(coeffs)) == _mirror(image)
+            assert (abs(coeffs[0]) < coeffs[-1]) == (abs(image[0]) > image[-1]), coeffs
+            assert _sympy_facts(image) == _sympy_facts(coeffs), (coeffs, image)
+            cases["0 < |a_0| < a_n"] += abs(coeffs[0]) < coeffs[-1]
+            cases["|a_0| = a_n"] += abs(coeffs[0]) == coeffs[-1]
+            cases["reducible"] += not _sympy_facts(coeffs)[2]
+            cases["D = 0"] += _sympy_facts(coeffs)[0] == 0
+    assert all(cases.values()), cases
+
+
+def _full_box_discs(n, q, cases):
+    """{(D, primitive part irreducible, a_n > 8): records} over the full box
+    a_n > 0, D != 0, with no fold: the rational-root sieve at n = 3,
+    discriminant_coeffs and is_irreducible record by record at n = 4.  Counts
+    the fold's cases up to Q = 9, the least Q with a second shard."""
+    if n == 3:
+        records = [(c, d, irr) for lo, hi in _shards(q)
+                   for c, d, _, irr in cubic_sieve_records(2, q, lo, hi)]
+    else:
+        records = [(c, d, d != 0 and bool(is_irreducible(content_primitive(IntPoly(c))[1])))
+                   for c in iter_coeffs(4, q) for d in [discriminant_coeffs(c)]]
+    for coeffs, disc, _ in records if q <= 9 else ():
+        a0, an = abs(coeffs[0]), coeffs[-1]
+        cases["D = 0"] += not disc
+        cases["|a_0| = a_n"] += disc != 0 and a0 == an
+        cases["a_0 = 0"] += disc != 0 and a0 == 0
+        cases["a_(n-1) = 0"] += disc != 0 and coeffs[-2] == 0
+        cases["partner in another shard"] += disc != 0 and (an - 1) // 8 < (a0 - 1) // 8
+    return collections.Counter((d, irr, c[-1] > 8) for c, d, irr in records if d)
+
+
+def test_disc_census_reversal_fold_against_unfolded_recount():
+    # the census walks |a_0| <= a_n, a_(n-1) >= 0; a direct count of the whole
+    # box must give every row and prime-power stat; for Q > 8 partners cross
+    # shards, so a shard's histogram is not its own records' but the levels
+    # merged over the shards are
+    nus, c_exps = [Fraction(0), Fraction(1, 2), Fraction(1)], (0, 2)
+    cases = dict.fromkeys(["|a_0| = a_n", "a_0 = 0", "a_(n-1) = 0", "D = 0",
+                           "partner in another shard", "shard histogram not its own"], 0)
+    for n, qs, ps in ((3, (8, 9, 16), (2, 3, 5)), (4, (1, 2, 3), (2, 3))):
+        for q in qs:
+            box = _full_box_discs(n, q, cases)
+            own = sum(cnt for (_, _, later), cnt in box.items() if not later)
+            for p in ps:
+                if q > 8:
+                    shard = _disc_shard((n, p, q, *_shards(q)[0]))
+                    cases["shard histogram not its own"] += sum(e[0] for e in shard.values()) != own
+                hist = {}
+                for (disc, irr, _), cnt in box.items():
+                    v = valuation(disc, p)
+                    entry = hist.setdefault(v, [0, 0, abs(disc), abs(disc)])
+                    entry[0] += cnt
+                    entry[1] += cnt * irr
+                    entry[2] = min(entry[2], abs(disc))
+                    entry[3] = max(entry[3], abs(disc))
+                res = disc_census(n, p, [q], nus, c_exps)
+                for row in res.rows:
+                    thr = disc_threshold(p, q, row.nu, row.c_exp)
+                    assert (row.threshold, row.count_all, row.count_irr) == (
+                        thr, 2 * sum(e[0] for v, e in hist.items() if v >= thr),
+                        2 * sum(e[1] for v, e in hist.items() if v >= thr)), (n, q, p, row)
+                assert [(s.k, s.count_all, s.count_irr, s.min_cofactor, s.max_abs_disc)
+                        for s in res.stats] == [(v, 2 * e[0], 2 * e[1], e[2] // p**v, e[3])
+                                                for v, e in sorted(hist.items())], (n, q, p)
     assert all(cases.values()), cases
 
 
@@ -779,12 +874,17 @@ def _cubic_products_full_c_range(a3, q):
 
 def test_cubic_products_follow_the_entries_of_the_full_c_range():
     # the c range cut to 0 <= a_2 and |a_1| <= Q gives the table of the filtered
-    # full range at a_2 >= 0, for every a_3 at every Q <= 16; the table does not depend on p
+    # full range at a_2 >= 0, for every a_3 at every Q <= 16, over |a_0| <= Q
+    # (the sep census) and |a_0| <= a_3 (the disc census); the table does not depend on p
     for q in range(1, 17):
         for a3 in range(1, q + 1):
             full = _cubic_products_full_c_range(a3, q)
             assert any(a2 < 0 for a2, _ in full), (a3, q)
-            assert _cubic_products(a3, q) == {k: v for k, v in full.items() if k[0] >= 0}, (a3, q)
+            assert any(abs(a0) > a3 for v in full.values() for a0 in v) or a3 == q, (a3, q)
+            for a0_max in {q, a3}:
+                cut = {k: {a0 for a0 in v if abs(a0) <= a0_max} for k, v in full.items()}
+                assert _cubic_products(a3, q, a0_max) == {
+                    k: v for k, v in cut.items() if k[0] >= 0 and v}, (a3, q, a0_max)
 
 
 @pytest.mark.parametrize("p, q, shards", [(2, 16, [(1, 8)]), (3, 9, _shards(9)),

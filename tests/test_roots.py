@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicsep.intpoly import IntPoly, discriminant, squarefree_part
+from padicsep.intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
 from padicsep.padic import INF, valuation
 from padicsep.roots import (
     DistanceProfile,
@@ -22,7 +22,7 @@ from padicsep.roots import (
     profile_at_zp_root,
     zp_roots,
 )
-from padicsep.roots import _difference_elementary
+from padicsep.roots import _difference_elementary, _first_slope, _lifted_roots
 from profile_oracle import profile_by_doubling
 from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
 
@@ -329,6 +329,62 @@ def test_profile_at_zp_root_matches_precision_doubling_seeded():
             compared += 1
             non_simple += not root.simple
     assert compared >= 100 and non_simple >= 20
+
+
+def test_root_analysis_equals_the_yun_route_seeded(monkeypatch):
+    # zp_roots and profile_at_zp_root run Yun's gcd pass only when the primitive
+    # part has D = 0; on squarefree and non-squarefree inputs they give what the
+    # Yun route gives: the roots of every factor S_m of the squarefree
+    # decomposition, and profiles lifted on S = squarefree_part(P)
+    rng = random.Random(20261021)
+    cases = []
+    squarefree = repeated = 0
+    for _ in range(120):
+        p = rng.choice([2, 3, 5])
+        poly = IntPoly([rng.choice([-1, 1]) * rng.randint(1, 3)])
+        for _ in range(rng.randint(1, 3)):
+            factor = IntPoly([rng.randint(-6, 6) for _ in range(rng.randint(1, 2))]
+                             + [rng.choice([1, 2, 3, p])])
+            for _ in range(rng.choice([1, 1, 2])):
+                poly = poly * factor
+        sqfree = squarefree_part(poly)
+        s, gamma = sqfree.degree, valuation(sqfree.leading, p)
+        precision = 2 * valuation(discriminant(sqfree), p) + 2 * s * s * gamma + 4
+        modulus = p**precision
+        yun = sorted((r % modulus, r, m == 1) for f, m in squarefree_decomposition(poly)
+                     for r in _lifted_roots(f, p, precision, discriminant(f)))
+        roots = zp_roots(poly, p, precision)
+        assert [(r.residue, r.simple) for r in roots] == [(x, m) for x, _, m in yun], (poly, p)
+        cases += [(poly, r.residue, p) for r in roots]
+        squarefree += sqfree.degree == poly.degree
+        repeated += sqfree.degree < poly.degree
+    got = [profile_at_zp_root(*case) for case in cases]
+    monkeypatch.setattr("padicsep.roots.content_primitive", lambda poly: (1, squarefree_part(poly)))
+    expect = [profile_at_zp_root(*case) for case in cases]
+    assert got == expect
+    assert squarefree >= 30 and repeated >= 30 and len(cases) >= 100, (squarefree, repeated)
+
+
+def test_first_slope_equals_the_largest_fraction_seeded():
+    # the integer cross-multiplication against max(Fraction(...)) on seeded
+    # terms, exact ties between distinct k included; an int iff integral
+    rng = random.Random(20261022)
+    ties = integral = fractional = 0
+    for _ in range(3000):
+        big_n = rng.choice([2, 6, 12, 20])
+        ks = sorted(rng.sample(range(0, big_n, 2), rng.randint(1, big_n // 2)))
+        v_last = rng.randint(0, 12)
+        terms = [(k, rng.randint(0, v_last + 3)) for k in ks]
+        v_lead = rng.randint(0, 4)
+        slopes = [Fraction(v_last - vk, big_n - k) for k, vk in terms]
+        best = max(slopes) - v_lead
+        want = int(best) if best.denominator == 1 else best
+        got = _first_slope(big_n, v_last, terms, v_lead)
+        assert got == want and type(got) is type(want), (big_n, v_last, terms, v_lead)
+        ties += slopes.count(max(slopes)) > 1
+        integral += type(got) is int
+        fractional += type(got) is Fraction
+    assert ties >= 100 and integral >= 100 and fractional >= 100, (ties, integral, fractional)
 
 
 def test_zp_roots_lift_without_hensel_lift(monkeypatch):
