@@ -12,15 +12,16 @@ import heapq
 import itertools
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
-from .lattice import XiParams, _box_points, _pinch_c2_exponent
 from .padic import _as_int, _as_p, _as_rational, _ceil_log, valuation
 from .roots import _first_slope, min_conjugate_separation
+
+if TYPE_CHECKING:  # lattice loads with the first measure estimate; censuses never need it
+    from .lattice import XiParams
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 _SAMPLE_BLOCK = 512  # Monte-Carlo block size; the block seeds fix the sample stream
@@ -471,6 +472,8 @@ def _run_shards(fn, shard_args, processes: int) -> list:
     """The shard results in order: in process when processes is 0, else in a pool of that many."""
     if not processes:
         return [fn(a) for a in shard_args]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
+
     with ProcessPoolExecutor(max_workers=processes) as pool:
         try:
             return list(pool.map(fn, shard_args))
@@ -798,19 +801,6 @@ def _wilson(hits: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
     return low, high
 
 
-def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
-                   require_top: bool = False) -> bool:
-    """Is there a nonzero vector, sup-norm <= radius, meeting all congruences?
-
-    The congruences are v_p(sum_(j>=i) C(j,i) x^(j-i) a_j) >= b_i.  With
-    require_top the top coefficient must be nonzero (degree exactly n); the
-    first point _box_points yields has the largest a_n in the box, so it
-    alone decides.
-    """
-    first = next(_box_points(p, b, x, radius), None)
-    return first is not None and (first[-1] != 0 or not require_top)
-
-
 def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-vector",
                      samples: int = 10_000, seed: int = 0, i_pinch: Optional[int] = None,
                      c2: Optional[int] = None) -> MeasureEstimate:
@@ -828,6 +818,8 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
     threshold_exp must be an integer >= 0 (epsilon, delta <= 1) and samples an
     integer >= 1, or this is a ValueError, raised before any block runs.
     """
+    from .lattice import _box_has_point, _pinch_c2_exponent
+
     _as_int(threshold_exp, "threshold_exp", 0)
     _as_int(samples, "samples", 1)
     p = params.p
@@ -843,13 +835,19 @@ def measure_estimate(params: XiParams, threshold_exp: int, mode: str = "short-ve
         require_top = True
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    # the event is decided by x mod p^max(bb); sample with resolution to spare
-    modulus = p ** (max(bb) + 4)
+    # the event is decided by x mod p^max(bb): each class is decided once per
+    # call, at its first sample; sample with resolution to spare
+    resolution = p ** max(bb)
+    modulus = resolution * p**4
+    decided: dict[int, bool] = {}
     hits = 0
     for idx, done in enumerate(range(0, samples, _SAMPLE_BLOCK)):
         rng = random.Random(f"{seed}:{idx}")
         for _ in range(min(_SAMPLE_BLOCK, samples - done)):
-            hits += _box_has_point(p, bb, rng.randrange(modulus), radius, require_top)
+            x = rng.randrange(modulus)
+            if (r := x % resolution) not in decided:
+                decided[r] = _box_has_point(p, bb, x, radius, require_top)
+            hits += decided[r]
     lo, hi = _wilson(hits, samples)
     return MeasureEstimate(mode, threshold_exp, samples, hits,
                            Fraction(hits, samples), lo, hi, seed)

@@ -12,12 +12,14 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 (census workers are stopped too).  Every configuration
 error is a ConfigError naming the flag at fault; main() alone turns it into
 one {"error", "field"} JSON line on stderr and its exit code.
+
+Each command imports the package modules it runs when it runs: `--help` and
+`report` load no arithmetic module, and `generate` never loads the census.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import random
@@ -27,13 +29,6 @@ import threading
 import time
 from fractions import Fraction
 from pathlib import Path
-
-from . import census as census_mod
-from . import lattice as lattice_mod
-from .intpoly import IntPoly, discriminant
-from .linalg import bareiss_det, lll_reduce
-from .padic import INF, _as_p, _power_exponent, valuation
-from .roots import HenselInapplicable, hensel_lift
 
 ARTIFACT_MAGIC = "# padicsep-artifact v1"
 CENSUS_HEADER = "n,p,Q,nu_or_theta,constant,count_all,count_irr,flagged"  # flagged: reserved, 0
@@ -55,6 +50,8 @@ def _canonical_json(obj) -> str:
 
 def write_csv_artifact(path: Path, config: dict, header: str, rows: list[str]) -> str:
     """Write a CSV with embedded config and content hash; returns the hash."""
+    import hashlib
+
     payload = header + "\n" + "".join(r + "\n" for r in rows)
     digest = hashlib.sha256(payload.encode()).hexdigest()
     with open(path, "w") as fh:
@@ -66,6 +63,8 @@ def write_csv_artifact(path: Path, config: dict, header: str, rows: list[str]) -
 
 
 def write_json_artifact(path: Path, config: dict, results) -> str:
+    import hashlib
+
     body = _canonical_json(results)
     digest = hashlib.sha256(body.encode()).hexdigest()
     doc = {"artifact": "padicsep-summary v1", "config": config,
@@ -78,6 +77,8 @@ def write_json_artifact(path: Path, config: dict, results) -> str:
 
 def read_csv_artifact(path: Path) -> tuple[dict, str, list[str], bool]:
     """Returns (config, header, rows, hash_ok); ValueError unless a whole artifact."""
+    import hashlib
+
     lines = Path(path).read_text().splitlines()
     if len(lines) < 4 or lines[0] != ARTIFACT_MAGIC:
         raise ValueError(f"{path}: not a complete padicsep artifact")
@@ -113,6 +114,8 @@ def _parse_list(args, flag: str, convert=int) -> list:
 
 
 def _check_prime(p: int) -> None:
+    from .padic import _as_p
+
     try:
         _as_p(p)
     except ValueError as exc:  # not prime, or beyond the deterministic Miller-Rabin range
@@ -163,6 +166,8 @@ def _census_front_end(args, grid_flag: str) -> tuple[list[int], list[Fraction]]:
 
 
 def _fit(points: list[tuple[int, int]], target: Fraction) -> dict:
+    from . import census as census_mod
+
     try:
         fit = census_mod.fit_exponent(points)
     except ValueError as exc:
@@ -190,11 +195,13 @@ def _census_tail(out_dir: Path, kind: str, config: dict, result, tables: dict,
 
 
 def cmd_disc_census(args) -> int:
+    from . import census as census_mod
+
     q_grid, nu_grid = _census_front_end(args, "nu")
     for nu in nu_grid:
         if not 0 <= nu <= args.n - 1:
             raise ConfigError("nu", f"nu = {nu} outside [0, n-1]")
-    c_exps = _parse_list(args, "constants") if args.constants else [0, 1, 2]
+    c_exps = _parse_list(args, "constants") if args.constants is not None else [0, 1, 2]
     out_dir = _out_dir(args)
     config = {"subcommand": "disc-census", "n": args.n, "p": args.p,
               "q_grid": q_grid, "nu_grid": [str(nu) for nu in nu_grid],
@@ -221,6 +228,9 @@ def cmd_disc_census(args) -> int:
 
 
 def cmd_sep_census(args) -> int:
+    from . import census as census_mod
+    from .padic import _power_exponent
+
     q_grid, theta_grid = _census_front_end(args, "theta")
     t_grid = [_power_exponent(q, args.p) for q in q_grid]
     for q, t in zip(q_grid, t_grid):
@@ -255,6 +265,11 @@ def cmd_sep_census(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from . import lattice as lattice_mod
+    from .intpoly import discriminant
+    from .padic import INF, valuation
+    from .roots import HenselInapplicable, hensel_lift
+
     _require(args, "preset")
     if args.preset not in ("theorem2", "theorem3"):
         raise ConfigError("preset", f"unknown preset {args.preset!r}")
@@ -348,6 +363,8 @@ def cmd_generate(args) -> int:
 
 
 def _suite_padic(quick: bool):
+    from .padic import INF, valuation
+
     rng = random.Random(20240901)
     checks = []
     trials = 200 if quick else 2000
@@ -377,6 +394,10 @@ def _suite_padic(quick: bool):
 
 
 def _suite_hensel(quick: bool):
+    from .intpoly import IntPoly
+    from .padic import INF, valuation
+    from .roots import hensel_lift
+
     rng = random.Random(77)
     checks = []
     root, dist = hensel_lift(IntPoly([-2, 0, 1]), 3, 7, 3)
@@ -412,6 +433,9 @@ def _suite_hensel(quick: bool):
 
 
 def _suite_lattice(quick: bool):
+    from . import lattice as lattice_mod
+    from .linalg import bareiss_det, lll_reduce
+
     rng = random.Random(5150)
     checks = []
     trials = 60 if quick else 500
@@ -458,6 +482,8 @@ def _random_b(rng, n, t):
 
 
 def _suite_generator(quick: bool):
+    from . import lattice as lattice_mod
+
     rng = random.Random(31)
     checks = []
     trials = 10 if quick else 60
@@ -484,6 +510,9 @@ def _suite_generator(quick: bool):
 
 
 def _suite_census(quick: bool):
+    from . import census as census_mod
+    from .padic import valuation
+
     checks = []
     hb = 6 if quick else 12
     res = census_mod.disc_census(2, 3, [hb], [Fraction(1, 2)], c_exps=(0,))
@@ -509,6 +538,9 @@ def _suite_census(quick: bool):
 
 
 def _suite_measure(quick: bool, seed):
+    from . import census as census_mod
+    from . import lattice as lattice_mod
+
     checks = []
     params = lattice_mod.XiParams(3, 2, (4, 2, 0))
     samples = 300 if quick else 2000

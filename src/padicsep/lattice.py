@@ -254,6 +254,19 @@ def _box_points(p: int, b: Sequence[int], x: int, radius: int) -> Iterator[tuple
                 yield (a0,) + rest
 
 
+def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
+                   require_top: bool = False) -> bool:
+    """Is there a nonzero vector, sup-norm <= radius, meeting all congruences?
+
+    The congruences are v_p(sum_(j>=i) C(j,i) x^(j-i) a_j) >= b_i.  With
+    require_top the top coefficient must be nonzero (degree exactly n); the
+    first point _box_points yields has the largest a_n in the box, so it
+    alone decides.
+    """
+    first = next(_box_points(p, b, x, radius), None)
+    return first is not None and (first[-1] != 0 or not require_top)
+
+
 def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,
                        params: Optional[XiParams] = None) -> GammaLattice:
     """Lattice of coefficient vectors with v_p((1/i!)P^(i)(x)) >= b_i, general b.

@@ -10,8 +10,7 @@ import random
 from math import prod
 
 from box_points_oracle import box_points_oracle
-from padicsep.census import _box_has_point
-from padicsep.lattice import _box_points
+from padicsep.lattice import _box_has_point, _box_points
 
 RADII = (0, 1, 2, 3, 5, 8, 12)
 

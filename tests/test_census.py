@@ -534,7 +534,7 @@ def test_measure_estimate_monotone_and_deterministic():
 def test_measure_estimate_matches_exhaustive_truth():
     # the sampled estimate's Wilson interval covers the exact measure, which
     # is computable here by enumerating every center residue
-    from padicsep.census import _box_has_point
+    from padicsep.lattice import _box_has_point
 
     params = XiParams(3, 1, (2, 1, 0))
     modulus = 3 ** (max(params.b) + 4)
@@ -546,6 +546,38 @@ def test_measure_estimate_matches_exhaustive_truth():
     me = measure_estimate(params, 1, samples=3000, seed=77)
     assert me.wilson_low <= float(exact) <= me.wilson_high
     assert abs(float(me.estimate) - float(exact)) < 0.05
+
+
+@pytest.mark.parametrize("params, exact", [
+    (XiParams(3, 2, (4, 2, 0)), (1, Fraction(1, 3), Fraction(1, 9), 0, 0)),
+    (XiParams(2, 2, (4, 0)), (1, Fraction(1, 2), Fraction(3, 16))),
+], ids=["b=4,2,0", "b=4,0"])
+def test_measure_estimate_decides_each_residue_class_once(params, exact):
+    # the event depends on x mod p^max(b) alone: over those classes the exact
+    # measures at epsilon = p^-e, e = 0, 1, ..., are `exact`, every seeded
+    # sample decides as its class does, and the hits are the classes'
+    # decisions summed over the sample stream.  At b = (4, 0) the event is
+    # a_0 + a_1 x = 0 mod 16 for some nonzero (a_0, a_1) of sup-norm <= p^(t-e);
+    # at e = 1 the classes 2 and 10 mod 16 differ, so no coarser class would do.
+    from padicsep.census import _SAMPLE_BLOCK
+    from padicsep.lattice import _box_has_point
+
+    p, classes_mod = params.p, params.p ** max(params.b)
+    samples, seed = 1100, 11
+    xs = []  # the sample stream, x mod p^(max b + 4): one seeded generator per block
+    for idx, done in enumerate(range(0, samples, _SAMPLE_BLOCK)):
+        rng = random.Random(f"{seed}:{idx}")
+        xs += [rng.randrange(classes_mod * p**4)
+               for _ in range(min(_SAMPLE_BLOCK, samples - done))]
+    for e, measure in enumerate(exact):
+        radius = p ** (params.t - e) if e <= params.t else 0
+        classes = [_box_has_point(p, params.b, r, radius) for r in range(classes_mod)]
+        assert Fraction(sum(classes), classes_mod) == measure
+        assert all(_box_has_point(p, params.b, x, radius) == classes[x % classes_mod] for x in xs)
+        me = measure_estimate(params, e, samples=samples, seed=seed)
+        assert me.hits == sum(classes[x % classes_mod] for x in xs)
+    if params.b == (4, 0):
+        assert _box_has_point(p, params.b, 2, p) != _box_has_point(p, params.b, 10, p)
 
 
 def test_measure_estimate_pinch_mode():
@@ -579,7 +611,7 @@ def test_measure_estimate_rejects_samples(samples, monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block ran before samples was checked")
 
-    monkeypatch.setattr("padicsep.census._box_has_point", no_blocks)
+    monkeypatch.setattr("padicsep.lattice._box_has_point", no_blocks)
     with pytest.raises(ValueError, match="samples"):
         measure_estimate(XiParams(3, 2, (4, 2, 0)), 1, samples=samples, seed=0)
 
@@ -644,7 +676,7 @@ class _SerialPool:
 
 
 def test_worker_pool_never_exceeds_shard_count(monkeypatch):
-    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     res = disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,), workers=10**6)
     assert _SerialPool.sizes == [3]  # a_n in 1..20 makes three shards of eight
@@ -652,7 +684,7 @@ def test_worker_pool_never_exceeds_shard_count(monkeypatch):
 
 
 def test_census_results_record_the_processes_started(monkeypatch):
-    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     nu, theta = [Fraction(1, 2)], [Fraction(1)]
     # Q = 8 is one shard (no pool), Q = 16 two shards, Q = 20 three; one pool runs them all
@@ -668,7 +700,7 @@ def test_census_results_record_the_processes_started(monkeypatch):
 
 
 def test_one_pool_per_census_call(monkeypatch):
-    monkeypatch.setattr("padicsep.census.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
     nu, theta = [Fraction(1, 2)], [Fraction(1)]
     # 1 + 3 + 2 shards over three levels share one pool of six

@@ -12,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import padicsep.cli as cli_mod
+import padicsep.lattice as lattice_mod
+import padicsep.linalg as linalg_mod
 from padicsep.cli import CENSUS_HEADER, build_parser, main, read_csv_artifact, write_csv_artifact
 from padicsep.roots import HenselInapplicable
 
@@ -144,16 +146,16 @@ def test_generate_telemetry_counts_every_sample(tmp_path, monkeypatch):
     # every route, and degenerate samples (every fourth call made to raise);
     # at theorem2 n=3 p=2 t=3 the dual certificate leaves no lll_after_box
     # sample, at n=2 p=5 t=4 seed 3 one box still comes up short
-    real_generate = cli_mod.lattice_mod.generate
+    real_generate = lattice_mod.generate
     calls = []
 
     def sometimes_degenerate(x, params):
         calls.append(x)
         if len(calls) % 4 == 0:
-            raise cli_mod.lattice_mod.DegenerateSample("forced")
+            raise lattice_mod.DegenerateSample("forced")
         return real_generate(x, params)
 
-    monkeypatch.setattr(cli_mod.lattice_mod, "generate", sometimes_degenerate)
+    monkeypatch.setattr(lattice_mod, "generate", sometimes_degenerate)
     out = tmp_path / "every-route"
     assert run_cli("generate", "--preset", "theorem2", "--n", "2", "--p", "5", "--t", "4",
                    "--theta", "1", "--samples", "12", "--seed", "3",
@@ -167,9 +169,9 @@ def test_generate_telemetry_counts_every_sample(tmp_path, monkeypatch):
 def test_no_theorem2_n3_class_mod_64_falls_back_after_the_box():
     # the boxes of radius 32 at x = 15, 17, 47 and 49 hold fewer than 4
     # independent points; the equality dual certificate proves it unenumerated
-    lat_mod = cli_mod.lattice_mod
-    params = lat_mod.preset_theorem2(3, 2, 3, Fraction(1))
-    routes = Counter(lat_mod.short_vectors(lat_mod.build_gamma(x, params), lat_mod.GENERATE_ENUM_LIMIT).route
+    params = lattice_mod.preset_theorem2(3, 2, 3, Fraction(1))
+    routes = Counter(lattice_mod.short_vectors(lattice_mod.build_gamma(x, params),
+                                               lattice_mod.GENERATE_ENUM_LIMIT).route
                      for x in range(64))
     assert routes == {"enumeration": 46, "lll_dual_certificate": 18}
 
@@ -221,7 +223,7 @@ def test_generate_hensel_errors(tmp_path, monkeypatch):
     def inapplicable(*args):
         raise HenselInapplicable("simple-root condition fails")
 
-    monkeypatch.setattr(cli_mod, "hensel_lift", inapplicable)
+    monkeypatch.setattr("padicsep.roots.hensel_lift", inapplicable)
     code, _, _ = run_cli(*argv, "--out-dir", str(tmp_path))
     assert code == 0
     summary = json.loads((tmp_path / "generate_summary.json").read_text())
@@ -232,7 +234,7 @@ def test_generate_hensel_errors(tmp_path, monkeypatch):
     def broken(*args):
         raise RuntimeError("defect inside hensel_lift")
 
-    monkeypatch.setattr(cli_mod, "hensel_lift", broken)
+    monkeypatch.setattr("padicsep.roots.hensel_lift", broken)
     with pytest.raises(RuntimeError, match="defect inside hensel_lift"):
         run_cli(*argv, "--out-dir", str(tmp_path / "again"))
 
@@ -258,13 +260,13 @@ def test_verify_suites_exit_codes(tmp_path):
 def test_verify_lattice_catches_a_non_unimodular_lll(monkeypatch):
     code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
     assert code == 0 and "[lattice] PASS: LLL keeps the covolume" in out
-    real_lll = cli_mod.lll_reduce
+    real_lll = linalg_mod.lll_reduce
 
     def doubling_lll(basis):
         reduced = real_lll(basis)
         return [[2 * x for x in reduced[0]]] + reduced[1:]
 
-    monkeypatch.setattr(cli_mod, "lll_reduce", doubling_lll)
+    monkeypatch.setattr(linalg_mod, "lll_reduce", doubling_lll)
     code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
     assert code == 1 and "[lattice] FAIL: LLL keeps the covolume" in out
 
@@ -279,7 +281,7 @@ def test_verify_lattice_full_mode_exits_cleanly():
 
 
 def test_verify_lattice_decides_minkowski_by_the_lll_bound(monkeypatch):
-    real = cli_mod.lattice_mod.successive_minima
+    real = lattice_mod.successive_minima
     calls = {"full": 0, "first": 0}
 
     def no_full_minima(lat, count=None):
@@ -289,7 +291,7 @@ def test_verify_lattice_decides_minkowski_by_the_lll_bound(monkeypatch):
         calls["first"] += 1
         return real(lat, count)
 
-    monkeypatch.setattr(cli_mod.lattice_mod, "successive_minima", no_full_minima)
+    monkeypatch.setattr(lattice_mod, "successive_minima", no_full_minima)
     code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
     assert calls == {"full": 20, "first": 20}
     assert code == 0 and "decided by the LLL bound on lambda_(n+1): 20)" in out
@@ -298,7 +300,7 @@ def test_verify_lattice_decides_minkowski_by_the_lll_bound(monkeypatch):
         raise RuntimeError("successive minima enumeration exceeds limit")
 
     # an instance decided neither way fails the check
-    monkeypatch.setattr(cli_mod.lattice_mod, "successive_minima", no_minima)
+    monkeypatch.setattr(lattice_mod, "successive_minima", no_minima)
     code, out, _ = run_cli("verify", "--suite", "lattice", "--quick")
     assert code == 1 and "[lattice] FAIL: Minkowski" in out
 
@@ -438,6 +440,10 @@ SWEEP_BASES = {
     "report": {"inputs": "census.csv", "--out": "merged.csv"},
 }
 MALFORMED = ("", "x", "1/0", "-1")
+# an empty list names its flag: none falls back to its default
+EMPTY_LIST_FLAGS = {("disc-census", "--q-grid"), ("disc-census", "--nu"),
+                    ("disc-census", "--constants"), ("sep-census", "--q-grid"),
+                    ("sep-census", "--theta")}
 
 
 def _value_flags(command):
@@ -472,6 +478,8 @@ def test_malformed_flag_values_exit_cleanly(command, flag, value, tmp_path, monk
         assert exc.code == 2, argv
         return
     assert code in (0, 2, 3), argv
+    if value == "" and (command, flag) in EMPTY_LIST_FLAGS:
+        assert code == 2 and json.loads(err.splitlines()[-1])["field"] == flag[2:], argv
     if code == 2:
         errors = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
         assert len(errors) == 1 and errors[0]["field"], argv

@@ -7,12 +7,12 @@ from math import factorial
 import pytest
 import sympy
 
-from padicsep.census import _box_has_point
 from padicsep.intpoly import IntPoly, discriminant, eisenstein_check, is_irreducible
 from padicsep.lattice import (
     DegenerateSample,
     RoundingInfeasible,
     XiParams,
+    _box_has_point,
     _box_points,
     _RankTracker,
     admissible_primes,
