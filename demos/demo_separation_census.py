@@ -1,9 +1,9 @@
 """Walkthrough: counting polynomials with p-adically close conjugate roots.
 
-Counts irreducible quadratics of height in the shell [Q/p, Q] whose conjugate
-roots are within Q^-theta of each other, and checks the growth against the
-predicted Q^(n+1-2 theta).  Every membership decision is an exact rational
-comparison of valuations.
+Counts irreducible quadratics, then cubics, of height in the shell [Q/p, Q]
+whose conjugate roots are within Q^-theta of each other, and fits the growth
+against the predicted Q^(n+1-2 theta) (Problem (A)).  Every membership
+decision is an exact rational comparison of valuations.
 """
 
 from fractions import Fraction
@@ -25,6 +25,19 @@ for row in result.rows:
 pts = [(p**r.t, r.count_irr) for r in result.rows]
 fit = fit_exponent(pts)
 print(f"\nfitted exponent {fit.slope:.3f}  (predicted n+1-2 theta = {n + 1 - 2 * theta})")
+
+print()
+n3, thetas3, t_grid3 = 3, [Fraction(1), Fraction(4, 3)], [2, 3, 4, 5]
+print(f"degree {n3}, p = {p}, Q = 2^t for t in {t_grid3}; theta = 4/3 = (n+1)/3 ends "
+      "the proven range")
+result3 = sep_census(n3, p, t_grid3, thetas3, c0_exp=0, workers=2)
+print(f"{'theta':>6} " + " ".join(f"{'Q=' + str(p**t):>8}" for t in t_grid3)
+      + f" {'slope':>7} {'n+1-2theta':>11}")
+for th in thetas3:
+    pts = [(p**r.t, r.count_irr) for r in result3.rows if r.theta == th]
+    print(f"{str(th):>6} " + " ".join(f"{c:>8}" for _, c in pts)
+          + f" {fit_exponent(pts).slope:>7.3f} {str(n3 + 1 - 2 * th):>11}")
+print("   (count_irr per Q; four heights are few, so the slopes are read, not gated)")
 
 print()
 print("a concrete witness: close conjugate square roots")

@@ -145,7 +145,8 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence
 
     n >= 2, every bound (Q, or t of Q = p^t) >= least, workers >= 1, every
     constant exponent (c_exp or c0_exp) and max_records (unless None) >= 0
-    must be integers, and every rate (nu or theta) a rational >= 0.
+    must be integers, and every rate (nu or theta) a rational >= 0.  No bound,
+    rate or constant exponent may repeat: its rows would be counted twice.
     """
     _as_int(n, "n", 2)
     for b in bounds:
@@ -155,7 +156,11 @@ def _census_inputs(n: int, p, bounds: Sequence[int], least: int, rates: Sequence
     _as_int(workers, "workers", 1)
     if max_records is not None:
         _as_int(max_records, "max_records", 0)
-    return _as_p(p), [_as_rational(r, "every nu or theta", 0) for r in rates]
+    rates = [_as_rational(r, "every nu or theta", 0) for r in rates]
+    for name, values in (("bound", bounds), ("nu or theta", rates), ("constant exponent", consts)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {name} in {', '.join(map(str, values))}")
+    return _as_p(p), rates
 
 
 def _census_grid(fn, n: int, p: int, heights: Sequence[int], workers: int,
@@ -784,10 +789,9 @@ class MeasureEstimate:
     seed: int
 
 
-def _wilson(hits: int, total: int, z: float = _WILSON_Z) -> tuple[float, float]:
-    if total == 0:
-        return 0.0, 1.0
-    phat = hits / total
+def _wilson(hits: int, total: int) -> tuple[float, float]:
+    """The 95% Wilson interval; measure_estimate refuses samples < 1, so total >= 1."""
+    z, phat = _WILSON_Z, hits / total
     denom = 1 + z * z / total
     center = (phat + z * z / (2 * total)) / denom
     half = z * math.sqrt(phat * (1 - phat) / total + z * z / (4 * total * total)) / denom

@@ -106,11 +106,14 @@ def _require(args, *flags: str) -> None:
 
 
 def _parse_list(args, flag: str, convert=int) -> list:
-    """The comma-separated values of --flag through convert; a malformed one names the flag."""
+    """The comma-separated values of --flag through convert; a bad or repeated one names the flag."""
     try:
-        return [convert(part) for part in _flag(args, flag).split(",")]
+        values = [convert(part) for part in _flag(args, flag).split(",")]
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(flag, f"malformed value: {exc}") from None
+    if len(set(values)) < len(values):
+        raise ConfigError(flag, f"repeated value in {_flag(args, flag)!r}")
+    return values
 
 
 def _check_prime(p: int) -> None:
@@ -293,7 +296,7 @@ def cmd_generate(args) -> int:
             descr[flag] = _flag(args, flag)
     try:
         params = lattice_mod.expand_preset(descr)
-    except (ValueError, lattice_mod.RoundingInfeasible) as exc:
+    except ValueError as exc:
         raise ConfigError("preset", str(exc)) from None
     out_dir = _out_dir(args)
     config = {"subcommand": "generate", "preset": descr, "b": list(params.b),

@@ -149,7 +149,6 @@ class GammaLattice:
     p: int
     b: tuple[int, ...]
     box_q: int
-    params: Optional[XiParams] = None
 
     @property
     def n(self) -> int:
@@ -267,8 +266,7 @@ def _box_has_point(p: int, b: Sequence[int], x: int, radius: int,
     return first is not None and (first[-1] != 0 or not require_top)
 
 
-def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None,
-                       params: Optional[XiParams] = None) -> GammaLattice:
+def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = None) -> GammaLattice:
     """Lattice of coefficient vectors with v_p((1/i!)P^(i)(x)) >= b_i, general b.
 
     The basis is T(-x) diag(p^b_i): column i solves the congruence system with
@@ -285,8 +283,7 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
     for i in range(n + 1):
         scale = p ** b[i]
         cols.append(tuple(t_inv[r][i] * scale for r in range(n + 1)))
-    lat = GammaLattice(tuple(cols), x_red, p, b,
-                       box_q if box_q is not None else p ** max(b), params)
+    lat = GammaLattice(tuple(cols), x_red, p, b, box_q if box_q is not None else p ** max(b))
     if abs(bareiss_det(cols)) != lat.covolume:
         raise InvariantError("basis determinant does not match covolume")
     for col in cols:
@@ -297,7 +294,7 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
 
 def build_gamma(x: int, params: XiParams) -> GammaLattice:
     """The generator's lattice: covolume p^(t(n+1)) = Q^(n+1), box semi-axis Q."""
-    return congruence_lattice(x, params.p, params.b, params.Q, params)
+    return congruence_lattice(x, params.p, params.b, params.Q)
 
 
 def _signed_minors(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -348,12 +345,8 @@ class _RankTracker:
 
 def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
     """Canonical representative of {v, -v}: highest-index nonzero entry positive."""
-    for v in reversed(vec):
-        if v > 0:
-            return vec
-        if v < 0:
-            return tuple(-a for a in vec)
-    return vec
+    top = next(v for v in reversed(vec) if v)  # vec is an lll_reduce basis row, never zero
+    return vec if top > 0 else tuple(-a for a in vec)
 
 
 @dataclass(frozen=True)
@@ -667,10 +660,13 @@ class GeneratorOutput:
     m: int
     c0: Fraction
     c2: int
-    method: str
     polys: tuple[IntPoly, ...]
     certificates: tuple[PolyCertificate, ...]
     route: str  # ShortVectors.route
+
+    @property
+    def method(self) -> str:
+        return "enumeration" if self.route == "enumeration" else "lll"
 
     @property
     def all_ok(self) -> bool:
@@ -721,27 +717,28 @@ def generate(x: int, params: XiParams) -> GeneratorOutput:
             last_error = exc  # p divided a content, or outputs became dependent
             continue
         return GeneratorOutput(
-            x=lat.x, params=params, q=q, m=m, c0=sv.c0, c2=c2, method=sv.method,
+            x=lat.x, params=params, q=q, m=m, c0=sv.c0, c2=c2,
             polys=tuple(prim_polys), certificates=tuple(certs), route=sv.route,
         )
-    raise last_error if last_error is not None else DegenerateSample("no admissible q")
+    # m >= 1 and (m, 4m) holds two primes (Bertrand twice; 2, 3 at m = 1): a q != p set last_error
+    raise last_error
 
 
 def _certify(lat: GammaLattice, prim: IntPoly, content: int, q: int, c2: int) -> PolyCertificate:
-    params = lat.params
+    """Certify prim against lat; build_gamma gives lat the b, n and box_q = Q of its XiParams."""
     margins = []
-    for value, bi in zip(lat.hasse_values(prim.coeffs), params.b):
+    for value, bi in zip(lat.hasse_values(prim.coeffs), lat.b):
         vv = valuation(value, lat.p)
         margins.append(vv if vv is INF else vv - bi)
     return PolyCertificate(
         coeffs=prim.coeffs,
         content=content,
-        degree_ok=prim.degree == params.n,
+        degree_ok=prim.degree == lat.n,
         eisenstein_ok=eisenstein_check(prim, q),
         membership_margins=tuple(margins),
         membership_ok=all(mg is INF or mg >= 0 for mg in margins),
         height=prim.height,
-        height_ok=prim.height <= c2 * params.Q,
+        height_ok=prim.height <= c2 * lat.box_q,
     )
 
 
@@ -809,7 +806,9 @@ def preset_theorem3(n: int, p: int, t: int, nu: Fraction) -> XiParams:
     Targets b_j = t theta_j with theta_(j-1) - theta_j = d_j,
     d_1 = n+1 - (n+2) nu / n and d_j = 2 nu / (n(n-1)) for j >= 2; the integer
     b minimizes the max deviation among non-increasing vectors with b_n = 0
-    and sum b = t(n+1) (ties: lexicographically smallest).
+    and sum b = t(n+1) (ties: lexicographically smallest).  At idx = n - 1,
+    monotone tries only b_(n-1) = remaining, so it reaches idx = n with nothing
+    left over; it always yields b = (t(n+1), 0, ..., 0), so min has a candidate.
     """
     nu = _as_rational(nu, "nu", 0)
     if nu > _as_int(n, "n", 2) - 1:
@@ -825,28 +824,20 @@ def preset_theorem3(n: int, p: int, t: int, nu: Fraction) -> XiParams:
     targets = [t * th for th in thetas]
     total = t * (n + 1)
 
-    best: Optional[tuple] = None
-
-    def rec(idx: int, remaining: int, prev: int, acc: list[int]):
-        nonlocal best
+    def monotone(idx: int, remaining: int, prev: int) -> Iterator[tuple[int, ...]]:
         if idx == n:
-            if remaining != 0:
-                return
-            cand = acc + [0]
-            dev = max(abs(Fraction(bj) - tj) for bj, tj in zip(cand, targets))
-            key = (dev, tuple(cand))
-            if best is None or key < best[0]:
-                best = (key, tuple(cand))
+            yield (0,)
             return
         # b[idx] ranges over [ceil(remaining/(n-idx)) ... min(prev, remaining)]
         lo = -(-remaining // (n - idx))
         for bj in range(min(prev, remaining), lo - 1, -1):
-            rec(idx + 1, remaining - bj, bj, acc + [bj])
+            for rest in monotone(idx + 1, remaining - bj, bj):
+                yield (bj,) + rest
 
-    rec(0, total, total, [])
-    if best is None:
-        raise RoundingInfeasible("no monotone integer b matches the theorem-3 targets")
-    return XiParams(p, t, best[1])
+    def deviation(b: tuple[int, ...]) -> tuple:
+        return max(abs(bj - tj) for bj, tj in zip(b, targets)), b
+
+    return XiParams(p, t, min(monotone(0, total, total), key=deviation))
 
 
 def expand_preset(descr: dict) -> XiParams:

@@ -637,11 +637,17 @@ def test_measure_estimate_rejects_samples(samples, monkeypatch):
     lambda: disc_census(2, 3, [20], [Fraction(1, 2)], workers=2.5),
     lambda: disc_census(2, 3, [20], [Fraction(1, 2)], workers="2"),
     lambda: sep_census(2, 2, [4], [Fraction(1)], workers=0),
+    lambda: disc_census(2, 3, [4, 4], [Fraction(1, 2)]),
+    lambda: disc_census(2, 3, [4], [Fraction(1, 2), Fraction(2, 4)]),
+    lambda: disc_census(2, 3, [4], [1], c_exps=(0, 0)),
+    lambda: sep_census(2, 2, [2, 2], [Fraction(1)]),
+    lambda: sep_census(2, 2, [2], [1, Fraction(1)]),
 ], ids=["disc-n-negative", "disc-n-1", "disc-Q-0", "disc-Q-negative", "disc-p-composite",
         "disc-nu-negative", "sep-t-negative", "sep-t-float", "sep-n-1", "sep-theta-negative",
         "disc-c-exp-half", "disc-c-exp-float", "sep-c0-exp-float", "inputs-Q-0", "inputs-n-1",
         "disc-max-records-negative", "sep-max-records-float", "disc-workers-float",
-        "disc-workers-str", "sep-workers-0"])
+        "disc-workers-str", "sep-workers-0", "disc-Q-repeated", "disc-nu-repeated",
+        "disc-c-exp-repeated", "sep-t-repeated", "sep-theta-repeated"])
 def test_census_inputs_rejected_at_entry(call, monkeypatch):
     def no_shards(*args):
         raise AssertionError("a shard ran before the inputs were checked")

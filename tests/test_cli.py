@@ -206,7 +206,9 @@ def test_generate_configuration_errors_exit_2(tmp_path):
                         (["generate", "--preset", "theorem3", "--n", "2", "--p", "3",
                           "--t", "2", "--nu", "2"], "nu"),
                         (["generate", "--preset", "theorem3", "--n", "3", "--p", "3",
-                          "--t", "2", "--nu=-1/3"], "nu")):
+                          "--t", "2", "--nu=-1/3"], "nu"),
+                        (gen[:-1] + ["1,2", "--t", "2"], "theta"),
+                        (gen[:-1] + ["3", "--t", "1"], "preset")):
         code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
         assert code == 2, argv
         payload = json.loads(err.strip().splitlines()[-1])
@@ -219,6 +221,10 @@ def test_generate_hensel_errors(tmp_path, monkeypatch):
     # theorem2 at b = (5, 1, 0) reports the Hensel root distance of each sample
     argv = ["generate", "--preset", "theorem2", "--n", "2", "--p", "3", "--t", "2",
             "--theta", "1/2", "--samples", "3", "--seed", "1"]
+    code, _, _ = run_cli(*argv, "--out-dir", str(tmp_path / "lifted"))
+    assert code == 0
+    summary = json.loads((tmp_path / "lifted" / "generate_summary.json").read_text())
+    assert [d["distance_valuation"] for d in summary["results"]["hensel_distances"]] == [5, 3, 5]
 
     def inapplicable(*args):
         raise HenselInapplicable("simple-root condition fails")
@@ -255,6 +261,12 @@ def test_verify_suites_exit_codes(tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["field"] == "seed"
     code, out, err = run_cli("verify", "--suite", "measure", "--quick", "--seed", "7")
     assert code == 0
+    # the README's command: every suite but golden, measure included since --seed is given
+    code, out, err = run_cli("verify", "--suite", "all", "--quick", "--seed", "7")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 11 and all("] PASS: " in line for line in lines)
+    assert {line.split("]")[0] + "]" for line in lines} == {
+        "[padic]", "[hensel]", "[lattice]", "[generator]", "[census]", "[measure]"}
 
 
 def test_verify_lattice_catches_a_non_unimodular_lll(monkeypatch):
@@ -383,6 +395,11 @@ def test_census_configuration_errors_exit_2(tmp_path):
         (disc[:-1] + ["1/0", "--q-grid", "4"], "nu"),
         (sep[:-1] + ["1/0", "--q-grid", "4"], "theta"),
         (disc + ["--q-grid", "4", "--max-records", "-1"], "max-records"),
+        (disc[:-1] + ["2", "--q-grid", "4"], "nu"),
+        (disc + ["--q-grid", "4,4"], "q-grid"),
+        (disc[:-1] + ["1/2,0.5", "--q-grid", "4"], "nu"),
+        (disc + ["--q-grid", "4", "--constants", "0,0"], "constants"),
+        (sep[:-1] + ["1,1", "--q-grid", "4"], "theta"),
     ]
     for argv, field in cases:
         code, out, err = run_cli(*argv, "--out-dir", str(tmp_path / "out"))
