@@ -2,13 +2,11 @@
 
 Estimates the measure of x in Z_p whose coefficient lattice contains a
 nonzero vector of sup-norm <= eps Q, for shrinking eps.  Each sample is an
-exact enumeration decision; only the sampling itself is random (seeded,
-block-deterministic, so worker count never changes the result).
+exact enumeration decision; only the sampling itself is random, seeded per
+block of samples, so a rerun prints the same numbers.
 """
 
-import math
-
-from padicsep import XiParams, measure_estimate
+from padicsep import XiParams, fit_exponent, measure_estimate
 
 params = XiParams(3, 2, (4, 2, 0))
 seed = 20260809
@@ -25,11 +23,7 @@ for e in (0, 1, 2, 3, 4):
           f"[{me.wilson_low:.4f}, {me.wilson_high:.4f}]  ({me.hits}/{me.samples})")
 
 print("\neps = 1 is certain (Minkowski: a nonzero vector of sup-norm <= Q always exists)")
-pos = [(3.0**-e, float(me.estimate)) for e, me in rows if me.estimate > 0 and e > 0]
-xs = [math.log(v) for v, _ in pos]
-ys = [math.log(v) for _, v in pos]
-xb, yb = sum(xs) / len(xs), sum(ys) / len(ys)
-slope = sum((x - xb) * (y - yb) for x, y in zip(xs, ys)) / sum((x - xb) ** 2 for x in xs)
+slope = fit_exponent([(3.0**-e, float(me.estimate)) for e, me in rows if e > 0]).slope
 print(f"decay exponent (log-log slope over nonzero estimates): {slope:.3f}")
 print("theoretical floor for n = 2: alpha = 1 / floor(((n+1)/2)^2) = 0.5")
 

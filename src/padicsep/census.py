@@ -477,11 +477,22 @@ def _run_shards(fn, shard_args, processes: int) -> list:
     """The shard results in order: in process when processes is 0, else in a pool of that many."""
     if not processes:
         return [fn(a) for a in shard_args]
+    import signal
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
 
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    # A SIGTERM or SIGINT handler that runs inside an at-fork hook has its exception
+    # dropped, so both are held while map forks the workers and submits every shard;
+    # the workers start with the caller's mask.
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    with ProcessPoolExecutor(max_workers=processes, initializer=signal.pthread_sigmask,
+                             initargs=(signal.SIG_SETMASK, mask)) as pool:
         try:
-            return list(pool.map(fn, shard_args))
+            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM, signal.SIGINT))
+            try:
+                results = pool.map(fn, shard_args)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held signal's handler runs here
+            return list(results)
         except BaseException:
             # leaving the block would wait for the running shards: stop them now
             for proc in pool._processes.values():

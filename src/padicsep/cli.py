@@ -505,8 +505,6 @@ def _suite_generator(quick: bool):
             continue
         if not out.all_ok:
             ok = False
-        if not (out.m < out.q < 4 * out.m) or out.q == p:
-            ok = False
     checks.append(("generator certificates", ok and degenerate <= trials // 10,
                    f"{trials - degenerate} certified, {degenerate} degenerate"))
     return checks

@@ -174,8 +174,7 @@ def sylvester_matrix(p: IntPoly, q: IntPoly) -> list[list[int]]:
 
 def resultant(p: IntPoly, q: IntPoly) -> int:
     """Res(p, q) as an exact integer (Bareiss determinant of the Sylvester matrix)."""
-    if p.degree + q.degree == 0:
-        return 1
+    # two nonzero constants give the 0 x 0 Sylvester matrix, whose determinant is 1
     return bareiss_det(sylvester_matrix(p, q))
 
 
@@ -186,14 +185,13 @@ def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
     summary of the generate command) and the census kernel, once per record at
     n >= 4; the n = 2 and n = 3 kernels inline their own closed forms.
     Degrees 2 and 3 use the expanded closed forms of the Sylvester
-    determinant; higher degrees go through the Bareiss determinant.  Degree 1
-    has discriminant 1 (empty root-difference product).
+    determinant; higher degrees go through the Bareiss determinant, and so
+    does degree 1, where Res(P, P') = a_1 gives a_1 / a_1 = 1 (the empty
+    root-difference product).
     """
     n = len(coeffs) - 1
     if n < 1 or coeffs[n] == 0:
         raise ValueError("discriminant needs degree >= 1 with nonzero leading coefficient")
-    if n == 1:
-        return 1
     if n == 2:
         a0, a1, a2 = coeffs
         return a1 * a1 - 4 * a2 * a0
@@ -595,10 +593,8 @@ def squarefree_part(poly: IntPoly) -> IntPoly:
     """Primitive squarefree polynomial with the same roots (ignoring multiplicity)."""
     if poly.degree < 1:
         raise ValueError("squarefree part needs degree >= 1")
-    g = poly_gcd(poly, poly.derivative())
-    if g.degree == 0:
-        return content_primitive(poly)[1]
-    return content_primitive(_divide_exact(poly, g))[1]
+    # a constant gcd is 1 (poly_gcd is primitive and positive), and dividing by 1 gives P
+    return content_primitive(_divide_exact(poly, poly_gcd(poly, poly.derivative())))[1]
 
 
 def squarefree_decomposition(poly: IntPoly) -> list[tuple[IntPoly, int]]:

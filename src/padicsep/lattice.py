@@ -68,6 +68,14 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
     Each b_i is constrained by p^-b_i <= xi_i <= p^(-b_i+n); the sum condition
     picks t >= 1.  Returns the lexicographically smallest feasible b.  Raises
     RoundingInfeasible when no admissible b exists (reporting the deficit).
+
+    Closed form.  Each b_i ranges over [lo_i, hi_i], so the totals fill
+    [sum lo, sum hi]; no b exists when T, the least multiple of n+1 that is
+    >= max(n+1, sum lo), exceeds sum hi.  Else b_i = max(lo_i, T - sum_(j<i)
+    b_j - sum_(j>i) hi_j) in turn keeps sum_(j<i) b_j + sum_(j>=i) hi_j >= T
+    (so b_i <= hi_i) and sum_(j<i) b_j + sum_(j>=i) lo_j <= T, so sum b = T.
+    A feasible b' <lex b first differs where b'_i < b_i, so b_i > lo_i and
+    sum b' < T, and no admissible total lies in [sum lo, T): b is the least.
     """
     q = _as_p(p)
     n = len(xi) - 1
@@ -93,35 +101,20 @@ def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiP
                 f"prod(xi) = {prod} is not within sandwich tolerance of Q^-(n+1)"
             )
     mod = n + 1
-    suffix_min = [0] * (mod + 1)
-    suffix_max = [0] * (mod + 1)
-    for i in range(n, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + lo[i]
-        suffix_max[i] = suffix_max[i + 1] + hi[i]
-    # Greedy lexicographic minimum.  Suffix sums range over a full interval of
-    # integers (each b_i spans consecutive values), so feasibility of a prefix
-    # is just an interval-vs-multiple check.
+    total = max(mod, ((sum(lo) + mod - 1) // mod) * mod)
+    if total > sum(hi):
+        raise RoundingInfeasible(
+            f"no admissible rounding: achievable sums [{sum(lo)}, {sum(hi)}]"
+            f" miss every positive multiple of {mod}"
+        )
     chosen: list[int] = []
-    prefix = 0
-    for i in range(n + 1):
-        found = None
-        for b in range(lo[i], hi[i] + 1):
-            smin = prefix + b + suffix_min[i + 1]
-            smax = prefix + b + suffix_max[i + 1]
-            target = max(mod, ((smin + mod - 1) // mod) * mod)
-            if target <= smax:
-                found = b
-                break
-        if found is None:
-            raise RoundingInfeasible(
-                f"no admissible rounding: achievable sums [{suffix_min[0]}, {suffix_max[0]}]"
-                f" miss every positive multiple of {mod}"
-            )
-        chosen.append(found)
-        prefix += found
-    if prefix % mod or prefix < mod:
-        raise InvariantError("greedy rounding produced an invalid total")
-    return XiParams(q, prefix // mod, tuple(chosen))
+    rest = sum(hi)  # sum_(j<i) b_j + sum_(j>=i) hi_j, which stays >= total
+    for l, h in zip(lo, hi):
+        chosen.append(max(l, total - (rest - h)))
+        rest += chosen[-1] - h
+    if rest != total:
+        raise InvariantError("closed-form rounding produced an invalid total")
+    return XiParams(q, total // mod, tuple(chosen))
 
 
 def taylor_matrix(x: int, n: int) -> list[list[int]]:
@@ -277,7 +270,7 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
     if len(b) < 2:
         raise ValueError("b must have n >= 1, i.e. at least two entries")
     n = len(b) - 1
-    x_red = x % p ** max(b) if max(b) > 0 else 0
+    x_red = x % p ** max(b)  # x mod p^0 = 0 when every b_i is 0
     t_inv = taylor_matrix(-x_red, n)
     cols = []
     for i in range(n + 1):

@@ -40,10 +40,9 @@ def bareiss_det(matrix: Sequence[Sequence[int]]) -> int:
         for i in range(k + 1, n):
             row_i = m[i]
             row_k = m[k]
-            mik = row_i[k]
+            mik = row_i[k]  # column k below the pivot is never read again, so it is not zeroed
             for j in range(k + 1, n):
                 row_i[j] = (pivot * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
 

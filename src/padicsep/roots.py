@@ -113,8 +113,7 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
         raise HenselInapplicable(
             f"v_p(P(x0)) = {v0} is not greater than 2 v_p(P'(x0)) = 2*{v1}"
         )
-    if v0 is INF:
-        return ZpRoot(x0 % q**precision, precision, True), INF
+    # at a root (v0 = INF) _newton_refine returns x0 mod its modulus at once, and INF - v1 = INF
     x = _newton_refine(poly, x0, q, precision + v1, v1)
     return ZpRoot(x % q**precision, precision, True), v0 - v1
 
@@ -371,8 +370,6 @@ def check_ordering_lemma(poly: IntPoly, x: int, p, profile: DistanceProfile) -> 
             bound = bound + v
         holds = lhs >= bound
         expected = j == 0 or profile.entries[j - 1] > profile.entries[j]
-        equal = (lhs is INF and bound is INF) or (
-            lhs is not INF and bound is not INF and lhs == bound
-        )
-        rows.append(OrderingCheck(j, lhs, bound, holds, expected, equal))
+        # INF defines no __eq__, so == compares it by identity: INF == INF only
+        rows.append(OrderingCheck(j, lhs, bound, holds, expected, lhs == bound))
     return rows

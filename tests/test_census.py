@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from padicsep.census import (
     _quadratic_disc_blocks,
     _quadratic_sep_blocks,
     _records,
+    _run_shards,
     _sep_shard,
     _shards,
     disc_census,
@@ -668,7 +670,7 @@ class _SerialPool:
 
     sizes: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **options):
         self.sizes.append(max_workers)
 
     def __enter__(self):
@@ -716,6 +718,19 @@ def test_one_pool_per_census_call(monkeypatch):
     disc_census(3, 3, [4, 8], nu, workers=2)
     sep_census(3, 2, [1, 2], theta, workers=2)
     assert _SerialPool.sizes == [6]
+
+
+def test_pool_workers_start_with_the_callers_signal_mask():
+    # _run_shards holds SIGTERM and SIGINT only while the pool starts: its workers and,
+    # afterwards, the caller run with the caller's mask
+    previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
+    try:
+        mine = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        read_mask = functools.partial(signal.pthread_sigmask, signal.SIG_BLOCK)
+        assert _run_shards(read_mask, [(), ()], 2) == [mine, mine]
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mine
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, previous)
 
 
 def _sep_tally(counts, least, sep, irr, h):

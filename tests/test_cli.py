@@ -532,7 +532,8 @@ def test_sigterm_stops_census_workers(tmp_path):
             kids = _child_pids(proc.pid)
         assert len(kids) == 2, "the census never started its two workers"
         proc.send_signal(signal.SIGTERM)
-        assert proc.wait(timeout=30) == 143
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 143, err.decode(errors="replace")
         deadline = time.monotonic() + 5
         while any(Path(f"/proc/{k}").exists() for k in kids) and time.monotonic() < deadline:
             time.sleep(0.02)
@@ -543,6 +544,49 @@ def test_sigterm_stops_census_workers(tmp_path):
         for k in kids:
             if Path(f"/proc/{k}").exists():
                 os.kill(k, signal.SIGKILL)
+
+
+# Sends SIGTERM to itself after each fork of the census pool, while the pool is still starting
+_AT_FORK_CENSUS = """
+import os, signal, sys
+from padicsep import cli
+os.register_at_fork(after_in_parent=lambda: os.kill(os.getpid(), signal.SIGTERM))
+sys.exit(cli.main(["disc-census", "--n", "3", "--p", "2", "--q-grid", "16", "--nu", "1/2",
+                   "--workers", "2", "--out-dir", sys.argv[1]]))
+"""
+
+
+def _pids_running(argv: list[str]) -> list[int]:
+    """The live processes whose command line is argv, read off /proc/<pid>/cmdline."""
+    want = "\0".join(argv).encode() + b"\0"
+    pids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                if (entry / "cmdline").read_bytes() == want:
+                    pids.append(int(entry.name))
+            except OSError:
+                continue
+    return pids
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_sigterm_while_the_pool_forks_stops_the_census(tmp_path):
+    # a SIGTERM that lands while the pool forks its workers is not lost: the run exits
+    # 143, writes no artifact and leaves no worker behind
+    out_dir = tmp_path / "out"
+    argv = [sys.executable, "-c", _AT_FORK_CENSUS, str(out_dir)]
+    try:
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 143, proc.stderr
+        assert not out_dir.exists() or not list(out_dir.iterdir()), proc.stderr
+        deadline = time.monotonic() + 5
+        while _pids_running(argv) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _pids_running(argv)
+    finally:
+        for pid in _pids_running(argv):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_main_restores_the_sigterm_handler(capsys):

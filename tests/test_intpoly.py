@@ -109,6 +109,7 @@ def test_discriminant_examples():
     assert -4 * 1**3 - 27 * 1**2 == -31
     assert discriminant(p) == -31
     assert discriminant(IntPoly([7, 3])) == 1
+    assert discriminant_coeffs((5, -4)) == 1  # Res(P, P') / a_1 = -4 / -4
     with pytest.raises(ValueError):
         discriminant(IntPoly([5]))
 
@@ -154,6 +155,12 @@ def test_resultant_basics():
     # the root product over x^3 = 1 is (1 + 1)(w^5 + 1)(w^10 + 1) = 2 (-w)(-w^2) = 2;
     # sympy 1.14's resultant returns -2 here
     assert resultant(IntPoly([-1, 0, 0, 1]), IntPoly([1, 0, 0, 0, 0, 1])) == 2
+    # two nonzero constants: the 0 x 0 Sylvester determinant
+    assert resultant(IntPoly([3]), IntPoly([-5])) == 1
+    # a zero polynomial has no Sylvester matrix, whatever the other's degree
+    for other in (IntPoly([1, 1]), IntPoly([4]), IntPoly([1, 0, 1])):
+        with pytest.raises(ValueError, match="nonzero"):
+            resultant(IntPoly([]), other)
 
 
 def test_hadamard_bound_examples():
@@ -427,6 +434,8 @@ def test_gcd_and_squarefree():
     assert squarefree_part(q) == IntPoly([-1, 1]) * IntPoly([2, 1])
     decomp = squarefree_decomposition(q)
     assert (IntPoly([2, 1]), 1) in decomp and (IntPoly([-1, 1]), 2) in decomp
+    # squarefree input: the gcd with P' is 1, and only the content goes
+    assert squarefree_part(IntPoly([4, 0, -6])) == IntPoly([2, 0, -3])
 
 
 def test_string_encoding_round_trip():

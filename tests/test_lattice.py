@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
@@ -33,6 +34,7 @@ from padicsep.lattice import (
 )
 from padicsep.linalg import bareiss_det, solve_mod_prime
 from padicsep.padic import INF, valuation
+from round_params_oracle import round_params_oracle
 
 
 def det_of(columns):
@@ -92,6 +94,29 @@ def test_round_params_random_instances():
         assert sum(ps.b) == ps.t * (n + 1)
         for bi, x in zip(ps.b, xi):
             assert Fraction(1, p**bi) <= x <= Fraction(p**n, p**bi)
+
+
+def test_round_params_matches_the_trial_search():
+    # the closed form against the trial search it replaced: the same b, or
+    # RoundingInfeasible with the same message from both
+    rng = random.Random(28)
+    kinds = Counter()
+    for _ in range(3000):
+        p = rng.choice([2, 3, 5])
+        n = rng.randint(1, 5)
+        xi = [Fraction(rng.randint(1, p ** (n + 1)), rng.randint(1, p ** (n + 2)))
+              for _ in range(n + 1)]
+        try:
+            want = round_params_oracle(xi, p)
+        except RoundingInfeasible as exc:
+            with pytest.raises(RoundingInfeasible) as got:
+                round_params(xi, p)
+            assert str(got.value) == str(exc), (xi, p)
+            kinds["sandwich" if "sandwich" in str(exc) else "total"] += 1
+        else:
+            assert round_params(xi, p).b == want, (xi, p)
+            kinds["feasible"] += 1
+    assert kinds["feasible"] and kinds["total"] and kinds["sandwich"], kinds
 
 
 def test_taylor_matrix_unit_triangular():

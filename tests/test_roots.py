@@ -81,6 +81,11 @@ def test_hensel_examples():
 def test_hensel_exact_root_input():
     root, dist = hensel_lift(IntPoly([-4, 0, 1]), 2, 7, 4)
     assert root.residue == 2 and dist is INF
+    # an exact root beyond the refine modulus 7^(4 + 0 + 2) comes back reduced mod 7^4
+    big = 7**8 + 3
+    for x0 in (big, -big):
+        root, dist = hensel_lift(IntPoly([-big * big, 0, 1]), x0, 7, 4)
+        assert root.residue == x0 % 7**4 and root.precision == 4 and dist is INF
 
 
 def test_hensel_contract_seeded():
@@ -565,6 +570,16 @@ def test_check_ordering_lemma():
     # j = 1 row: v_7(P'(3)) = v_7(6) = 0 = v_7(a_n) + 0
     assert rows[1].lhs_valuation == 0 and rows[1].bound_valuation == 0
     assert len(rows) == poly.degree  # rows cover 0 <= j < n only
+    # x = 3 is a root of (x - 3)(x - 5): both sides of the j = 0 row are INF
+    poly = IntPoly([15, -8, 1])
+    rows = check_ordering_lemma(poly, 3, 7, distance_profile(poly, 3, 7))
+    assert rows[0].lhs_valuation is INF and rows[0].bound_valuation is INF
+    assert rows[0].equality_holds
+    # P'(0) = 0 for x^2 - 2: the j = 1 row has lhs INF against the finite bound 0
+    poly = IntPoly([-2, 0, 1])
+    rows = check_ordering_lemma(poly, 0, 7, distance_profile(poly, 0, 7))
+    assert rows[1].lhs_valuation is INF and rows[1].bound_valuation == 0
+    assert rows[1].bound_holds and not rows[1].equality_holds
 
 
 def test_check_ordering_lemma_seeded():
