@@ -349,6 +349,12 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     class j, its smallest and largest terms differ, so the step from either
     end stays in the box.
 
+    Extremes only where they can move.  Upper: A >= 0 and |a_0| <= Q, so a
+    record has |D| <= A + F Q.  Lower: at level b + j, p^(b+j) | D != 0, so
+    |D| >= p^(b+j).  A level whose stored max is >= A + F Q and min is p^(b+j)
+    only adds the block's counts.  a_2 runs descending and a_1 as given
+    (descending from _disc_shard): early blocks set the largest maxima.
+
     Tail.  The descent stops once class j holds at most one value of the box;
     that value, unless it is z, is one record whose v_p(D) is computed.
 
@@ -363,7 +369,7 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
     size = 2 * q + 1
     top, twice_v, per_a2 = _quadratic_tables(p, q, a2_lo, a2_hi)
     hist: dict[int, list[int]] = {}
-    for a2, f, b, pb, inv, square_roots in per_a2:
+    for a2, f, b, pb, inv, square_roots in reversed(per_a2):
         for a1 in a1_values:
             a, w = a1 * a1, 2 if a1 else 1
             if a1 and twice_v[a1] < b:
@@ -378,8 +384,12 @@ def _quadratic_disc_blocks(p: int, height_bound: int, a2_lo: int, a2_hi: int,
                     m_next = m * p
                     r_next = r_top % m_next
                     cnt_next = _class_count(r_next, m_next, q)
-                    lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
-                    _hist_add(hist, level, w * (cnt - cnt_next), w * (cnt - cnt_next), lo, hi)
+                    c, entry = w * (cnt - cnt_next), hist.get(level)
+                    if entry is not None and entry[3] >= a + f * q and entry[2] == pb * m:
+                        entry[0], entry[1] = entry[0] + c, entry[1] + c
+                    else:
+                        lo, hi = _level_extremes(a, f, q, r_top % m, m, r_next, m_next)
+                        _hist_add(hist, level, c, c, lo, hi)
                     m, cnt, level = m_next, cnt_next, level + 1
                 if cnt:
                     x = -q + (r_top % m + q) % m
@@ -402,16 +412,16 @@ def _disc_shard(args) -> dict[int, list[int]]:
     minimal cofactor follows from the minimal |D|.  Only blocks with a_(n-1) >= 0
     are walked, those with a_(n-1) > 0 weighted w = 2 for their mirrors (see
     _records).  At n = 2 each (a_2, a_1) block is counted in closed form by
-    _quadratic_disc_blocks; from n = 3 the histogram is read off the census
-    kernel record by record, over |a_0| <= a_n only, each record with
-    0 < |a_0| < a_n weighted 2 w for its reversal.  That partner has leading
-    coefficient |a_0|, which may lie in another shard's a_n range, so a shard's
-    histogram is not that of its own records: only the levels merged over all
-    shards of a height are.
+    _quadratic_disc_blocks, a_1 descending (see its "Extremes only where they
+    can move"); from n = 3 the census kernel's records give the histogram,
+    over |a_0| <= a_n only, each with 0 < |a_0| < a_n weighted 2 w for its
+    reversal.  That partner has leading coefficient |a_0|, which may lie in
+    another shard's a_n range, so a shard's histogram is not that of its own
+    records: only the levels merged over all shards of a height are.
     """
     n, p, height_bound, an_lo, an_hi = args
     if n == 2:
-        return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi, range(height_bound + 1))
+        return _quadratic_disc_blocks(p, height_bound, an_lo, an_hi, range(height_bound, -1, -1))
     hist: dict[int, list[int]] = {}
     for head, rows in _records(n, p, height_bound, an_lo, an_hi, True):
         edge = (0, head[-1], -head[-1])  # the a_0 that have no reversal partner

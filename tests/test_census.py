@@ -11,6 +11,7 @@ import sympy
 
 from canonical_order_oracle import iter_coeffs
 from cubic_sieve_oracle import cubic_sieve_records
+import padicsep.census as census
 from padicsep.census import (
     _census_inputs,
     _cubic_products,
@@ -1023,6 +1024,35 @@ def test_quadratic_disc_blocks_seeded_against_brute_force():
         # without the D = 0 point, a top level of one record per block is the descent's tail
         seen["tail"] += not has_zero and expect[max(expect)][0] == (2 if a1 else 1)
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quadratic_disc_shard_exact_where_extremes_are_skipped(p, monkeypatch):
+    # at Q = 80 and 81 most descent levels already hold a max >= A + F Q and
+    # the min p^v, so _level_extremes is skipped there; every shard, the last
+    # partial one (a_2 = 81) included, still matches the direct count
+    calls = {"_level_extremes": 0, "_class_count": 0}  # _class_count: once per descent level
+    for name in calls:
+        def spy(*args, name=name, real=getattr(census, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(census, name, spy)
+    for q in (80, 81):
+        for lo, hi in _shards(q):
+            expect = _brute_disc_hist(p, q, range(lo, hi + 1), range(-q, q + 1))
+            assert _disc_shard((2, p, q, lo, hi)) == expect, (p, q, lo)
+    assert 0 < 2 * calls["_level_extremes"] < calls["_class_count"], calls
+
+
+def test_quadratic_disc_blocks_any_a1_order():
+    # the skip of _level_extremes reads the walk order; the histogram must not
+    rng = random.Random(29)
+    for p, q, lo, hi in [(2, 64, 1, 8), (3, 81, 73, 80), (5, 50, 9, 16), (7, 30, 25, 30)]:
+        ascending = list(range(q + 1))
+        shuffled = rng.sample(ascending, len(ascending))
+        hists = [_quadratic_disc_blocks(p, q, lo, hi, a1s)
+                 for a1s in (ascending, ascending[::-1], shuffled)]
+        assert hists[0] == hists[1] == hists[2], (p, q, lo)
 
 
 @pytest.mark.parametrize("patched, reached", [
