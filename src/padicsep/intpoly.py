@@ -90,6 +90,7 @@ class IntPoly:
 
     def shift(self, c: int) -> "IntPoly":
         """P(x + c), exact Taylor shift via synthetic division."""
+        _as_int(c, "c")
         b = list(self.coeffs)
         n = len(b)
         for i in range(n - 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
@@ -59,7 +60,7 @@ class XiParams:
         return self.p**self.t
 
     def xi(self, i: int) -> Fraction:
-        return Fraction(1, self.p ** self.b[i])
+        return Fraction(1, self.p ** self.b[_as_int(i, "i", 0)])
 
 
 def round_params(xi: Sequence[Fraction], p, Q: Optional[Fraction] = None) -> XiParams:
@@ -266,7 +267,7 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
     right-hand side p^b_i e_i.  Covolume and per-column membership are
     re-verified by direct computation rather than trusted by construction.
     """
-    b = tuple(_as_int(bi, "every b entry", 0) for bi in b)
+    x, b = _as_int(x, "x"), tuple(_as_int(bi, "every b entry", 0) for bi in b)
     if len(b) < 2:
         raise ValueError("b must have n >= 1, i.e. at least two entries")
     n = len(b) - 1
@@ -276,7 +277,8 @@ def congruence_lattice(x: int, p: int, b: Sequence[int], box_q: Optional[int] = 
     for i in range(n + 1):
         scale = p ** b[i]
         cols.append(tuple(t_inv[r][i] * scale for r in range(n + 1)))
-    lat = GammaLattice(tuple(cols), x_red, p, b, box_q if box_q is not None else p ** max(b))
+    box_q = p ** max(b) if box_q is None else _as_int(box_q, "box_q", 1)
+    lat = GammaLattice(tuple(cols), x_red, p, b, box_q)
     if abs(bareiss_det(cols)) != lat.covolume:
         raise InvariantError("basis determinant does not match covolume")
     for col in cols:
@@ -376,8 +378,8 @@ def _max_abs(vec: tuple[int, ...]) -> int:
 def _dual_certificate(lat: GammaLattice, basis: list[tuple[int, ...]], radius: int) -> bool:
     """True when a signed cofactor row w of basis proves lambda_(n+1) > radius.
 
-    Rows b_j of basis span lat, D = |det|, and w_j = (-1)^j minor(i, j) is row i
-    of the cofactor matrix up to one sign, so <b_j, w> = +-D delta_ij and
+    Rows b_j of basis span lat, D = |det| = cov(lat), and w_j = (-1)^j minor(i, j)
+    is row i of the cofactor matrix up to one sign, so <b_j, w> = +-D delta_ij and
     <v, w> lies in D Z for every lattice vector v.  For v in the box,
     |<v, w>| <= radius ||w||_1.  Strict: D > radius ||w||_1 forces <v, w> = 0.
     Equality: D = radius ||w||_1 with every w_j != 0 allows |<v, w>| = D only
@@ -386,7 +388,8 @@ def _dual_certificate(lat: GammaLattice, basis: list[tuple[int, ...]], radius: i
     <v, w> = 0 again.  Either way every box point lies in the hyperplane
     w^perp, so no n+1 of them are independent.
     """
-    det, dim = abs(bareiss_det(basis)), range(len(basis))
+    # congruence_lattice checked |det| of lat.basis; LLL's steps are unimodular
+    det, dim = lat.covolume, range(len(basis))
     for i in dim:
         w = _signed_minors([r for k, r in enumerate(basis) if k != i])
         bound = radius * sum(map(abs, w))
@@ -432,12 +435,13 @@ def short_vectors(lat: GammaLattice, enum_limit: int = DEFAULT_ENUM_LIMIT) -> Sh
 
     LLL, then one box (see _minima_search): the greedy on the box gives the
     exact successive minima (ties broken by (sup-norm, lexicographic order) on
-    canonical sign representatives), else it runs on the verified LLL basis.
+    canonical sign representatives), else the verified LLL basis, sorted the same way.
     """
     n = lat.n
-    reduced, chosen, route = _minima_search(lat, n + 1, enum_limit)
+    reduced, chosen, route = _minima_search(lat, n + 1, _as_int(enum_limit, "enum_limit", 0))
     if chosen is None:
-        chosen = _greedy_minima(sorted({(_max_abs(v), _sign_normalize(v)) for v in reduced}), n + 1)
+        # lll_reduce refuses dependent rows: the greedy would take all n + 1, in this order
+        chosen = sorted({(_max_abs(v), _sign_normalize(v)) for v in reduced})
         if len(chosen) != n + 1:
             raise InvariantError("LLL basis lost independence")
     vectors = tuple(v for _, v in chosen)
@@ -449,7 +453,7 @@ def successive_minima(lat: GammaLattice, count: Optional[int] = None,
                       enum_limit: int = DEFAULT_ENUM_LIMIT) -> list[Fraction]:
     """Exact successive minima of the sup-norm box of semi-axis Q on the lattice."""
     want = _as_int(count, "count", 1) if count is not None else lat.n + 1
-    chosen = _minima_search(lat, want, enum_limit)[1]
+    chosen = _minima_search(lat, want, _as_int(enum_limit, "enum_limit", 0))[1]
     if chosen is None:
         raise RuntimeError("successive minima enumeration exceeds limit")
     return [Fraction(norm, lat.box_q) for norm, _ in chosen]
@@ -603,7 +607,7 @@ def eisenstein_twist(columns: Sequence[Sequence[int]], q: int) -> TwistResult:
     q = _as_p(q, "q")
     dim = len(columns)
     n = dim - 1
-    rows = [[columns[c][r] for c in range(dim)] for r in range(dim)]
+    rows = [[_as_int(columns[c][r], "every column entry") for c in range(dim)] for r in range(dim)]
     s = [0] * n + [1]
     inv_cols = solve_mod_prime(rows, [[1 if i == j else 0 for i in range(dim)]
                                       for j in range(dim)], q)
@@ -657,9 +661,7 @@ class GeneratorOutput:
     certificates: tuple[PolyCertificate, ...]
     route: str  # ShortVectors.route
 
-    @property
-    def method(self) -> str:
-        return "enumeration" if self.route == "enumeration" else "lll"
+    method = ShortVectors.method  # the property reads only self.route
 
     @property
     def all_ok(self) -> bool:
@@ -756,9 +758,9 @@ def _verify_twist(lat: GammaLattice, twist: TwistResult,
     for poly in twist.polys_raw:
         if not lat.contains(poly.coeffs):
             raise InvariantError("raw twist output is not a lattice member")
-        candidates = [poly.coeffs] + [tuple(a + sign * q * q * b for a, b in zip(poly.coeffs, col))
-                                      for col in twist.columns for sign in (1, -1)]
-        for cand in candidates:
+        shifts = (tuple(a + sign * q * q * b for a, b in zip(poly.coeffs, col))
+                  for col in twist.columns for sign in (1, -1))
+        for cand in chain([poly.coeffs], shifts):  # built lazily: the first usually passes
             content, prim = content_primitive(IntPoly(cand))
             cert = _certify(lat, prim, content, q, c2)
             if cert.membership_ok and tracker.try_add(prim.coeffs):

@@ -236,7 +236,8 @@ def vp(x: int, p) -> PadicMag:
 
 def vp_rat(num: int, den: int, p) -> PadicMag:
     """Exact |num/den|_p.  den must be nonzero."""
-    if den == 0:
+    _as_int(num, "num")
+    if _as_int(den, "den") == 0:
         raise ZeroDivisionError("vp_rat: denominator is zero")
     if num == 0:
         return PadicMag.zero()

@@ -81,15 +81,14 @@ class ZpRoot:
     simple: bool
 
 
-def _newton_refine(poly: IntPoly, x0: int, p: int, target: int, v1: int) -> int:
+def _newton_refine(poly: IntPoly, deriv: IntPoly, x0: int, p: int, target: int, v1: int) -> int:
     """Refine x0 to x with v_p(P(x)) >= target, assuming the Hensel condition.
 
-    v1 is v_p(P'(x0)), which Hensel's lemma keeps invariant along the
-    iteration.  Works on exact integers reduced mod p^(target + v1 + 2).
+    deriv = P', built once by the caller.  v1 is v_p(P'(x0)), which Hensel's
+    lemma keeps invariant.  Works on exact integers mod p^(target + v1 + 2).
     """
     modulus = p ** (target + v1 + 2)
     x = x0 % modulus
-    deriv = poly.derivative()
     while True:
         fx = poly(x)
         if fx == 0 or valuation(fx, p) >= target:
@@ -107,14 +106,16 @@ def hensel_lift(poly: IntPoly, x0: int, p, precision: int) -> tuple[ZpRoot, Valu
     """
     q = _as_p(p)
     _as_int(precision, "precision", 1)
+    _as_int(x0, "x0")
+    deriv = poly.derivative()
     v0 = valuation(poly(x0), q)
-    v1 = valuation(poly.derivative()(x0), q)
+    v1 = valuation(deriv(x0), q)
     if not v0 > 2 * v1:
         raise HenselInapplicable(
             f"v_p(P(x0)) = {v0} is not greater than 2 v_p(P'(x0)) = 2*{v1}"
         )
     # at a root (v0 = INF) _newton_refine returns x0 mod its modulus at once, and INF - v1 = INF
-    x = _newton_refine(poly, x0, q, precision + v1, v1)
+    x = _newton_refine(poly, deriv, x0, q, precision + v1, v1)
     return ZpRoot(x % q**precision, precision, True), v0 - v1
 
 
@@ -133,15 +134,14 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int, disc: int) -> list[int]
         cap = valuation(poly.leading, p) + precision + 4
     deriv = poly.derivative()
     lifted: list[int] = []
-    stack: list[tuple[int, int]] = [(0, 0)]
+    stack: list[tuple[int, int, Valuation]] = [(0, 0, valuation(poly(0), p))]
     while stack:
-        r, k = stack.pop()
-        vs = valuation(poly(r), p)
+        r, k, vs = stack.pop()  # vs = v_p(P(r)), computed by the filter that pushed r
         v1 = valuation(deriv(r), p)
         if v1 < k and vs > 2 * v1:
             if vs - v1 >= k:
                 prec = max(precision, 2 * v1 + 2)
-                lifted.append(_newton_refine(poly, r, p, prec + v1, v1) % p**prec)
+                lifted.append(_newton_refine(poly, deriv, r, p, prec + v1, v1) % p**prec)
             # else: the unique nearby root lies outside this class; class empty
             continue
         if k >= cap:
@@ -151,8 +151,8 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int, disc: int) -> list[int]
         step = p**k
         for c in range(p - 1, -1, -1):
             child = r + c * step
-            if valuation(poly(child), p) >= k + 1:
-                stack.append((child, k + 1))
+            if (vc := valuation(poly(child), p)) >= k + 1:
+                stack.append((child, k + 1, vc))
     return lifted
 
 
@@ -209,7 +209,7 @@ def distance_profile(poly: IntPoly, a: int, p) -> DistanceProfile:
     if poly.is_zero:
         raise ValueError("zero polynomial")
     entries: list[Valuation] = []
-    for val, mult in newton_polygon(poly.shift(a), p).root_valuations():
+    for val, mult in newton_polygon(poly.shift(_as_int(a, "a")), p).root_valuations():
         entries.extend([val] * mult)
     entries.sort(key=lambda v: (0, 0) if v is INF else (1, -v))
     return DistanceProfile(a, tuple(entries))
@@ -234,7 +234,7 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     valuation >= N, and every other root alpha_j at exactly
     v_p(a - alpha_j) = v_p(alpha - alpha_j) < N - 1.
     """
-    q = _as_p(p)
+    q, residue = _as_p(p), _as_int(residue, "residue")
     sqfree = content_primitive(poly)[1]
     disc = discriminant(sqfree)
     if not disc:
@@ -357,7 +357,7 @@ def check_ordering_lemma(poly: IntPoly, x: int, p, profile: DistanceProfile) -> 
     (exact product formula) and whenever the j-th and (j+1)-th distances
     differ strictly.
     """
-    q = _as_p(p)
+    q, x = _as_p(p), _as_int(x, "x")
     n = poly.degree
     if len(profile.entries) != n:
         raise ValueError("profile size must equal deg P")

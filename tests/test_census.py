@@ -501,6 +501,10 @@ def test_max_exponent_breaks_exact_ties_to_the_smallest_sep(monkeypatch):
 def test_fit_exponent_examples():
     assert abs(fit_exponent([(10, 100), (100, 10000)]).slope - 2) < 1e-12
     assert abs(fit_exponent([(10, 7), (40, 7), (160, 7)]).slope) < 1e-12
+    # exact points c Q^k: slope k, intercept log c, every nonzero point used
+    fit = fit_exponent([(4, 0), (8, 3 * 8**2), (16, 3 * 16**2), (64, 3 * 64**2)])
+    assert abs(fit.slope - 2) < 1e-12 and abs(fit.intercept - math.log(3)) < 1e-12
+    assert fit.used == 3 and fit.dropped == [(4, 0)] and fit.residual_rms < 1e-12
     rng = random.Random(10)
     pts = []
     for q in (10, 20, 40, 80, 160):
@@ -1085,3 +1089,17 @@ def test_census_routes(patched, reached, monkeypatch):
                 run()
         else:
             assert run().rows, name
+
+
+def test_quadratic_sep_blocks_walk_square_roots_once_per_block(monkeypatch):
+    # the reducible a_0 of a block's set are read off one walk of the box's
+    # square roots, also where the set is the box less an inner box (h_0 < s)
+    calls = []
+    real = census._square_roots_in
+    monkeypatch.setattr(census, "_square_roots_in",
+                        lambda a, f, q, roots: calls.append(q) or real(a, f, q, roots))
+    for p, q in ((2, 64), (3, 81), (5, 125)):
+        calls.clear()
+        counts, _ = _sep_shard((2, p, q, 1, 8))
+        assert calls == [q] * (8 * (q + 1)), (p, q)
+        assert any(not irr for _, irr in counts)

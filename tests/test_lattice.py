@@ -273,11 +273,13 @@ def test_normalization_identity_symbolic():
         dv = rng.randint(1, 3)
         nm = normalization(params, "height-floor", Fraction(1, p**dv))
         assert (n + 1) * nm.d_exponent + sum(nm.g_exponents) == 0
+        assert (nm.delta_exponent, nm.c2_exponent, nm.i_pinch) == (dv, 0, None)
         i_pinch = rng.randint(0, n)
-        c2 = p ** (2 * rng.randint(0, 2))
+        c2_exp = 2 * rng.randint(0, 2)
         nm = normalization(params, "derivative-pinch", Fraction(1, p**dv),
-                           c2=c2, i_pinch=i_pinch)
+                           c2=p**c2_exp, i_pinch=i_pinch)
         assert (n + 1) * nm.d_exponent + sum(nm.g_exponents) == 0
+        assert (nm.delta_exponent, nm.c2_exponent, nm.i_pinch) == (dv, c2_exp, i_pinch)
         assert all(c.ok for c in nm.certificates)
 
 

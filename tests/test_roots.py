@@ -231,6 +231,7 @@ def test_distance_profile_matches_known_roots():
             poly = poly * IntPoly([-r, 1])
         center = rng.randint(-15, 15)
         prof = distance_profile(poly, center, p)
+        assert prof.center == center
         expect = sorted(
             (valuation(center - r, p) for r in roots),
             key=lambda v: (0, 0) if v is INF else (1, -v),
@@ -328,9 +329,14 @@ def test_profile_at_zp_root_matches_precision_doubling_seeded():
         sqfree = squarefree_part(poly)
         s, gamma = sqfree.degree, valuation(sqfree.leading, p)
         precision = 2 * valuation(discriminant(sqfree), p) + 2 * s * s * gamma + 4
+        # the lift precision N of profile_at_zp_root's proof: its center is a root mod p^N
+        lift = max(((s - 1) * (s - 2) * gamma + valuation(discriminant(sqfree), p)) // 2
+                   - gamma + 2, 1)
         for root in zp_roots(poly, p, precision):
-            got = profile_at_zp_root(poly, root.residue, p).entries
-            assert got == profile_by_doubling(poly, root.residue, p).entries, (poly, p, root)
+            prof = profile_at_zp_root(poly, root.residue, p)
+            assert prof.entries == profile_by_doubling(poly, root.residue, p).entries, (poly, p)
+            assert poly(prof.center) % p**lift == 0, (poly, p, root)
+            assert (prof.center - root.residue) % p ** min(lift, precision) == 0
             compared += 1
             non_simple += not root.simple
     assert compared >= 100 and non_simple >= 20
@@ -619,3 +625,31 @@ def test_discriminant_valuation_consistency_with_root_distances():
             valuation(a - b, p) for i, a in enumerate(roots) for b in roots[:i]
         )
         assert valuation(d, p) == 4 * valuation(lead, p) + 2 * pair_sum
+
+
+def test_lifted_roots_evaluates_p_once_per_pushed_class(monkeypatch):
+    # with the refinement stubbed out, the search evaluates P at 0 and at the
+    # p children of each class it splits, and P' once per class it pops: no pop
+    # evaluates P again, so P runs once per pushed class (and once per rejected child)
+    events = []
+    real_call = IntPoly.__call__
+
+    def spy(self, x):
+        events.append(("P" if self is poly else "D", x))
+        return real_call(self, x)
+
+    monkeypatch.setattr(IntPoly, "__call__", spy)
+    monkeypatch.setattr("padicsep.roots._newton_refine", lambda poly, deriv, x0, *_: x0)
+    deep = 0
+    for poly, p in ((IntPoly([-2, 0, 1]), 7), (IntPoly([-6, 11, -6, 1]), 2),
+                    (IntPoly([-6, 11, -6, 1]) * IntPoly([-5, 0, 1]), 11),
+                    (IntPoly([1, 2, 0, 1]) * IntPoly([-9, 0, 4]), 3), (IntPoly([-17, 0, 1]), 2)):
+        events.clear()
+        _lifted_roots(poly, p, 4, discriminant(poly))
+        assert events[0] == ("P", 0), (poly, p)
+        kinds = "".join(kind for kind, _ in events[1:])
+        assert kinds.replace("D" + "P" * p, "").replace("D", "") == "", (poly, p, kinds)
+        splits = kinds.count("D" + "P" * p)
+        assert kinds.count("P") == p * splits
+        deep += splits >= 3
+    assert deep

@@ -179,7 +179,10 @@ def test_dual_certificate_never_fires_within_the_last_minimum():
 
 
 class _HoldsEveryCorner:
-    """A stand-in lattice that holds every vector, so only the strict branch can fire."""
+    """A stand-in for lat that holds every vector, so only the strict branch can fire."""
+
+    def __init__(self, lat):
+        self.covolume = lat.covolume
 
     @staticmethod
     def contains(vec):
@@ -190,7 +193,7 @@ def _check_certified_box(lat, basis, radius):
     """Check a firing certificate on the box; True when only the equality branch fired."""
     points = sorted((_max_abs(v), v) for v in lat.half_box_points(radius))
     assert len(_greedy_minima(points, lat.n + 1)) <= lat.n, (lat, basis, radius)
-    return not _dual_certificate(_HoldsEveryCorner, basis, radius)
+    return not _dual_certificate(_HoldsEveryCorner(lat), basis, radius)
 
 
 def _seeded_lattices(rng):
@@ -234,3 +237,51 @@ def test_dual_certificate_leaves_fewer_than_n_plus_1_independent_box_points():
                 dims.add(lat.n + 1)
             radius += 1
     assert len(dims) >= 2, dims
+
+
+def test_lll_routes_build_no_rank_tracker_beyond_the_box(monkeypatch):
+    # lll_reduce refuses dependent rows, so the LLL route sorts its n + 1 rows
+    # without a rank test: lll_dual_certificate builds no _RankTracker, and
+    # lll_after_box only the one its box greedy used
+    built = []
+
+    class Spy(_RankTracker):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr("padicsep.lattice._RankTracker", Spy)
+    rng = random.Random(4343)
+    seen = set()
+    for _ in range(90):
+        lat = _random_lattice(rng, 3)
+        for limit in (0, 1, 30, 500):
+            built.clear()
+            sv = short_vectors(lat, limit)
+            want = {"enumeration": 1, "lll_after_box": 1, "lll_dual_certificate": 0}[sv.route]
+            assert len(built) == want, (lat, limit, sv.route)
+            assert (sv.vectors, sv.c0, sv.method) == short_vectors_oracle(lat, limit)
+            seen.add(sv.route)
+    assert seen == {"enumeration", "lll_after_box", "lll_dual_certificate"}
+
+
+def test_dual_certificate_computes_only_its_minors(monkeypatch):
+    # D is the covolume congruence_lattice checked, so the only determinants
+    # are the n + 1 signed n x n minors of each cofactor row tried
+    sizes = []
+    monkeypatch.setattr("padicsep.lattice.bareiss_det",
+                        lambda rows: sizes.append(len(rows)) or bareiss_det(rows))
+    fired = silent = 0
+    for lat in _seeded_lattices(random.Random(6363)):
+        reduced = [tuple(v) for v in lll_reduce([list(c) for c in lat.basis])]
+        dim = lat.n + 1
+        for radius in (1, 2, 4):
+            sizes.clear()
+            if _dual_certificate(lat, reduced, radius):
+                fired += 1
+                assert sizes and len(sizes) % dim == 0 and len(sizes) <= dim * dim
+            else:
+                silent += 1
+                assert len(sizes) == dim * dim
+            assert set(sizes) == {lat.n}, (lat, radius, sizes)
+    assert fired and silent
