@@ -4,5 +4,5 @@ import sys
 
 from .cli import main
 
-if __name__ == "__main__":  # a spawned pool worker imports this module under another name
+if __name__ == "__main__":  # importing this module runs nothing
     sys.exit(main())

@@ -11,10 +11,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, NoReturn, Optional, Sequence
 
 from .intpoly import IntPoly, content_primitive, discriminant_coeffs, is_irreducible
 from .padic import _as_int, _as_p, _as_rational, _ceil_log, valuation
@@ -180,8 +181,8 @@ def _census_grid(fn, n: int, p: int, heights: Sequence[int], workers: int,
         seen += poly_count(n, hb)
         levels.append([(n, p, hb, lo, hi) for lo, hi in _shards(hb)])
     args = [a for level in levels for a in level]
-    # one pool per call, none unless some level has two shards to spread, and at
-    # most one process per shard: under fork the pool starts all its workers at once
+    # one round of forks per call, none unless some level has two shards to spread,
+    # and at most one process per shard
     spread = workers > 1 and any(len(level) > 1 for level in levels)
     started = min(workers, len(args)) if spread else 0
     it = iter(_run_shards(fn, args, started))
@@ -484,31 +485,118 @@ def disc_census(n: int, p, height_grid: Sequence[int], nu_grid: Sequence[Fractio
     return DiscCensus(rows, stats, complete, seen, used)
 
 
+def _shard_cost(args) -> int:
+    """The blocks that shard (n, p, Q, a_n lo, a_n hi) walks, each a_n weighted by its a_0 range.
+
+    A shard walks (Q + 1)(2Q + 1)^(n-2) blocks (a_(n-1), ..., a_1) per a_n.  At
+    n = 2 each block is counted in closed form over all of a_0; from n = 3 on the
+    disc census walks |a_0| <= a_n, 2 a_n + 1 values, which is what makes its
+    later shards heavier.  (The n >= 3 sep census walks every a_0, so there the
+    weight only orders shards of nearly equal cost.)
+    """
+    n, _, q, lo, hi = args
+    blocks = (q + 1) * (2 * q + 1) ** (n - 2)
+    return blocks * (hi - lo + 1 if n == 2 else (hi + 1) ** 2 - lo**2)
+
+
+def _plan(shard_args, processes: int) -> list[list[int]]:
+    """Shard indices per worker: heaviest shard first, each to the least-loaded worker so far.
+
+    Only the shard arguments and the worker count decide it, ties going to the
+    earlier shard and the lower worker; a worker left without a shard is dropped.
+    """
+    costs = [_shard_cost(a) for a in shard_args]
+    groups: list[list[int]] = [[] for _ in range(processes)]
+    loads = [(0, w) for w in range(processes)]  # a heap of (load, worker)
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        load, w = heapq.heappop(loads)
+        groups[w].append(i)
+        heapq.heappush(loads, (load + costs[i], w))
+    return [group for group in groups if group]
+
+
+def _run_group(fn, shard_args, group: list[int], fd: int, mask) -> NoReturn:
+    """A forked child's whole life: run its group, report on fd, and exit without unwinding.
+
+    The report is the pickled ("ok", results) or ("error", exception), and the
+    exit status 0 says it is complete.  Whatever happens, SystemExit from a
+    signal handler included, the child ends in os._exit: it never returns into
+    the caller's frames and never flushes the parent's buffers.
+    """
+    import pickle
+    import signal
+
+    status = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            report = pickle.dumps(("ok", [fn(shard_args[i]) for i in group]))
+        except Exception as exc:
+            report = pickle.dumps(("error", exc))
+        with open(fd, "wb") as pipe:
+            pipe.write(report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _run_shards(fn, shard_args, processes: int) -> list:
-    """The shard results in order: in process when processes is 0, else in a pool of that many."""
+    """The shard results in shard order: in process when processes is 0, else in forked children.
+
+    Each of at most processes children runs one _plan group and reports on its
+    own pipe.  The parent reads every pipe to EOF, reaps every child, puts the
+    results back in shard order and re-raises a child's exception.  On any
+    exception in the parent, SIGTERM's SystemExit included, it kills and reaps
+    every child first, so no child outlives the call.  os.fork copies only the
+    calling thread, so a shard must take no lock that another thread may hold.
+    """
     if not processes:
         return [fn(a) for a in shard_args]
+    import pickle
     import signal
-    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing: pools only
 
-    # A SIGTERM or SIGINT handler that runs inside an at-fork hook has its exception
-    # dropped, so both are held while map forks the workers and submits every shard;
-    # the workers start with the caller's mask.
+    groups = _plan(shard_args, processes)
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-    with ProcessPoolExecutor(max_workers=processes, initializer=signal.pthread_sigmask,
-                             initargs=(signal.SIG_SETMASK, mask)) as pool:
+    pipes, live = [], []  # the read ends; the children not yet reaped
+    try:
+        # A SIGTERM or SIGINT handler that runs inside an at-fork hook has its exception
+        # dropped, so both are held while the children are forked; each child restores mask.
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM, signal.SIGINT))
         try:
-            signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGTERM, signal.SIGINT))
-            try:
-                results = pool.map(fn, shard_args)
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held signal's handler runs here
-            return list(results)
-        except BaseException:
-            # leaving the block would wait for the running shards: stop them now
-            for proc in pool._processes.values():
-                proc.kill()
-            raise
+            for group in groups:
+                r, w = os.pipe()
+                pipes.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if not pid:
+                        _run_group(fn, shard_args, group, w, mask)
+                    live.append(pid)
+                finally:
+                    os.close(w)  # the parent's copy: the pipe ends when the child's does
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a held signal's handler runs here
+        results: list = [None] * len(shard_args)
+        for group, pipe, pid in zip(groups, pipes, list(live)):
+            report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            live.remove(pid)
+            if code:
+                raise RuntimeError(f"census worker {pid} ended without its results (exit code {code})")
+            kind, value = pickle.loads(report)  # written by our own child
+            if kind == "error":
+                raise value
+            for i, res in zip(group, value):
+                results[i] = res
+        return results
+    except BaseException:
+        for pid in live:
+            os.kill(pid, signal.SIGKILL)
+        for pid in live:
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for pipe in pipes:
+            pipe.close()
 
 
 # --- separation census ---------------------------------------------------------

@@ -700,7 +700,7 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return 2
-    # SIGTERM unwinds as SystemExit(143), so a census pool stops its workers on the way out
+    # SIGTERM unwinds as SystemExit(143), so a census kills its workers on the way out
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _exit_on_signal) if on_main else None
     try:

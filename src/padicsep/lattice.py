@@ -503,7 +503,8 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
     mode "height-floor": |g_i|_p = delta/xi_i, d = 1/(delta Q).
     mode "derivative-pinch": index i_pinch gets the extra factor
     delta^(2(n+1)) C2^-(n+1); |g_i|_p = delta/(delta_i xi_i), d = delta/(C2 Q).
-    Both satisfy d^(n+1) prod |g_i|_p = 1 exactly.
+    Both satisfy d^(n+1) prod |g_i|_p = 1 exactly.  c2 and i_pinch belong to
+    the pinch mode: height-floor refuses either with a ValueError.
     """
     p, t, b, n = params.p, params.t, params.b, params.n
     if t < 1:
@@ -523,6 +524,9 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
         raise ValueError("xi_0 > Q^-(1+v): b_0 < t(1+v)")
 
     if mode == "height-floor":
+        for name, value in (("c2", c2), ("i_pinch", i_pinch)):
+            if value is not None:
+                raise ValueError(f"{name} applies only to mode 'derivative-pinch'")
         g_exp = tuple(bi - dv for bi in b)
         d_exp = dv - t
         c2_exp = 0
@@ -550,8 +554,7 @@ def normalization(params: XiParams, mode: str, delta: Fraction,
     for k in range(1, n + 1):
         lhs += d_exp + g_exp[k - 1]
         certs.append(NormalizationCertificate(k, lhs, rhs_exp, lhs >= rhs_exp))
-    return Normalization(mode, params, dv, c2_exp if mode == "derivative-pinch" else 0,
-                         i_pinch if mode == "derivative-pinch" else None, v,
+    return Normalization(mode, params, dv, c2_exp, i_pinch, v,
                          g_exp, d_exp, tuple(certs))
 
 

@@ -2,8 +2,10 @@ import collections
 import functools
 import itertools
 import math
+import os
 import random
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,11 +18,13 @@ from padicsep.census import (
     _census_inputs,
     _cubic_products,
     _disc_shard,
+    _plan,
     _quadratic_disc_blocks,
     _quadratic_sep_blocks,
     _records,
     _run_shards,
     _sep_shard,
+    _shard_cost,
     _shards,
     disc_census,
     disc_threshold,
@@ -670,72 +674,134 @@ def test_sep_census_accepts_t_zero():
     assert sep_census(2, 2, [0], [Fraction(1)]).complete
 
 
-class _SerialPool:
-    """A stand-in for ProcessPoolExecutor that records its size and runs in-process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """The children forked in this test, by pid: os.fork still forks, and is counted."""
+    pids: list[int] = []
+    real_fork = os.fork
 
-    sizes: list = []
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers, **options):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, args):
-        return map(fn, args)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
-def test_worker_pool_never_exceeds_shard_count(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+def test_worker_pool_never_exceeds_shard_count(forks):
     res = disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,), workers=10**6)
-    assert _SerialPool.sizes == [3]  # a_n in 1..20 makes three shards of eight
+    assert len(forks) == 3  # a_n in 1..20 makes three shards of eight
     assert res.rows == disc_census(2, 3, [20], [Fraction(1, 2)], c_exps=(0,)).rows
 
 
-def test_census_results_record_the_processes_started(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+def test_census_results_record_the_processes_started(forks):
     nu, theta = [Fraction(1, 2)], [Fraction(1)]
-    # Q = 8 is one shard (no pool), Q = 16 two shards, Q = 20 three; one pool runs them all
-    assert disc_census(2, 3, [8], nu, workers=8).workers_used == 0
-    assert disc_census(2, 3, [8, 20, 16], nu, workers=8).workers_used == 6
-    assert disc_census(2, 3, [20], nu, workers=2).workers_used == 2
-    assert disc_census(2, 3, [20], nu, workers=1).workers_used == 0
-    assert sep_census(2, 2, [3, 4], theta, workers=8).workers_used == 3
-    assert sep_census(2, 2, [4], theta, workers=1).workers_used == 0
-    # a level skipped by max_records starts nothing
-    assert disc_census(2, 3, [8, 20], nu, workers=8, max_records=10**4).workers_used == 0
-    assert sep_census(2, 2, [3, 8], theta, workers=8, max_records=10**4).workers_used == 0
+    # Q = 8 is one shard (no fork), Q = 16 two shards, Q = 20 three; one round of forks runs them all
+    calls = [
+        (lambda: disc_census(2, 3, [8], nu, workers=8), 0),
+        (lambda: disc_census(2, 3, [8, 20, 16], nu, workers=8), 6),
+        (lambda: disc_census(2, 3, [20], nu, workers=2), 2),
+        (lambda: disc_census(2, 3, [20], nu, workers=1), 0),
+        (lambda: sep_census(2, 2, [3, 4], theta, workers=8), 3),
+        (lambda: sep_census(2, 2, [4], theta, workers=1), 0),
+        # a level skipped by max_records starts nothing
+        (lambda: disc_census(2, 3, [8, 20], nu, workers=8, max_records=10**4), 0),
+        (lambda: sep_census(2, 2, [3, 8], theta, workers=8, max_records=10**4), 0),
+    ]
+    for call, started in calls:
+        before = len(forks)
+        assert call().workers_used == started
+        assert len(forks) - before == started
 
 
-def test_one_pool_per_census_call(monkeypatch):
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _SerialPool)
-    monkeypatch.setattr(_SerialPool, "sizes", [])
+def test_one_pool_per_census_call(forks):
     nu, theta = [Fraction(1, 2)], [Fraction(1)]
-    # 1 + 3 + 2 shards over three levels share one pool of six
+    # 1 + 3 + 2 shards over three levels share one round of six forks
     disc_census(2, 3, [8, 20, 16], nu, workers=8)
-    assert _SerialPool.sizes == [6]
-    # every level a single shard: two levels, yet no pool
+    assert len(forks) == 6
+    # every level a single shard: two levels, yet no fork
     disc_census(3, 3, [4, 8], nu, workers=2)
     sep_census(3, 2, [1, 2], theta, workers=2)
-    assert _SerialPool.sizes == [6]
+    assert len(forks) == 6
 
 
 def test_pool_workers_start_with_the_callers_signal_mask():
-    # _run_shards holds SIGTERM and SIGINT only while the pool starts: its workers and,
+    # _run_shards holds SIGTERM and SIGINT only while it forks: its children and,
     # afterwards, the caller run with the caller's mask
     previous = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGUSR1})
     try:
         mine = signal.pthread_sigmask(signal.SIG_BLOCK, ())
-        read_mask = functools.partial(signal.pthread_sigmask, signal.SIG_BLOCK)
-        assert _run_shards(read_mask, [(), ()], 2) == [mine, mine]
+        shards = [(2, 3, 16, 1, 8), (2, 3, 16, 9, 16)]
+        assert _run_shards(lambda _: signal.pthread_sigmask(signal.SIG_BLOCK, ()), shards,
+                           2) == [mine, mine]
         assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mine
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, previous)
+
+
+def test_plan_puts_the_heaviest_shard_first_on_the_least_loaded_worker():
+    # n = 3, Q = 32 disc shards cost 80, 208, 336 and 464 times the blocks per a_3
+    shards = [(3, 2, 32, lo, hi) for lo, hi in _shards(32)]
+    blocks = 33 * 65
+    assert [_shard_cost(a) for a in shards] == [80 * blocks, 208 * blocks, 336 * blocks,
+                                                464 * blocks]
+    assert _plan(shards, 2) == [[3, 0], [2, 1]]  # 544 blocks per a_3 each
+    # n = 2: (a_n values) x (Q + 1) blocks; ties go to the earlier shard and the lower worker
+    assert _plan([(2, 3, 20, 1, 8), (2, 3, 20, 9, 16), (2, 3, 20, 17, 20)], 2) == [[0, 2], [1]]
+    assert _plan([(2, 3, 20, 1, 8)], 3) == [[0]]
+
+
+SHARDS_OF_UNEQUAL_COST = [(2, 3, 20, 17, 20), (3, 2, 4, 1, 4), (2, 3, 20, 1, 8), (2, 3, 8, 1, 8),
+                          (2, 3, 20, 9, 16), (3, 3, 3, 1, 3)]
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_forked_shard_results_come_back_in_shard_order(processes, forks):
+    expected = [_disc_shard(a) for a in SHARDS_OF_UNEQUAL_COST]
+    assert _run_shards(_disc_shard, SHARDS_OF_UNEQUAL_COST, processes) == expected
+    assert len(forks) == processes
+
+
+def _no_child_left(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_shard_error_in_a_child_is_raised_in_the_parent(forks):
+    def fails_or_hangs(args):
+        if args[3] == 1:
+            raise ValueError(f"shard {args[3]}..{args[4]} failed")
+        time.sleep(60)  # the other child is still running when the error arrives
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=r"^shard 1\.\.8 failed$"):
+        _run_shards(fails_or_hangs, [(2, 3, 16, 1, 8), (2, 3, 16, 9, 16)], 2)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2
+    _no_child_left(forks)
+
+
+def test_a_shard_that_exits_ends_only_its_child(tmp_path, forks):
+    after = tmp_path / "after"
+
+    def exits(args):
+        raise SystemExit(3)
+
+    def caller():
+        try:
+            _run_shards(exits, [(2, 3, 16, 1, 8), (2, 3, 16, 9, 16)], 2)
+        finally:  # a child that unwound into this frame would run this too
+            with open(after, "a") as log:
+                log.write(f"{os.getpid()}\n")
+
+    with pytest.raises(RuntimeError, match="ended without its results"):
+        caller()
+    assert after.read_text().split() == [str(os.getpid())]
+    assert len(forks) == 2
+    _no_child_left(forks)
 
 
 def _sep_tally(counts, least, sep, irr, h):

@@ -108,6 +108,17 @@ def test_in_process_census_loads_neither_lattice_nor_multiprocessing(argv, tmp_p
     assert "padicsep.lattice" not in modules and "multiprocessing" not in modules
 
 
+def test_forked_census_loads_neither_multiprocessing_nor_concurrent_futures(tmp_path):
+    # Q = 20 has three shards, so --workers 2 forks two children
+    code, modules = _command(["disc-census", "--n", "2", "--p", "3", "--q-grid", "20", "--nu",
+                              "1/2", "--constants", "0", "--workers", "2",
+                              "--out-dir", str(tmp_path)])
+    assert code == 0
+    [telemetry] = tmp_path.glob("*_telemetry.json")
+    assert json.loads(telemetry.read_text())["workers_used"] == 2
+    assert "multiprocessing" not in modules and "concurrent.futures" not in modules
+
+
 def test_every_public_name_is_the_defining_modules_object():
     body = ("import importlib, padicsep\n"
             "star = {}\nexec('from padicsep import *', star)\n"

@@ -312,6 +312,14 @@ def test_normalization_validation():
         normalization(params, "height-floor", Fraction(1, 3), v=Fraction(3, 2))
 
 
+@pytest.mark.parametrize("extra", [{"c2": 4}, {"i_pinch": 1}, {"c2": 4, "i_pinch": 1}],
+                         ids=["c2", "i_pinch", "both"])
+def test_normalization_height_floor_refuses_pinch_arguments(extra):
+    # the pinch mode's arguments are refused by name, not dropped
+    with pytest.raises(ValueError, match=f"^{next(iter(extra))} applies only to"):
+        normalization(XiParams(2, 2, (5, 1, 0)), "height-floor", Fraction(1, 2), **extra)
+
+
 def test_choose_q_examples():
     assert choose_q(3, 5) == 7  # primes in (3,12): 5,7,11; skip p = 5
     assert choose_q(1, 5) == 2
