@@ -182,9 +182,10 @@ def resultant(p: IntPoly, q: IntPoly) -> int:
 def discriminant_coeffs(coeffs: tuple[int, ...]) -> int:
     """Discriminant from a raw low-to-high coefficient tuple.
 
-    Callers: discriminant (so zp_roots, profile_at_zp_root and the theorem3
-    summary of the generate command) and the census kernel, once per record at
-    n >= 4; the n = 2 and n = 3 kernels inline their own closed forms.
+    Callers: discriminant (so the theorem3 summary of the generate command),
+    the memo roots._discriminant that zp_roots and profile_at_zp_root read D
+    through, and the census kernel, once per record at n >= 4; the n = 2 and
+    n = 3 kernels inline their own closed forms.
     Degrees 2 and 3 use the expanded closed forms of the Sylvester
     determinant; higher degrees go through the Bareiss determinant, and so
     does degree 1, where Res(P, P') = a_1 gives a_1 / a_1 = 1 (the empty

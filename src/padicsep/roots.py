@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from math import comb
 from typing import Sequence
 
-from .intpoly import (IntPoly, content_primitive, discriminant, squarefree_decomposition,
+from .intpoly import (IntPoly, content_primitive, discriminant_coeffs, squarefree_decomposition,
                       squarefree_part)
 from .padic import INF, InvariantError, PadicMag, Valuation, _as_int, _as_p, valuation
 
@@ -156,6 +157,19 @@ def _lifted_roots(poly: IntPoly, p: int, precision: int, disc: int) -> list[int]
     return lifted
 
 
+_DISC_MEMO_SIZE = 32  # one root analysis reads D of at most deg P + 1 polynomials
+
+
+@lru_cache(maxsize=_DISC_MEMO_SIZE)
+def _discriminant(coeffs: tuple[int, ...]) -> int:
+    """D by coefficients, memoised: zp_roots(P), then profile_at_zp_root at its roots, share D.
+
+    D is neither passed in nor returned with the roots, so the public calls
+    carry only the residue.  Proof: D depends on the coefficient tuple alone.
+    """
+    return discriminant_coeffs(coeffs)
+
+
 def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
     """All roots of P in Z_p, each as a residue mod p^precision, in ascending order.
 
@@ -176,9 +190,9 @@ def zp_roots(poly: IntPoly, p, precision: int) -> list[ZpRoot]:
         return []
     modulus = q**precision
     prim = content_primitive(poly)[1]
-    disc = discriminant(prim)
+    disc = _discriminant(prim.coeffs)
     parts = ([(prim, 1, disc)] if disc else
-             [(s, m, discriminant(s)) for s, m in squarefree_decomposition(poly)])
+             [(s, m, _discriminant(s.coeffs)) for s, m in squarefree_decomposition(poly)])
     found = sorted((r % modulus, r, m == 1) for s, m, d in parts
                    for r in _lifted_roots(s, q, precision, d))
     return [ZpRoot(residue, precision, simple) for residue, _, simple in found]
@@ -208,11 +222,10 @@ def distance_profile(poly: IntPoly, a: int, p) -> DistanceProfile:
     """
     if poly.is_zero:
         raise ValueError("zero polynomial")
-    entries: list[Valuation] = []
-    for val, mult in newton_polygon(poly.shift(_as_int(a, "a")), p).root_valuations():
-        entries.extend([val] * mult)
-    entries.sort(key=lambda v: (0, 0) if v is INF else (1, -v))
-    return DistanceProfile(a, tuple(entries))
+    # the hull's slopes strictly increase (collinear points are popped), so
+    # root_valuations() lists +inf first, then strictly decreasing valuations
+    pairs = newton_polygon(poly.shift(_as_int(a, "a")), p).root_valuations()
+    return DistanceProfile(a, tuple(val for val, mult in pairs for _ in range(mult)))
 
 
 def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
@@ -222,7 +235,8 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     distance_profile of P at the lifted center a, whose entries >= N - 1 are
     the copies of alpha and become +inf.  Raises HenselInapplicable when the
     residue does not isolate a simple root of S.  S is the primitive part of
-    P when that has D != 0; only otherwise does Yun's gcd run.
+    P when that has D != 0; only otherwise does Yun's gcd run.  D(S) comes
+    from the memo _discriminant, which zp_roots(P) has filled.
 
     Proof.  Let S have degree s, leading coefficient c, gamma = v_p(c) and
     roots alpha_1, ..., alpha_s, the distinct roots of P.  The c alpha_i are
@@ -236,20 +250,30 @@ def profile_at_zp_root(poly: IntPoly, residue: int, p) -> DistanceProfile:
     """
     q, residue = _as_p(p), _as_int(residue, "residue")
     sqfree = content_primitive(poly)[1]
-    disc = discriminant(sqfree)
+    disc = _discriminant(sqfree.coeffs)
     if not disc:
         sqfree = squarefree_part(poly)
-        disc = discriminant(sqfree)
+        disc = _discriminant(sqfree.coeffs)
     s, gamma = sqfree.degree, valuation(sqfree.leading, q)
     bound = ((s - 1) * (s - 2) * gamma + valuation(disc, q)) // 2 - gamma
     n = max(bound + 2, 1)
     root, _ = hensel_lift(sqfree, residue, q, n)
-    prof = distance_profile(poly, root.residue, q)
-    finite = tuple(v for v in prof.entries if v < n - 1)
-    large = len(prof.entries) - len(finite)
+    entries = distance_profile(poly, root.residue, q).entries
+    # entries run largest first, so those >= N - 1 are a prefix
+    large = next((i for i, v in enumerate(entries) if v < n - 1), len(entries))
     if not large:
         raise InvariantError(f"no root of P within p^{n - 1} of the lifted center")
-    return DistanceProfile(root.residue, (INF,) * large + finite)
+    return DistanceProfile(root.residue, (INF,) * large + entries[large:])
+
+
+@cache
+def _signed_binomials(k: int) -> tuple[int, ...]:
+    """w_0..w_(k/2) with S_k = sum_m w_m T_m T_(k-m), for even k.
+
+    Proof: the terms m and k - m of S_k = sum_m C(k,m) (-1)^(k-m) T_m T_(k-m) are
+    equal, so w_m = 2 (-1)^m C(k,m) for m < k/2 and w_(k/2) = (-1)^(k/2) C(k,k/2).
+    """
+    return tuple((1 if 2 * m == k else 2) * (-1) ** m * comb(k, m) for m in range(k // 2 + 1))
 
 
 def _difference_elementary(coeffs: Sequence[int]) -> list[int]:
@@ -270,13 +294,21 @@ def _difference_elementary(coeffs: Sequence[int]) -> list[int]:
     c = [1] + [coeffs[n - k] * coeffs[n] ** (k - 1) for k in range(1, n + 1)] + [0] * big_n
     t = [n] + [0] * big_n
     for k in range(1, big_n + 1):
-        t[k] = -k * c[k] - sum(c[j] * t[k - j] for j in range(1, min(k, n + 1)))
+        acc = -k * c[k]
+        for j in range(1, min(k, n + 1)):
+            acc -= c[j] * t[k - j]
+        t[k] = acc
     e = [1] + [0] * big_n
     s = [0] * (big_n + 1)
-    for k in range(2, big_n + 1, 2):  # the terms m and k - m of S_k are equal
-        s[k] = (-1) ** (k // 2) * comb(k, k // 2) * t[k // 2] ** 2 + 2 * sum(
-            (-1) ** m * comb(k, m) * t[m] * t[k - m] for m in range(k // 2))
-        e[k], rem = divmod(-sum(e[k - i] * s[i] for i in range(2, k + 1, 2)), k)
+    for k in range(2, big_n + 1, 2):
+        acc = 0
+        for m, b in enumerate(_signed_binomials(k)):
+            acc += b * t[m] * t[k - m]
+        s[k] = acc
+        acc = 0
+        for i in range(2, k + 1, 2):
+            acc -= e[k - i] * s[i]
+        e[k], rem = divmod(acc, k)
         if rem:
             raise InvariantError(f"Newton's identity left {k} E_{k} indivisible by {k}")
     return e

@@ -2,7 +2,8 @@
 
 `import padicsep` loads no submodule, and `import padicsep.cli` plus
 `build_parser()` loads `padicsep.cli` alone, so `--help` pays for no
-arithmetic module.  Each case runs in a fresh interpreter, since this
+arithmetic module.  The verify suites live in `padicsep.verify`, which only
+the `verify` command loads.  Each case runs in a fresh interpreter, since this
 process has long since loaded everything.
 """
 
@@ -54,6 +55,10 @@ def _fresh(body: str) -> tuple[object, set[str]]:
     return last["out"], set(last["modules"])
 
 
+SUITES_MODULE = "padicsep.verify"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def _package(modules: set[str]) -> set[str]:
     return {m for m in modules if m == "padicsep" or m.startswith("padicsep.")}
 
@@ -95,6 +100,7 @@ def test_generate_never_loads_the_census(tmp_path):
                               "--out-dir", str(tmp_path)])
     assert code == 0
     assert "padicsep.lattice" in modules and "padicsep.census" not in modules
+    assert SUITES_MODULE not in modules
 
 
 @pytest.mark.parametrize("argv", [
@@ -106,6 +112,20 @@ def test_in_process_census_loads_neither_lattice_nor_multiprocessing(argv, tmp_p
     assert code == 0
     assert "padicsep.census" in modules
     assert "padicsep.lattice" not in modules and "multiprocessing" not in modules
+    assert SUITES_MODULE not in modules
+
+
+def test_report_loads_the_cli_alone(tmp_path):
+    code, modules = _command(["report", str(GOLDEN / "disc_census_n2_p3.csv"),
+                              "--out", str(tmp_path / "merged.csv")])
+    assert code == 0
+    assert _package(modules) == {"padicsep", "padicsep.cli"}
+
+
+def test_only_verify_loads_the_suites_module(tmp_path):
+    code, modules = _command(["verify", "--suite", "golden", "--golden-dir", str(GOLDEN)])
+    assert code == 0
+    assert SUITES_MODULE in modules
 
 
 def test_forked_census_loads_neither_multiprocessing_nor_concurrent_futures(tmp_path):

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicsep.intpoly import IntPoly, discriminant, squarefree_decomposition, squarefree_part
+from padicsep.intpoly import (IntPoly, content_primitive, discriminant, discriminant_coeffs,
+                              squarefree_decomposition, squarefree_part)
 from padicsep.padic import INF, valuation
 from padicsep.roots import (
     DistanceProfile,
@@ -22,7 +23,8 @@ from padicsep.roots import (
     profile_at_zp_root,
     zp_roots,
 )
-from padicsep.roots import _difference_elementary, _first_slope, _lifted_roots
+from padicsep.roots import _difference_elementary, _discriminant, _first_slope, _lifted_roots
+from difference_elementary_oracle import difference_elementary_by_sums
 from profile_oracle import profile_by_doubling
 from resultant_oracle import difference_poly_by_resultants, separation_by_resultants
 
@@ -242,6 +244,35 @@ def test_distance_profile_matches_known_roots():
         ]
 
 
+def test_distance_profile_is_the_old_sorted_form_seeded():
+    # the entries come in hull order: +inf first, then strictly decreasing, as
+    # the removed sort by (0, 0) if +inf else (1, -v) would have put them
+    rng = random.Random(20261025)
+    at_root = p_divides_lead = negative = 0
+    for _ in range(400):
+        p = rng.choice([2, 3, 5])
+        poly = IntPoly([rng.randint(-5, 5), rng.choice([-2, -1, 1, 3])])
+        integer_roots = []
+        for _ in range(rng.randint(1, 4)):
+            scale = rng.choice([1, 1, 2, 3, p, p * p])
+            r = rng.randint(-20, 20)
+            poly = poly * IntPoly([-r, scale])
+            if scale == 1:
+                integer_roots.append(r)
+        a = rng.choice(integer_roots) if integer_roots and rng.random() < 0.5 else rng.randint(-30, 30)
+        entries = []
+        for val, mult in newton_polygon(poly.shift(a), p).root_valuations():
+            entries.extend([val] * mult)
+        want = tuple(sorted(entries, key=lambda v: (0, 0) if v is INF else (1, -v)))
+        got = distance_profile(poly, a, p)
+        assert got.entries == want and [type(v) for v in got.entries] == [type(v) for v in want]
+        at_root += want[0] is INF
+        p_divides_lead += poly.leading % p == 0
+        negative += any(v is not INF and v < 0 for v in want)
+    assert at_root >= 80 and p_divides_lead >= 80 and negative >= 80, (at_root, p_divides_lead,
+                                                                      negative)
+
+
 def test_profile_at_zp_root():
     poly = IntPoly([-1, 1]) * IntPoly([-(1 + 3**5), 1]) * IntPoly([1, 0, 1])
     roots = zp_roots(poly, 3, 2)
@@ -371,9 +402,47 @@ def test_root_analysis_equals_the_yun_route_seeded(monkeypatch):
         repeated += sqfree.degree < poly.degree
     got = [profile_at_zp_root(*case) for case in cases]
     monkeypatch.setattr("padicsep.roots.content_primitive", lambda poly: (1, squarefree_part(poly)))
+    _discriminant.cache_clear()  # the Yun route computes each D afresh
     expect = [profile_at_zp_root(*case) for case in cases]
     assert got == expect
     assert squarefree >= 30 and repeated >= 30 and len(cases) >= 100, (squarefree, repeated)
+
+
+def test_root_analysis_computes_d_once_per_polynomial_seeded(monkeypatch):
+    # zp_roots and then profile_at_zp_root at every simple root read D of the
+    # primitive part through one memo, so each squarefree P costs one discriminant
+    calls = []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return discriminant_coeffs(coeffs)
+
+    monkeypatch.setattr("padicsep.roots.discriminant_coeffs", counted)
+    _discriminant.cache_clear()
+    rng = random.Random(20261023)
+    seen = set()
+    analysed = multi = 0
+    for _ in range(200):
+        p = rng.choice([2, 3, 5])
+        poly = IntPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))]
+                       + [rng.choice([-4, -1, 1, 2, 3, 5, 6])])
+        poly = poly * IntPoly([rng.randint(-6, 6), 1])  # a rational root, so a root in Z_p
+        poly = IntPoly([rng.choice([1, 1, 2, 6]) * a for a in poly.coeffs])  # content > 1 too
+        prim = content_primitive(poly)[1]
+        d = discriminant(prim)
+        if d == 0 or prim.coeffs in seen:
+            continue
+        seen.add(prim.coeffs)
+        s, gamma = prim.degree, valuation(prim.leading, p)
+        before = len(calls)
+        simple = [r for r in zp_roots(poly, p, 2 * valuation(d, p) + 2 * s * s * gamma + 4)
+                  if r.simple]
+        for root in simple:
+            profile_at_zp_root(poly, root.residue, p)
+        assert calls[before:] == [prim.coeffs], (poly, p)
+        analysed += 1
+        multi += len(simple) >= 2
+    assert analysed >= 150 and multi >= 50, (analysed, multi)
 
 
 def test_first_slope_equals_the_largest_fraction_seeded():
@@ -548,6 +617,20 @@ def test_difference_elementary_gives_the_discriminant():
             e_n = _difference_elementary(coeffs)[n * (n - 1)]
             quo, rem = divmod((-1) ** (n * (n - 1) // 2) * e_n, coeffs[n] ** ((n - 1) * (n - 2)))
             assert rem == 0 and quo == discriminant(IntPoly(coeffs)), coeffs
+
+
+def test_difference_elementary_equals_the_generator_sum_form_seeded():
+    # the tabled signed binomials and integer loops against the old per-term form
+    rng = random.Random(20261026)
+    negative = p_divides_lead = 0
+    for n in range(2, 8):
+        for _ in range(80 if n < 6 else 25):
+            lead = rng.choice([1, -1, 2, -3, 4, -5, 6, -9, 25, -8])
+            coeffs = [rng.randint(-12, 12) for _ in range(n)] + [lead]
+            assert _difference_elementary(coeffs) == difference_elementary_by_sums(coeffs), coeffs
+            negative += lead < 0
+            p_divides_lead += any(lead % p == 0 for p in (2, 3, 5))
+    assert negative >= 100 and p_divides_lead >= 150, (negative, p_divides_lead)
 
 
 def test_cubic_difference_elementary_closed_form():
